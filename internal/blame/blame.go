@@ -28,8 +28,9 @@
 package blame
 
 import (
+	"cmp"
 	"math"
-	"sort"
+	"slices"
 	"sync"
 
 	"chainmon/internal/livestats"
@@ -361,7 +362,7 @@ func (e *Engine) finalizeLocked(fs *flowState) {
 	}
 	// Stable sort by timestamp only: equal-timestamp hops keep feed order,
 	// which is identical online and offline by the observer contract.
-	sort.SliceStable(hops, func(i, j int) bool { return hops[i].ts < hops[j].ts })
+	slices.SortStableFunc(hops, func(a, b hop) int { return cmp.Compare(a.ts, b.ts) })
 
 	e2e := hops[len(hops)-1].ts - hops[0].ts
 	act := fs.act
@@ -495,11 +496,11 @@ func segSpans(hops []hop) []span {
 	}
 	// Deterministic span precedence for overlapping spans: by start time,
 	// ties by label id.
-	sort.SliceStable(spans, func(i, j int) bool {
-		if spans[i].start != spans[j].start {
-			return spans[i].start < spans[j].start
+	slices.SortStableFunc(spans, func(a, b span) int {
+		if c := cmp.Compare(a.start, b.start); c != 0 {
+			return c
 		}
-		return spans[i].label < spans[j].label
+		return cmp.Compare(a.label, b.label)
 	})
 	return spans
 }

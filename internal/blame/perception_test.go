@@ -3,14 +3,25 @@ package blame_test
 import (
 	"bytes"
 	"encoding/json"
+	"flag"
+	"net/http"
+	"net/http/httptest"
+	"os"
+	"path/filepath"
+	"strings"
 	"testing"
 
+	"chainmon/internal/adaptive"
 	"chainmon/internal/blame"
 	"chainmon/internal/lidar"
+	"chainmon/internal/livestats"
 	"chainmon/internal/monitor"
 	"chainmon/internal/perception"
+	"chainmon/internal/sim"
 	"chainmon/internal/telemetry"
 )
+
+var update = flag.Bool("update", false, "rewrite the golden files from the current output")
 
 // lossyConfig is a full-chain run with enough network loss to exercise the
 // pub-skip path and recovery handlers on both remote segments, so the
@@ -93,6 +104,146 @@ func TestSimOnlineOfflineByteIdentical(t *testing.T) {
 	if online.Flows == 0 || online.Missed == 0 {
 		t.Fatalf("flows=%d missed=%d: the lossy run must attribute misses", online.Flows, online.Missed)
 	}
+}
+
+// scrapedRun executes a seeded full-chain run with every online layer
+// attached the way `chainmon -full -recover -adaptive -trace-stream` wires
+// them — sink, in-memory stream, live set, blame on the stream observer,
+// adaptive controller, supervisor — and scrapes /health and /metrics
+// through their HTTP handlers half way through and after the run. The meta
+// section carries only deterministic fields; the binary's also carries the
+// build version and uptime.
+func scrapedRun(t *testing.T, seed int64, frames int) (health, metrics string) {
+	t.Helper()
+	cfg := perception.DefaultConfig()
+	cfg.Seed = seed
+	cfg.Frames = frames
+	cfg.FullChain = true
+	holdOver := func(*monitor.ExceptionContext) *monitor.Recovery {
+		return &monitor.Recovery{Data: &perception.FrameData{Points: 11000, FrontOnly: true}, Size: 16 * 11000}
+	}
+	cfg.Handlers = map[string]monitor.Handler{
+		perception.SegFrontRemote: holdOver,
+		perception.SegRearRemote:  holdOver,
+	}
+
+	sink := telemetry.NewSink(telemetry.DefaultTrackCap)
+	var logBuf bytes.Buffer
+	sw, err := telemetry.NewStreamWriter(&logBuf, "sim", telemetry.StreamOptions{Metrics: sink.Reg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sink.Rec.SetStream(sw)
+	live := livestats.NewSet(0)
+	sink.AddExportHook(func() { live.PublishMetrics(sink.Reg) })
+	live.AddDropSource("flight-recorder", sink.Rec.Dropped)
+	live.AddDropSource("trace-stream", sw.Dropped)
+	eng := blame.New(blame.Options{})
+	eng.SetTimebase("sim")
+	sw.SetObserver(eng.Feed)
+	sink.AddExportHook(func() { eng.PublishMetrics(sink.Reg, blame.RecorderResolvers(sink.Rec)) })
+	live.SetBlameProvider(func() any { return eng.Snapshot(blame.RecorderResolvers(sink.Rec)) })
+	live.SetMetaProvider(func() any {
+		return map[string]any{"scenario": "perception", "budget_epoch": eng.Epoch()}
+	})
+
+	s := perception.Build(cfg)
+	perception.AttachTelemetry(s, sink)
+	perception.AttachLive(s, live)
+	table := monitor.NewBudgetTable()
+	s.MonECU2.AttachBudget(table)
+	ctrl, err := adaptive.New(adaptive.Config{
+		Set: live, Table: table, Chain: s.ChainFront.Name,
+		Segments: []adaptive.SegmentSpec{
+			{Name: perception.SegObjectsLocal, Propagation: 1,
+				Initial: cfg.LocalDeadline, Min: cfg.LocalDeadline / 20, Max: cfg.LocalDeadline},
+			{Name: perception.SegGroundLocal, Propagation: 1,
+				Initial: cfg.LocalDeadline, Min: cfg.LocalDeadline / 20, Max: cfg.LocalDeadline},
+		},
+		DEx:        sim.Millisecond,
+		Be2e:       2*(cfg.LocalDeadline+sim.Millisecond) + cfg.LocalDeadline/5,
+		Constraint: cfg.Constraint,
+		Guard:      adaptive.Guardrails{Hysteresis: adaptive.DefaultHysteresis},
+		Sink:       sink,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	horizon := sim.Time(cfg.Frames) * sim.Time(cfg.Period)
+	ctrl.ScheduleSim(s.K, sim.Second, horizon)
+	sup := monitor.NewSupervisor(s.K, 5)
+	sup.Watch(s.ChainFront)
+	sup.Watch(s.ChainRear)
+	sup.AttachTelemetry(sink)
+
+	var hb, mb strings.Builder
+	scrape := func(when string) {
+		for _, ep := range []struct {
+			h   http.Handler
+			out *strings.Builder
+		}{{live.Handler(), &hb}, {sink.Handler(), &mb}} {
+			rec := httptest.NewRecorder()
+			ep.h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/", nil))
+			ep.out.WriteString("== " + when + " ==\n")
+			ep.out.Write(rec.Body.Bytes())
+		}
+	}
+	s.K.At(horizon/2, func() { scrape("mid-run") })
+	s.Run()
+	eng.Flush()
+	eng.FlushExemplars(sink.Rec.Track("blame-exemplar"))
+	if err := sw.Close(); err != nil {
+		t.Fatal(err)
+	}
+	scrape("end of run")
+	return hb.String(), mb.String()
+}
+
+// TestScrapeByteStability pins every byte a live /health and /metrics
+// scrape emits on a seeded full-chain run with every online layer
+// attached: sketch quantiles, SLO burn, blame shares and exemplars,
+// adaptive budget history, and the Prometheus label rendering. Regenerate
+// deliberately with:
+//
+//	go test ./internal/blame -run TestScrapeByteStability -update
+func TestScrapeByteStability(t *testing.T) {
+	health, metrics := scrapedRun(t, 5, 300)
+	for _, g := range []struct{ name, got string }{
+		{"scrape_health.golden", health},
+		{"scrape_metrics.golden", metrics},
+	} {
+		path := filepath.Join("testdata", g.name)
+		if *update {
+			if err := os.MkdirAll("testdata", 0o755); err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(path, []byte(g.got), 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+		want, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatalf("reading golden file (run with -update to generate): %v", err)
+		}
+		if g.got != string(want) {
+			t.Errorf("%s drifted (%d vs %d bytes); first differing line: %s\n"+
+				"if the change is intended, rerun with -update",
+				path, len(g.got), len(want), firstDiffLine(g.got, string(want)))
+		}
+	}
+	if !strings.Contains(health, `"exemplars"`) || !strings.Contains(health, `"budget"`) {
+		t.Error("the scraped run must exercise blame exemplars and the adaptive budget section")
+	}
+}
+
+func firstDiffLine(a, b string) string {
+	al, bl := strings.Split(a, "\n"), strings.Split(b, "\n")
+	for i := 0; i < len(al) && i < len(bl); i++ {
+		if al[i] != bl[i] {
+			return al[i] + " != " + bl[i]
+		}
+	}
+	return "(outputs are a prefix of one another)"
 }
 
 // TestLedgerConservationOnRealRun pins the conservation invariant on the

@@ -2,7 +2,9 @@ package blame
 
 import (
 	"fmt"
+	"slices"
 	"sort"
+	"strings"
 
 	"chainmon/internal/telemetry"
 )
@@ -18,18 +20,7 @@ type Resolvers struct {
 
 // RecorderResolvers builds snapshot resolvers over a live recorder.
 func RecorderResolvers(r *telemetry.Recorder) Resolvers {
-	return Resolvers{
-		Label: r.LabelName,
-		Scope: r.ScopeName,
-		Track: func(id uint16) string {
-			for _, t := range r.Tracks() {
-				if t.ID() == id {
-					return t.Name()
-				}
-			}
-			return ""
-		},
-	}
+	return Resolvers{Label: r.LabelName, Scope: r.ScopeName, Track: r.TrackName}
 }
 
 // LogResolvers builds snapshot resolvers over a parsed log.
@@ -205,11 +196,11 @@ func (e *Engine) Snapshot(res Resolvers) Doc {
 			raw.hopDocs[i].Name = hopName(key, res.Label)
 		}
 		sd.Hops = raw.hopDocs
-		sort.Slice(sd.Hops, func(i, j int) bool { return sd.Hops[i].Name < sd.Hops[j].Name })
+		slices.SortStableFunc(sd.Hops, func(a, b HopDoc) int { return strings.Compare(a.Name, b.Name) })
 		for i, label := range raw.segLabels {
 			sd.Segments[i].Name = res.Label(label)
 		}
-		sort.Slice(sd.Segments, func(i, j int) bool { return sd.Segments[i].Name < sd.Segments[j].Name })
+		slices.SortStableFunc(sd.Segments, func(a, b SegmentDoc) int { return strings.Compare(a.Name, b.Name) })
 		for rank, x := range raw.exemplars {
 			xd := ExemplarDoc{
 				Rank:    rank + 1,
@@ -234,7 +225,7 @@ func (e *Engine) Snapshot(res Resolvers) Doc {
 		}
 		doc.Scopes = append(doc.Scopes, sd)
 	}
-	sort.Slice(doc.Scopes, func(i, j int) bool { return doc.Scopes[i].Scope < doc.Scopes[j].Scope })
+	slices.SortStableFunc(doc.Scopes, func(a, b ScopeDoc) int { return strings.Compare(a.Scope, b.Scope) })
 	return doc
 }
 

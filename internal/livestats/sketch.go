@@ -10,12 +10,18 @@
 // multi-day wall-clock service: memory is bounded regardless of run length,
 // sketches from independent shards or vehicles merge losslessly, and every
 // estimate carries a documented error bound against the exact sample.
+//
+// Sketch buckets are kept in index order, so every live read — a /health
+// or /metrics scrape taking the lock the monitor's resolution and drain
+// hooks also take — is a single allocation-free walk with no sort. Merge
+// folds whole buckets in ascending index order: one store insert per
+// bucket, not per observation, and a deterministic Collapsed count.
 package livestats
 
 import (
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 	"time"
 )
 
@@ -34,6 +40,10 @@ const defaultMaxBuckets = 4096
 // value. Memory is O(log(max/min)/α) regardless of how many values are
 // observed, bounded further by a bucket cap with lowest-bucket collapsing.
 //
+// Buckets live in an index-sorted sparse store, as in DDSketch, so a
+// quantile read is one in-order walk that allocates nothing, and observing
+// into an existing bucket is a binary search and an increment.
+//
 // Two sketches with the same α merge losslessly: bucket counts add, so
 // Merge(a, b) equals the sketch of the concatenated stream exactly (bucket
 // assignment depends only on the value, never on arrival order) as long as
@@ -45,8 +55,8 @@ type Sketch struct {
 	gamma    float64
 	invLogG  float64 // 1 / ln(gamma)
 	maxBkts  int
-	pos, neg map[int]uint64 // bucket index → count; neg indexes |v|
-	zero     uint64         // exact zeros
+	pos, neg store  // neg indexes |v|
+	zero     uint64 // exact zeros
 	count    uint64
 	sum      float64
 	min, max float64 // exact extremes
@@ -72,8 +82,6 @@ func NewSketch(alpha float64) *Sketch {
 		gamma:   gamma,
 		invLogG: 1 / math.Log(gamma),
 		maxBkts: defaultMaxBuckets,
-		pos:     make(map[int]uint64),
-		neg:     make(map[int]uint64),
 		min:     math.Inf(1),
 		max:     math.Inf(-1),
 	}
@@ -105,9 +113,9 @@ func (s *Sketch) Observe(v float64) {
 	case v == 0:
 		s.zero++
 	case v > 0:
-		s.add(s.pos, s.index(v))
+		s.add(&s.pos, s.index(v), 1)
 	default:
-		s.add(s.neg, s.index(-v))
+		s.add(&s.neg, s.index(-v), 1)
 	}
 	s.count++
 	s.sum += v
@@ -122,25 +130,31 @@ func (s *Sketch) Observe(v float64) {
 // ObserveDuration records a duration in nanoseconds.
 func (s *Sketch) ObserveDuration(d time.Duration) { s.Observe(float64(d)) }
 
-// add increments a bucket, collapsing the two lowest buckets of the store
+// store is one sign's buckets: bucket indexes in ascending order with
+// their counts in the parallel slice.
+type store struct {
+	keys   []int
+	counts []uint64
+}
+
+// add adds n to bucket i, collapsing the two lowest buckets of the store
 // when the cap is exceeded (low buckets hold the values that matter least
 // for the high latency quantiles this sketch serves).
-func (s *Sketch) add(store map[int]uint64, i int) {
-	store[i]++
-	if len(store) <= s.maxBkts {
+func (s *Sketch) add(st *store, i int, n uint64) {
+	j, found := slices.BinarySearch(st.keys, i)
+	if found {
+		st.counts[j] += n
 		return
 	}
-	lo1, lo2 := math.MaxInt, math.MaxInt
-	for k := range store {
-		if k < lo1 {
-			lo1, lo2 = k, lo1
-		} else if k < lo2 {
-			lo2 = k
-		}
+	st.keys = slices.Insert(st.keys, j, i)
+	st.counts = slices.Insert(st.counts, j, n)
+	if len(st.keys) <= s.maxBkts {
+		return
 	}
-	s.collapsed += store[lo1]
-	store[lo2] += store[lo1]
-	delete(store, lo1)
+	s.collapsed += st.counts[0]
+	st.counts[1] += st.counts[0]
+	st.keys = slices.Delete(st.keys, 0, 1)
+	st.counts = slices.Delete(st.counts, 0, 1)
 }
 
 // Count returns the number of observed (valid) values.
@@ -159,7 +173,7 @@ func (s *Sketch) Collapsed() uint64 { return s.collapsed }
 // Buckets returns the number of live buckets — the sketch's memory
 // footprint in units of (index, count) pairs.
 func (s *Sketch) Buckets() int {
-	n := len(s.pos) + len(s.neg)
+	n := len(s.pos.keys) + len(s.neg.keys)
 	if s.zero > 0 {
 		n++
 	}
@@ -238,45 +252,35 @@ func (s *Sketch) QuantileOK(q float64) (float64, bool) {
 // and returns the representative of the bucket holding the target rank.
 func (s *Sketch) locate(rank float64) float64 {
 	cum := uint64(0)
-	past := func() bool { return float64(cum) > rank }
-
-	for _, i := range sortedKeys(s.neg, true) {
-		cum += s.neg[i]
-		if past() {
-			return -s.estimate(i)
+	for j := len(s.neg.keys) - 1; j >= 0; j-- {
+		cum += s.neg.counts[j]
+		if float64(cum) > rank {
+			return -s.estimate(s.neg.keys[j])
 		}
 	}
 	cum += s.zero
-	if s.zero > 0 && past() {
+	if s.zero > 0 && float64(cum) > rank {
 		return 0
 	}
-	for _, i := range sortedKeys(s.pos, false) {
-		cum += s.pos[i]
-		if past() {
+	for j, i := range s.pos.keys {
+		cum += s.pos.counts[j]
+		if float64(cum) > rank {
 			return s.estimate(i)
 		}
 	}
 	return s.max
 }
 
-func sortedKeys(store map[int]uint64, descending bool) []int {
-	keys := make([]int, 0, len(store))
-	for k := range store {
-		keys = append(keys, k)
-	}
-	sort.Ints(keys)
-	if descending {
-		for l, r := 0, len(keys)-1; l < r; l, r = l+1, r-1 {
-			keys[l], keys[r] = keys[r], keys[l]
-		}
-	}
-	return keys
-}
-
 // Merge folds other into s. Both sketches must share the same accuracy α
 // (bucket layouts are incompatible otherwise); Merge panics on a mismatch
 // since that is always a wiring bug. The merged sketch is identical to the
 // sketch of the concatenated streams as long as neither input collapsed.
+//
+// Whole buckets are folded in ascending index order, one store insert per
+// bucket rather than per observation. Under the bucket cap the resulting
+// layout does not depend on the fold order, but Collapsed does (mass that
+// already collapsed can collapse again); the fixed order makes it
+// deterministic.
 func (s *Sketch) Merge(other *Sketch) {
 	if other == nil || other.count == 0 && other.invalid == 0 {
 		return
@@ -284,15 +288,11 @@ func (s *Sketch) Merge(other *Sketch) {
 	if other.alpha != s.alpha {
 		panic(fmt.Sprintf("livestats: merging sketches with α=%g and α=%g", s.alpha, other.alpha))
 	}
-	for i, c := range other.pos {
-		for n := uint64(0); n < c; n++ {
-			s.add(s.pos, i)
-		}
+	for j, i := range other.pos.keys {
+		s.add(&s.pos, i, other.pos.counts[j])
 	}
-	for i, c := range other.neg {
-		for n := uint64(0); n < c; n++ {
-			s.add(s.neg, i)
-		}
+	for j, i := range other.neg.keys {
+		s.add(&s.neg, i, other.neg.counts[j])
 	}
 	s.zero += other.zero
 	s.count += other.count
@@ -309,8 +309,8 @@ func (s *Sketch) Merge(other *Sketch) {
 
 // Reset empties the sketch, keeping its configuration.
 func (s *Sketch) Reset() {
-	clear(s.pos)
-	clear(s.neg)
+	s.pos.keys, s.pos.counts = s.pos.keys[:0], s.pos.counts[:0]
+	s.neg.keys, s.neg.counts = s.neg.keys[:0], s.neg.counts[:0]
 	s.zero, s.count, s.collapsed, s.invalid = 0, 0, 0, 0
 	s.sum = 0
 	s.min, s.max = math.Inf(1), math.Inf(-1)

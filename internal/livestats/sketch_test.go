@@ -1,8 +1,10 @@
 package livestats
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 	"time"
@@ -348,4 +350,317 @@ func powers(base float64, n int) []float64 {
 		v *= base
 	}
 	return out
+}
+
+// mapSketch is the map-backed bucket store the index-sorted store replaced,
+// kept as the reference the store-equivalence tests compare against. It
+// shares the Sketch's bucket mapping (index, estimate) and nothing else.
+type mapSketch struct {
+	cfg       *Sketch
+	pos, neg  map[int]uint64
+	zero      uint64
+	count     uint64
+	min, max  float64
+	collapsed uint64
+	invalid   uint64
+}
+
+func newMapSketch(maxBkts int) *mapSketch {
+	cfg := NewSketch(0)
+	cfg.maxBkts = maxBkts
+	return &mapSketch{cfg: cfg, pos: map[int]uint64{}, neg: map[int]uint64{},
+		min: math.Inf(1), max: math.Inf(-1)}
+}
+
+func (s *mapSketch) Observe(v float64) {
+	if math.IsNaN(v) || math.IsInf(v, 0) {
+		s.invalid++
+		return
+	}
+	switch {
+	case v == 0:
+		s.zero++
+	case v > 0:
+		s.add(s.pos, s.cfg.index(v))
+	default:
+		s.add(s.neg, s.cfg.index(-v))
+	}
+	s.count++
+	s.min, s.max = math.Min(s.min, v), math.Max(s.max, v)
+}
+
+func (s *mapSketch) add(store map[int]uint64, i int) {
+	store[i]++
+	if len(store) <= s.cfg.maxBkts {
+		return
+	}
+	lo1, lo2 := math.MaxInt, math.MaxInt
+	for k := range store {
+		if k < lo1 {
+			lo1, lo2 = k, lo1
+		} else if k < lo2 {
+			lo2 = k
+		}
+	}
+	s.collapsed += store[lo1]
+	store[lo2] += store[lo1]
+	delete(store, lo1)
+}
+
+// Merge re-adds every observation of other one at a time, in Go map order.
+func (s *mapSketch) Merge(other *mapSketch) {
+	for i, c := range other.pos {
+		for n := uint64(0); n < c; n++ {
+			s.add(s.pos, i)
+		}
+	}
+	for i, c := range other.neg {
+		for n := uint64(0); n < c; n++ {
+			s.add(s.neg, i)
+		}
+	}
+	s.zero += other.zero
+	s.count += other.count
+	s.invalid += other.invalid
+	s.collapsed += other.collapsed
+	s.min, s.max = math.Min(s.min, other.min), math.Max(s.max, other.max)
+}
+
+func (s *mapSketch) Quantile(q float64) float64 {
+	if s.count == 0 {
+		return math.NaN()
+	}
+	if q <= 0 {
+		return s.min
+	}
+	if q >= 1 {
+		return s.max
+	}
+	rank := q * float64(s.count-1)
+	v := s.max
+	cum := uint64(0)
+	neg, pos := sortedLayout(s.neg), sortedLayout(s.pos)
+	found := false
+	for j := len(neg) - 1; j >= 0 && !found; j-- {
+		cum += neg[j].count
+		if float64(cum) > rank {
+			v, found = -s.cfg.estimate(neg[j].index), true
+		}
+	}
+	if !found {
+		cum += s.zero
+		if s.zero > 0 && float64(cum) > rank {
+			v, found = 0, true
+		}
+	}
+	for j := 0; j < len(pos) && !found; j++ {
+		cum += pos[j].count
+		if float64(cum) > rank {
+			v, found = s.cfg.estimate(pos[j].index), true
+		}
+	}
+	return math.Min(math.Max(v, s.min), s.max)
+}
+
+type bucket struct {
+	index int
+	count uint64
+}
+
+func sortedLayout(store map[int]uint64) []bucket {
+	var out []bucket
+	for i, c := range store {
+		out = append(out, bucket{i, c})
+	}
+	sort.Slice(out, func(a, b int) bool { return out[a].index < out[b].index })
+	return out
+}
+
+func storeLayout(st store) []bucket {
+	var out []bucket
+	for j, i := range st.keys {
+		out = append(out, bucket{i, st.counts[j]})
+	}
+	return out
+}
+
+var equivalenceQuantiles = func() []float64 {
+	qs := []float64{-1, 0, 1e-6, 0.001, 0.005}
+	for q := 0.01; q < 1; q += 0.01 {
+		qs = append(qs, q)
+	}
+	return append(qs, 0.995, 0.999, 1-1e-9, 1, 2)
+}()
+
+// randomStream draws a signed stream spanning many buckets, with exact
+// zeros, repeated values and NaN/±Inf mixed in.
+func randomStream(r *rand.Rand, n int) []float64 {
+	out := make([]float64, n)
+	for i := range out {
+		switch k := r.Intn(40); {
+		case k == 0:
+			out[i] = 0
+		case k == 1:
+			out[i] = []float64{math.NaN(), math.Inf(1), math.Inf(-1)}[r.Intn(3)]
+		case k == 2 && i > 0:
+			out[i] = out[r.Intn(i)]
+		default:
+			v := math.Exp(r.Float64()*12 - 2)
+			if r.Intn(4) == 0 {
+				v = -v
+			}
+			out[i] = v
+		}
+	}
+	return out
+}
+
+func sameQuantiles(t *testing.T, label string, got *Sketch, want *mapSketch) {
+	t.Helper()
+	for _, q := range equivalenceQuantiles {
+		g, w := got.Quantile(q), want.Quantile(q)
+		if g != w && !(math.IsNaN(g) && math.IsNaN(w)) {
+			t.Fatalf("%s: Quantile(%g) = %g, reference %g", label, q, g, w)
+		}
+	}
+}
+
+func sameLayout(t *testing.T, label string, got *Sketch, want *mapSketch) {
+	t.Helper()
+	if !slices.Equal(storeLayout(got.pos), sortedLayout(want.pos)) ||
+		!slices.Equal(storeLayout(got.neg), sortedLayout(want.neg)) || got.zero != want.zero {
+		t.Fatalf("%s: bucket layout differs from the reference\npos %v\nref %v\nneg %v\nref %v",
+			label, storeLayout(got.pos), sortedLayout(want.pos), storeLayout(got.neg), sortedLayout(want.neg))
+	}
+	if got.Count() != want.count || got.Invalid() != want.invalid {
+		t.Fatalf("%s: count/invalid = %d/%d, reference %d/%d", label, got.Count(), got.Invalid(), want.count, want.invalid)
+	}
+	if got.Count() > 0 && (got.Min() != want.min || got.Max() != want.max) {
+		t.Fatalf("%s: extremes (%g, %g), reference (%g, %g)", label, got.Min(), got.Max(), want.min, want.max)
+	}
+	wantBuckets := len(want.pos) + len(want.neg)
+	if want.zero > 0 {
+		wantBuckets++
+	}
+	if got.Buckets() != wantBuckets {
+		t.Fatalf("%s: Buckets = %d, reference %d", label, got.Buckets(), wantBuckets)
+	}
+}
+
+// TestSketchStoreMatchesMapReference: on random signed streams under small
+// bucket caps, the index-sorted store answers every quantile and counter
+// exactly as the map store it replaced, collapse counter included.
+func TestSketchStoreMatchesMapReference(t *testing.T) {
+	r := rand.New(rand.NewSource(13))
+	for trial := 0; trial < 300; trial++ {
+		cap := 2 + r.Intn(39)
+		sk, ref := NewSketch(0), newMapSketch(cap)
+		sk.maxBkts = cap
+		for _, v := range randomStream(r, r.Intn(1500)) {
+			sk.Observe(v)
+			ref.Observe(v)
+		}
+		label := fmt.Sprintf("trial %d (cap %d, n %d)", trial, cap, sk.Count())
+		sameLayout(t, label, sk, ref)
+		sameQuantiles(t, label, sk, ref)
+		if sk.Collapsed() != ref.collapsed {
+			t.Fatalf("%s: Collapsed = %d, reference %d", label, sk.Collapsed(), ref.collapsed)
+		}
+	}
+}
+
+// capShards builds shards of random streams under one small bucket cap,
+// with their map-store references.
+func capShards(r *rand.Rand, cap int) ([]*Sketch, []*mapSketch) {
+	n := 2 + r.Intn(5)
+	shards, refs := make([]*Sketch, n), make([]*mapSketch, n)
+	for i := range shards {
+		shards[i], refs[i] = NewSketch(0), newMapSketch(cap)
+		shards[i].maxBkts = cap
+		for _, v := range randomStream(r, r.Intn(600)) {
+			shards[i].Observe(v)
+			refs[i].Observe(v)
+		}
+	}
+	return shards, refs
+}
+
+// TestSketchMergeMatchesMapReference: whole-bucket merges give the same
+// quantiles and bucket layout as the reference's one-observation-at-a-time
+// merge, under cap pressure too.
+func TestSketchMergeMatchesMapReference(t *testing.T) {
+	r := rand.New(rand.NewSource(17))
+	for trial := 0; trial < 200; trial++ {
+		cap := 2 + r.Intn(39)
+		shards, refs := capShards(r, cap)
+		merged, ref := NewSketch(0), newMapSketch(cap)
+		merged.maxBkts = cap
+		for i := range shards {
+			merged.Merge(shards[i])
+			ref.Merge(refs[i])
+		}
+		label := fmt.Sprintf("trial %d (cap %d, %d shards)", trial, cap, len(shards))
+		sameLayout(t, label, merged, ref)
+		sameQuantiles(t, label, merged, ref)
+	}
+}
+
+// TestSketchMergeCollapsedDeterministic: under cap pressure, merging the
+// same shards repeatedly reports one Collapsed value. The count depends on
+// fold order (collapsed mass can collapse again), so a merge that iterated
+// a Go map gave a different count from run to run.
+func TestSketchMergeCollapsedDeterministic(t *testing.T) {
+	r := rand.New(rand.NewSource(19))
+	varied := 0
+	for trial := 0; trial < 50; trial++ {
+		cap := 2 + r.Intn(39)
+		shards, _ := capShards(r, cap)
+		seen := map[uint64]bool{}
+		for rep := 0; rep < 20; rep++ {
+			merged := NewSketch(0)
+			merged.maxBkts = cap
+			for _, sh := range shards {
+				merged.Merge(sh)
+			}
+			seen[merged.Collapsed()] = true
+		}
+		if len(seen) != 1 {
+			t.Fatalf("trial %d (cap %d): 20 identical merges gave %d different Collapsed values", trial, cap, len(seen))
+		}
+		for v := range seen {
+			if v > 0 {
+				varied++
+			}
+		}
+	}
+	if varied == 0 {
+		t.Fatal("no trial collapsed: the test does not exercise cap pressure")
+	}
+}
+
+// TestSketchQuantileAllocFree gates the scrape path: a quantile read is one
+// in-order walk of the store, and observing into an existing bucket is a
+// binary search and an increment — neither allocates.
+func TestSketchQuantileAllocFree(t *testing.T) {
+	sk := NewSketch(0)
+	for _, v := range randomStream(rand.New(rand.NewSource(23)), 5000) {
+		sk.Observe(v)
+	}
+	if sk.Buckets() < 100 || len(sk.neg.keys) == 0 || sk.zero == 0 {
+		t.Fatalf("populated sketch too small: %d buckets", sk.Buckets())
+	}
+	var sink float64
+	if n := testing.AllocsPerRun(100, func() {
+		for _, q := range testQuantiles {
+			sink += sk.Quantile(q)
+			v, _ := sk.QuantileOK(q)
+			sink += v
+		}
+	}); n != 0 {
+		t.Errorf("Quantile/QuantileOK: %v allocs per run, want 0", n)
+	}
+	existing := sk.Quantile(0.5)
+	if n := testing.AllocsPerRun(100, func() { sk.Observe(existing) }); n != 0 {
+		t.Errorf("Observe into an existing bucket: %v allocs per run, want 0", n)
+	}
 }

@@ -433,6 +433,37 @@ func TestReorderBufSkipsPermanentGaps(t *testing.T) {
 	}
 }
 
+// TestReorderBufDeliversLateGapOnce: an activation whose slot the window
+// already skipped (here 1, resolving as a miss after 2…66) must still reach
+// the sink, exactly once — a parked late verdict would be a silently lost
+// deadline miss.
+func TestReorderBufDeliversLateGapOnce(t *testing.T) {
+	delivered := map[uint64]int{}
+	var missed []uint64
+	b := newReorderBuf(func(r Resolution) {
+		delivered[r.Activation]++
+		if r.Status == StatusMissed {
+			missed = append(missed, r.Activation)
+		}
+	})
+	b.add(Resolution{Activation: 0})
+	for a := uint64(2); a <= 66; a++ {
+		b.add(Resolution{Activation: a})
+	}
+	b.add(Resolution{Activation: 1, Status: StatusMissed})
+	for a := uint64(67); a <= 200; a++ {
+		b.add(Resolution{Activation: a})
+	}
+	for a := uint64(0); a <= 200; a++ {
+		if n := delivered[a]; n != 1 {
+			t.Errorf("activation %d delivered %d times", a, n)
+		}
+	}
+	if len(missed) != 1 || missed[0] != 1 {
+		t.Errorf("missed verdicts delivered = %v, want [1]", missed)
+	}
+}
+
 func TestReorderBufStartsMidStream(t *testing.T) {
 	var got []uint64
 	b := newReorderBuf(func(r Resolution) { got = append(got, r.Activation) })
@@ -440,5 +471,10 @@ func TestReorderBufStartsMidStream(t *testing.T) {
 	b.add(Resolution{Activation: 43})
 	if len(got) != 2 || got[0] != 42 {
 		t.Fatalf("got = %v", got)
+	}
+	// An activation older than the first one seen is delivered, not parked.
+	b.add(Resolution{Activation: 41})
+	if len(got) != 3 || got[2] != 41 {
+		t.Fatalf("got = %v, want 41 delivered after 42, 43", got)
 	}
 }

@@ -190,7 +190,9 @@ type ResolveFunc func(Resolution)
 // after the end event of n+1 was already processed). Activations that never
 // resolve at this segment — possible in partially monitored setups where an
 // upstream loss is not propagated in — are skipped once the reorder window
-// fills, so the stream cannot stall.
+// fills, so the stream cannot stall. A skipped activation that resolves
+// after all (or one older than the first resolution seen) is delivered at
+// once, out of order: every resolution reaches the callback exactly once.
 type reorderBuf struct {
 	next    uint64
 	started bool
@@ -212,6 +214,11 @@ func (b *reorderBuf) add(r Resolution) {
 		// (a chain may begin monitoring mid-stream).
 		b.next = r.Activation
 		b.started = true
+	}
+	if r.Activation < b.next {
+		// Its slot was already passed over; parking it would lose it.
+		b.sink(r)
+		return
 	}
 	b.pending[r.Activation] = r
 	b.flush()

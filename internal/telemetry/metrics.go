@@ -2,7 +2,9 @@ package telemetry
 
 import (
 	"fmt"
+	"slices"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -26,24 +28,31 @@ func L(kv ...string) []Label {
 }
 
 // labelString renders labels in Prometheus syntax ({} sorted by name), used
-// both as the registry key and in the exposition output.
+// both as the registry key and in the exposition output. Values are quoted
+// exactly as fmt's %q quotes them.
 func labelString(labels []Label) string {
 	if len(labels) == 0 {
 		return ""
 	}
-	ls := append([]Label(nil), labels...)
-	sort.Slice(ls, func(i, j int) bool { return ls[i].Name < ls[j].Name })
-	var b strings.Builder
-	b.WriteByte('{')
+	ls := labels
+	if !slices.IsSortedFunc(ls, compareLabelNames) {
+		var tmp [8]Label
+		ls = append(tmp[:0], labels...)
+		slices.SortStableFunc(ls, compareLabelNames)
+	}
+	var buf [128]byte
+	b := append(buf[:0], '{')
 	for i, l := range ls {
 		if i > 0 {
-			b.WriteByte(',')
+			b = append(b, ',')
 		}
-		fmt.Fprintf(&b, "%s=%q", l.Name, l.Value)
+		b = append(append(b, l.Name...), '=')
+		b = strconv.AppendQuote(b, l.Value)
 	}
-	b.WriteByte('}')
-	return b.String()
+	return string(append(b, '}'))
 }
+
+func compareLabelNames(a, b Label) int { return strings.Compare(a.Name, b.Name) }
 
 // Registry is a process-wide metrics table. Metric lookup/creation takes a
 // mutex; updates on the returned handles are lock-free atomics, safe for
@@ -172,6 +181,9 @@ type Histogram struct {
 	counts []atomic.Uint64
 	sum    atomic.Int64
 	total  atomic.Uint64
+
+	leOnce sync.Once
+	les    []string // rendered le="bound" label per bucket, +Inf last
 }
 
 func newHistogram(bounds []int64) *Histogram {
@@ -195,6 +207,19 @@ func (h *Histogram) Observe(ns int64) {
 	h.counts[i].Add(1)
 	h.sum.Add(ns)
 	h.total.Add(1)
+}
+
+// leLabels returns the le="bound" exposition label of every bucket, +Inf
+// last, rendered on the first export and reused by every later one.
+func (h *Histogram) leLabels() []string {
+	h.leOnce.Do(func() {
+		h.les = make([]string, 0, len(h.bounds)+1)
+		for _, b := range h.bounds {
+			h.les = append(h.les, "le="+strconv.Quote(formatSeconds(b)))
+		}
+		h.les = append(h.les, `le="+Inf"`)
+	})
+	return h.les
 }
 
 // Count returns the number of observations.

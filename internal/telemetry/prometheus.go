@@ -2,7 +2,6 @@ package telemetry
 
 import (
 	"bufio"
-	"fmt"
 	"io"
 	"net/http"
 	"sort"
@@ -17,6 +16,7 @@ func (s *Sink) WriteMetrics(w io.Writer) error {
 	s.runExportHooks()
 	s.syncRecorderMetrics()
 	bw := bufio.NewWriter(w)
+	var num [20]byte // sample value scratch
 	r := s.Reg
 	r.mu.Lock()
 	names := append([]string(nil), r.names...)
@@ -30,35 +30,45 @@ func (s *Sink) WriteMetrics(w io.Writer) error {
 		r.mu.Unlock()
 		sort.Strings(keys)
 
-		fmt.Fprintf(bw, "# HELP %s %s\n", f.name, f.help)
-		fmt.Fprintf(bw, "# TYPE %s %s\n", f.name, f.typ)
+		writeLine(bw, "# HELP ", f.name, " ", f.help)
+		writeLine(bw, "# TYPE ", f.name, " ", f.typ)
 		for _, key := range keys {
 			r.mu.Lock()
 			m := f.rows[key]
 			r.mu.Unlock()
 			switch v := m.(type) {
 			case *Counter:
-				fmt.Fprintf(bw, "%s%s %s\n", f.name, key, strconv.FormatUint(v.Value(), 10))
+				writeLine(bw, f.name, key, " ", string(strconv.AppendUint(num[:0], v.Value(), 10)))
 			case *Gauge:
-				fmt.Fprintf(bw, "%s%s %s\n", f.name, key, strconv.FormatInt(v.Value(), 10))
+				writeLine(bw, f.name, key, " ", string(strconv.AppendInt(num[:0], v.Value(), 10)))
 			case *Histogram:
-				var cum uint64
-				for i, b := range v.bounds {
-					cum += v.counts[i].Load()
-					fmt.Fprintf(bw, "%s_bucket%s %s\n", f.name,
-						mergeLabel(key, "le", formatSeconds(b)),
-						strconv.FormatUint(cum, 10))
+				// Bucket rows add le="bound" to the row's own labels.
+				open, sep := "{", ""
+				if key != "" {
+					open, sep = key[:len(key)-1], ","
 				}
-				cum += v.counts[len(v.bounds)].Load()
-				fmt.Fprintf(bw, "%s_bucket%s %s\n", f.name,
-					mergeLabel(key, "le", "+Inf"), strconv.FormatUint(cum, 10))
-				fmt.Fprintf(bw, "%s_sum%s %s\n", f.name, key, formatSeconds(v.Sum()))
-				fmt.Fprintf(bw, "%s_count%s %s\n", f.name, key,
-					strconv.FormatUint(v.Count(), 10))
+				var cum uint64
+				for i, le := range v.leLabels() {
+					cum += v.counts[i].Load()
+					writeLine(bw, f.name, "_bucket", open, sep, le, "} ",
+						string(strconv.AppendUint(num[:0], cum, 10)))
+				}
+				writeLine(bw, f.name, "_sum", key, " ", formatSeconds(v.Sum()))
+				writeLine(bw, f.name, "_count", key, " ", string(strconv.AppendUint(num[:0], v.Count(), 10)))
 			}
 		}
 	}
 	return bw.Flush()
+}
+
+// writeLine writes the concatenated parts and a newline. The parts are
+// copied into the writer's free buffer, so none of them escapes.
+func writeLine(bw *bufio.Writer, parts ...string) {
+	b := bw.AvailableBuffer()
+	for _, p := range parts {
+		b = append(b, p...)
+	}
+	bw.Write(append(b, '\n'))
 }
 
 // syncRecorderMetrics mirrors the flight recorder's per-track drop-oldest
@@ -75,16 +85,6 @@ func (s *Sink) syncRecorderMetrics() {
 			"Events overwritten (dropped-oldest) in a flight-recorder track ring.",
 			Label{Name: "track", Value: t.Name()}).Set(int64(t.Dropped()))
 	}
-}
-
-// mergeLabel inserts an extra label into an existing "{a=...}" label string
-// (or creates one when the row has no labels).
-func mergeLabel(key, name, value string) string {
-	extra := fmt.Sprintf("%s=%q", name, value)
-	if key == "" {
-		return "{" + extra + "}"
-	}
-	return key[:len(key)-1] + "," + extra + "}"
 }
 
 // Handler returns an http.Handler serving the registry in the text

@@ -232,6 +232,20 @@ func (r *Recorder) Tracks() []*Track {
 	return append([]*Track(nil), r.tracks...)
 }
 
+// TrackName resolves a track id to its name ("" when undefined), without
+// copying the track list.
+func (r *Recorder) TrackName(id uint16) string {
+	if r == nil {
+		return ""
+	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if int(id) < len(r.tracks) {
+		return r.tracks[id].name
+	}
+	return ""
+}
+
 // Dropped returns the total number of overwritten (dropped-oldest) events
 // across all tracks. It is safe to call while the run is in progress.
 func (r *Recorder) Dropped() uint64 {

@@ -3,6 +3,8 @@ package telemetry
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
+	"sort"
 	"strings"
 	"sync"
 	"testing"
@@ -61,6 +63,24 @@ func TestNilRecorderAndTrack(t *testing.T) {
 	}
 	if r.Tracks() != nil {
 		t.Fatal("nil recorder Tracks should return nil")
+	}
+	if r.TrackName(0) != "" {
+		t.Fatal("nil recorder TrackName should return \"\"")
+	}
+}
+
+func TestRecorderTrackName(t *testing.T) {
+	r := NewRecorder(8)
+	for _, name := range []string{"a", "b", "c"} {
+		r.Track(name)
+	}
+	for _, tr := range r.Tracks() {
+		if got := r.TrackName(tr.ID()); got != tr.Name() {
+			t.Errorf("TrackName(%d) = %q, want %q", tr.ID(), got, tr.Name())
+		}
+	}
+	if got := r.TrackName(3); got != "" {
+		t.Errorf("TrackName of an undefined id = %q, want \"\"", got)
 	}
 }
 
@@ -180,6 +200,38 @@ chainmon_test_total{seg="s1"} 3
 `
 	if got != want {
 		t.Fatalf("WriteMetrics mismatch:\n--- got ---\n%s--- want ---\n%s", got, want)
+	}
+}
+
+// TestLabelRenderingMatchesFmtQuoting pins label rendering to the
+// fmt-based form it replaced (name=%q pairs sorted by name), on sorted and
+// unsorted label lists with values that need escaping.
+func TestLabelRenderingMatchesFmtQuoting(t *testing.T) {
+	reference := func(labels []Label) string {
+		if len(labels) == 0 {
+			return ""
+		}
+		ls := append([]Label(nil), labels...)
+		sort.Slice(ls, func(i, j int) bool { return ls[i].Name < ls[j].Name })
+		var parts []string
+		for _, l := range ls {
+			parts = append(parts, fmt.Sprintf("%s=%q", l.Name, l.Value))
+		}
+		return "{" + strings.Join(parts, ",") + "}"
+	}
+	values := []string{"", "s1a/fusion", `q"u`, `a\b`, "n\nl", "ctrl\x01", "µs/段", "bad\xff", strings.Repeat("long/", 40)}
+	for i, v := range values {
+		w := values[(i+1)%len(values)]
+		for _, labels := range [][]Label{
+			nil,
+			{{"scope", v}},
+			{{"kind", w}, {"scope", v}},
+			{{"scope", v}, {"kind", w}, {"q", "p99"}},
+		} {
+			if got, want := labelString(labels), reference(labels); got != want {
+				t.Errorf("labelString(%q) = %s, want %s", labels, got, want)
+			}
+		}
 	}
 }
 
@@ -305,7 +357,8 @@ func TestJSONString(t *testing.T) {
 }
 
 // TestConcurrentMetricUpdates exercises the lock-free metric handles from
-// many goroutines; run under -race in CI.
+// many goroutines, with concurrent scrapes rendering them (the first
+// renders a histogram's bucket labels); run under -race in CI.
 func TestConcurrentMetricUpdates(t *testing.T) {
 	reg := NewRegistry()
 	c := reg.Counter("c_total", "")
@@ -322,6 +375,21 @@ func TestConcurrentMetricUpdates(t *testing.T) {
 				h.Observe(int64(j % 200))
 			}
 		}(i)
+	}
+	for i := 0; i < 2; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for j := 0; j < 50; j++ {
+				var buf bytes.Buffer
+				if err := (&Sink{Reg: reg}).WriteMetrics(&buf); err != nil {
+					t.Error(err)
+				}
+				if !strings.Contains(buf.String(), `h_bucket{le="+Inf"} `) {
+					t.Errorf("scrape lacks the +Inf bucket:\n%s", buf.String())
+				}
+			}
+		}()
 	}
 	wg.Wait()
 	if c.Value() != 8000 || h.Count() != 8000 {
