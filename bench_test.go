@@ -2,12 +2,15 @@ package chainmon
 
 import (
 	"io"
+	"runtime"
 	"testing"
 	"time"
 
 	"chainmon/internal/budget"
 	"chainmon/internal/experiments"
-	"chainmon/internal/shmring"
+	"chainmon/internal/monitor"
+	rt "chainmon/internal/runtime"
+	"chainmon/internal/runtime/walltime"
 	"chainmon/internal/sim"
 	"chainmon/internal/weaklyhard"
 )
@@ -129,11 +132,11 @@ func BenchmarkAblationBufferOrder(b *testing.B) {
 // BenchmarkRingPost measures one start-event post into the wait-free ring
 // (the paper's "start-event overhead", sans monitor wakeup).
 func BenchmarkRingPost(b *testing.B) {
-	r := shmring.NewRing(1 << 16)
+	r := walltime.NewRing(1 << 16)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if !r.Post(shmring.Event{Act: uint64(i)}) {
+		if !r.Post(rt.Event{Act: uint64(i)}) {
 			// Drain in bulk when full (consumer role).
 			for {
 				if _, ok := r.Pop(); !ok {
@@ -146,27 +149,47 @@ func BenchmarkRingPost(b *testing.B) {
 
 // BenchmarkRingPostPop measures a post/pop round trip.
 func BenchmarkRingPostPop(b *testing.B) {
-	r := shmring.NewRing(1024)
+	r := walltime.NewRing(1024)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		r.Post(shmring.Event{Act: uint64(i)})
+		r.Post(rt.Event{Act: uint64(i)})
 		r.Pop()
 	}
 }
 
-// BenchmarkMonitorWakeLatency measures the full post→handled path of the
-// real monitor: PostStart, semaphore wake, drain, timeout arm.
+// BenchmarkMonitorWakeLatency measures the full post→verdict path of the
+// wall-clock monitor: start post, semaphore wake, drain, timeout arm, end
+// post and the verdict bookkeeping on the monitor goroutine. Every half
+// ring the producer waits for the monitor to drain both rings, so no post
+// is dropped: an overrun ring would measure rejected posts instead.
 func BenchmarkMonitorWakeLatency(b *testing.B) {
-	m := shmring.NewMonitor()
-	seg := m.AddSegment("bench", time.Second, 1<<16, nil)
-	m.Start()
-	defer m.Stop()
+	const ringCap = 1 << 12
+	clock, sem := walltime.NewClock(), walltime.NewSem()
+	mon := monitor.NewWallclockMonitor(clock, sem,
+		func() rt.EventRing { return walltime.NewRing(ringCap) }, 1)
+	seg := mon.AddSegment(monitor.SegmentConfig{Name: "bench", DMon: time.Second})
+	rings := mon.Core().Segments()[0]
+	loop := walltime.NewLoop(clock, sem)
+	loop.Scan = mon.ScanNow
+	loop.Next = mon.Core().NextDeadline
+	loop.Start()
+	defer loop.Stop()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		seg.PostStart(uint64(i))
-		seg.PostEnd(uint64(i))
+		seg.StartInjected(uint64(i))
+		seg.EndInjected(uint64(i))
+		if (i+1)%(ringCap/2) == 0 {
+			for rings.StartRing().Len()+rings.EndRing().Len() > 0 {
+				sem.Wake()
+				runtime.Gosched()
+			}
+		}
+	}
+	b.StopTimer()
+	if d := seg.Dropped(); d != 0 {
+		b.Fatalf("%d posts dropped", d)
 	}
 }
 

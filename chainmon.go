@@ -46,7 +46,6 @@ import (
 	"chainmon/internal/perception"
 	"chainmon/internal/realtime"
 	"chainmon/internal/rta"
-	"chainmon/internal/shmring"
 	"chainmon/internal/sim"
 	"chainmon/internal/stats"
 	"chainmon/internal/telemetry"
@@ -192,10 +191,6 @@ type (
 	PerceptionSystem = perception.System
 	// PerceptionFrame is the payload flowing through the use case.
 	PerceptionFrame = perception.FrameData
-	// RealRing is the wall-clock wait-free SPSC event ring.
-	RealRing = shmring.Ring
-	// RealMonitor is the wall-clock monitor goroutine.
-	RealMonitor = shmring.Monitor
 	// RealtimeConfig parameterizes a wall-clock monitor run.
 	RealtimeConfig = realtime.Config
 	// RealtimeResult is the outcome of a wall-clock monitor run.
@@ -314,9 +309,6 @@ func BuildPerception(cfg PerceptionConfig) *PerceptionSystem { return perception
 
 // DefaultPerceptionConfig is calibrated to reproduce the evaluation.
 func DefaultPerceptionConfig() PerceptionConfig { return perception.DefaultConfig() }
-
-// NewRealMonitor creates the wall-clock shared-memory monitor.
-func NewRealMonitor() *RealMonitor { return shmring.NewMonitor() }
 
 // RunRealtime executes the wall-clock monitor scenario; sink (may be nil)
 // receives live metrics — and, with a full sink, a causal flow trace — and

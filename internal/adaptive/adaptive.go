@@ -79,7 +79,7 @@ const (
 
 // Config wires a Controller.
 type Config struct {
-	Set   *livestats.Set      // live quantiles + burn states (required)
+	Set   *livestats.Set       // live quantiles + burn states (required)
 	Table *monitor.BudgetTable // actuation target (required)
 	// Chain names the livestats chain scope whose burn state gates
 	// rollback. Empty disables the rollback guard.
@@ -108,7 +108,7 @@ type Config struct {
 type Actuation struct {
 	Seq    int    `json:"seq"`
 	AtNS   int64  `json:"at_ns"`
-	Epoch  uint64 `json:"epoch"` // table epoch staged by this actuation (0 when none)
+	Epoch  uint64 `json:"epoch"`  // table epoch staged by this actuation (0 when none)
 	Result string `json:"result"` // "applied" | "held" | "infeasible" | "rollback"
 	Reason string `json:"reason,omitempty"`
 	// DeadlinesNS maps segment name to the monitored deadline in force

@@ -166,8 +166,8 @@ func TestRollbackOnBurnEscalation(t *testing.T) {
 	chain := set.Chain("c", weaklyhard.Constraint{M: 1, K: 4})
 	c, tab := newUnitController(t, Config{
 		Set: set, Chain: "c",
-		Segments:   []SegmentSpec{{Name: "s", Initial: 10 * sim.Millisecond}},
-		DEx:        sim.Millisecond, Be2e: 40 * sim.Millisecond,
+		Segments: []SegmentSpec{{Name: "s", Initial: 10 * sim.Millisecond}},
+		DEx:      sim.Millisecond, Be2e: 40 * sim.Millisecond,
 		Constraint: weaklyhard.Constraint{M: 0, K: 1},
 		Guard:      Guardrails{MinSamples: 8},
 	})
@@ -198,9 +198,9 @@ func TestHealthDocExposesBudget(t *testing.T) {
 	set := livestats.NewSet(0)
 	feedScope(set, "s", 100, 2*sim.Millisecond)
 	c, _ := newUnitController(t, Config{
-		Set:        set,
-		Segments:   []SegmentSpec{{Name: "s", Initial: 20 * sim.Millisecond}},
-		DEx:        sim.Millisecond, Be2e: 40 * sim.Millisecond,
+		Set:      set,
+		Segments: []SegmentSpec{{Name: "s", Initial: 20 * sim.Millisecond}},
+		DEx:      sim.Millisecond, Be2e: 40 * sim.Millisecond,
 		Constraint: weaklyhard.Constraint{M: 0, K: 1},
 		Guard:      Guardrails{MinSamples: 8},
 	})

@@ -1,7 +1,7 @@
 // Package experiments regenerates every figure of the paper's evaluation
 // (and the measurable claims of its concept sections) on the simulated
-// system and, for the wall-clock overheads of Fig. 11, on the real
-// shared-memory monitoring implementation. The package is shared by the
+// system and, for the wall-clock overheads of Fig. 11, on the wall-clock
+// local monitor (monitor.NewWallclockMonitor). The package is shared by the
 // repository's benchmarks (bench_test.go) and cmd/experiments.
 package experiments
 

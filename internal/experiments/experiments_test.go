@@ -107,6 +107,9 @@ func TestFig11RealOverheads(t *testing.T) {
 	if r.Exceptions == 0 || r.OK == 0 {
 		t.Errorf("need both paths: ok=%d exc=%d", r.OK, r.Exceptions)
 	}
+	if r.Dropped != 0 {
+		t.Errorf("%d posts dropped by full rings", r.Dropped)
+	}
 	var buf bytes.Buffer
 	r.Report(&buf)
 	if !strings.Contains(buf.String(), "Figure 11") {

@@ -5,12 +5,15 @@ import (
 	"io"
 	"time"
 
-	"chainmon/internal/shmring"
+	"chainmon/internal/monitor"
+	rt "chainmon/internal/runtime"
+	"chainmon/internal/runtime/walltime"
 	"chainmon/internal/stats"
 )
 
 // Fig11Result carries the local-monitoring overheads of Fig. 11, measured
-// wall-clock on the real ring-buffer/monitor-goroutine implementation.
+// on the wall-clock local monitor (monitor.NewWallclockMonitor on walltime
+// rings and the walltime.Loop monitor goroutine).
 type Fig11Result struct {
 	Activations int
 	StartPost   *stats.Sample
@@ -19,29 +22,48 @@ type Fig11Result struct {
 	MonExec     *stats.Sample
 	Exceptions  int
 	OK          int
+	// Dropped counts posts rejected by a full ring (LocalSegment.Dropped).
+	Dropped int
 }
 
-// RunFig11 drives the real shared-memory monitoring path for the given
-// number of activations on two segments (objects and ground, as on ECU2).
-// Roughly a fifth of the activations time out so both the OK path and the
-// exception path are exercised. segmentWork is the simulated distance
-// between start and end event; the deadline leaves generous headroom above
-// it because time.Sleep on a non-realtime kernel overshoots by tens to
-// hundreds of microseconds.
+// RunFig11 drives the wall-clock monitoring path for the given number of
+// activations on two segments (objects and ground, as on ECU2). Every fifth
+// activation times out, so both the OK path and the exception path are
+// exercised. segmentWork is the simulated distance between start and end
+// event; the deadline leaves generous headroom above it because time.Sleep
+// on a non-realtime kernel overshoots by tens to hundreds of microseconds.
+//
+// The driver times each post and each monitor pass itself; the monitor
+// latency (post → start of the draining scan) comes from the monitor's own
+// drain hook.
 func RunFig11(activations int, segmentWork time.Duration) Fig11Result {
 	deadline := 4*segmentWork + 10*time.Millisecond
-	mon := shmring.NewMonitor()
-	exc := make(chan uint64, 2*activations+2)
-	objects := mon.AddSegment("objects", deadline, 1024, func(act uint64, _ time.Duration) {
-		exc <- act
-	})
-	ground := mon.AddSegment("ground", deadline, 1024, nil)
-	mon.Start()
+	clock, sem := walltime.NewClock(), walltime.NewSem()
+	mon := monitor.NewWallclockMonitor(clock, sem,
+		func() rt.EventRing { return walltime.NewRing(1024) }, 1)
+	objects := mon.AddSegment(monitor.SegmentConfig{Name: "objects", DMon: deadline})
+	ground := mon.AddSegment(monitor.SegmentConfig{Name: "ground", DMon: deadline})
 
+	scanExec := stats.NewSample() // monitor goroutine only; read after Stop
+	loop := walltime.NewLoop(clock, sem)
+	loop.Scan = func() {
+		t0 := clock.Now()
+		mon.ScanNow()
+		scanExec.AddDuration(clock.Now().Sub(t0))
+	}
+	loop.Next = mon.Core().NextDeadline
+	loop.Start()
+
+	startPost, endPost := stats.NewSample(), stats.NewSample()
+	post := func(into *stats.Sample, fn func(uint64), act uint64) {
+		t0 := clock.Now()
+		fn(act)
+		into.AddDuration(clock.Now().Sub(t0))
+	}
 	for i := 0; i < activations; i++ {
 		act := uint64(i)
-		objects.PostStart(act)
-		ground.PostStart(act)
+		post(startPost, objects.StartInjected, act)
+		post(startPost, ground.StartInjected, act)
 		if i%5 == 4 {
 			// Timeout case: the end event arrives well after the
 			// deadline, so the exception fires regardless of timer and
@@ -50,22 +72,26 @@ func RunFig11(activations int, segmentWork time.Duration) Fig11Result {
 		} else {
 			time.Sleep(segmentWork)
 		}
-		objects.PostEnd(act)
-		ground.PostEnd(act)
+		post(endPost, objects.EndInjected, act)
+		post(endPost, ground.EndInjected, act)
 	}
 	// Let the last deadlines expire before stopping.
 	time.Sleep(deadline + 4*segmentWork)
-	mon.Stop()
+	loop.Stop()
 
-	mo := objects.Measurements()
-	mg := ground.Measurements()
-	r := Fig11Result{Activations: activations}
-	r.StartPost = stats.FromDurations(append(mo.StartPost, mg.StartPost...))
-	r.EndPost = stats.FromDurations(append(mo.EndPost, mg.EndPost...))
-	r.MonLatency = stats.FromDurations(append(mo.MonLatency, mg.MonLatency...))
-	r.MonExec = stats.FromDurations(mo.ScanExec)
-	r.Exceptions = mo.Exceptions + mg.Exceptions
-	r.OK = mo.OK + mg.OK
+	r := Fig11Result{
+		Activations: activations,
+		StartPost:   startPost,
+		EndPost:     endPost,
+		MonLatency:  mon.Overheads().MonLatency,
+		MonExec:     scanExec,
+	}
+	for _, seg := range []*monitor.LocalSegment{objects, ground} {
+		ok, _, _ := seg.Stats().Counts()
+		r.OK += ok
+		r.Exceptions += seg.Stats().Exceptions()
+		r.Dropped += seg.Dropped()
+	}
 	return r
 }
 
@@ -73,9 +99,10 @@ func RunFig11(activations int, segmentWork time.Duration) Fig11Result {
 func (r Fig11Result) Report(w io.Writer) {
 	section(w, "Figure 11 — Measured overheads for local segment monitoring (real, wall clock)",
 		fmt.Sprintf("%d activations on two segments through the wait-free ring buffers and\n"+
-			"the monitor goroutine (%d ok / %d exceptions).\n"+
+			"the monitor goroutine (%d ok / %d exceptions / %d dropped).\n"+
+			"Monitor latency is post → scan start; a post during a scan reads negative.\n"+
 			"Paper: posting overheads of a few tens of µs (worst < 100 µs); monitor\n"+
-			"latency below ~200 µs.", r.Activations, r.OK, r.Exceptions))
+			"latency below ~200 µs.", r.Activations, r.OK, r.Exceptions, r.Dropped))
 	row(w, "start-event overhead", r.StartPost)
 	row(w, "end-event overhead", r.EndPost)
 	row(w, "monitor latency", r.MonLatency)

@@ -9,8 +9,8 @@ import (
 // drivers: a parallel run produces reports byte-identical to the serial run
 // (each shard builds its own kernel and RNG streams from the seed, and the
 // merge is ordered by shard index). Fig. 11 is deliberately absent: it
-// measures wall-clock overheads on the real shared-memory implementation
-// and always runs serially, so the serial/parallel identity is trivial.
+// measures wall-clock overheads on the wall-clock local monitor and
+// always runs serially, so the serial/parallel identity is trivial.
 func TestFig9ParallelDeterminism(t *testing.T) {
 	render := func(workers int) []byte {
 		r := RunFig9(120, 42, workers)

@@ -1,6 +1,7 @@
 package realtime
 
 import (
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -92,6 +93,39 @@ func TestRunNilSink(t *testing.T) {
 	}
 	if got := res.Segments[1].OK; got != 3 {
 		t.Errorf("ground ok=%d, want 3", got)
+	}
+}
+
+// TestMetricsLayoutSameWithoutTrace pins one -realtime metrics layout: a
+// registry-only sink (an untraced CLI run) exports the same segment,
+// monitor, detection and exception-handler rows as a full sink.
+func TestMetricsLayoutSameWithoutTrace(t *testing.T) {
+	rows := func(sink *telemetry.Sink) []string {
+		cfg := testConfig()
+		cfg.Frames = 4
+		if _, err := Run(cfg, sink); err != nil {
+			t.Fatal(err)
+		}
+		var b strings.Builder
+		if err := sink.WriteMetrics(&b); err != nil {
+			t.Fatal(err)
+		}
+		var out []string
+		for _, line := range strings.Split(b.String(), "\n") {
+			row, _, _ := strings.Cut(line, " ") // name and labels, without the value
+			for _, fam := range []string{"chainmon_segment_", "chainmon_monitor_", "chainmon_detection_", "chainmon_exception_"} {
+				if strings.HasPrefix(row, fam) {
+					out = append(out, row)
+				}
+			}
+		}
+		return out
+	}
+	untraced := rows(&telemetry.Sink{Reg: telemetry.NewRegistry()})
+	traced := rows(telemetry.NewSink(1 << 12))
+	if len(traced) == 0 || !slices.Equal(untraced, traced) {
+		t.Errorf("registry-only rows differ from traced rows\nuntraced:\n%s\ntraced:\n%s",
+			strings.Join(untraced, "\n"), strings.Join(traced, "\n"))
 	}
 }
 

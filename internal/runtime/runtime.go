@@ -7,9 +7,9 @@
 //     (internal/vclock). Every chain experiment runs on it, bit-for-bit
 //     reproducibly for a given seed.
 //   - internal/runtime/walltime provides a monotonic wall clock, the
-//     wait-free SPSC ring and a semaphore for real goroutines. The Fig. 11
-//     microbenchmarks (internal/shmring) and `cmd/chainmon -realtime` run
-//     on it.
+//     wait-free SPSC ring, a semaphore and the monitor loop for real
+//     goroutines. The Fig. 11 overheads and `cmd/chainmon -realtime` run on
+//     it, through monitor.NewWallclockMonitor.
 //
 // The contract that keeps the simtime path deterministic is documented in
 // docs/runtime.md: implementations must not introduce hidden clock reads or

@@ -1,7 +1,8 @@
 // Package walltime is the wall-clock implementation of the runtime
 // abstraction: a monotonic clock, the wait-free SPSC event ring, a binary
-// semaphore waker, timers backed by the Go runtime, and the monitor
-// goroutine loop (the paper's per-ECU high-priority monitor thread).
+// semaphore waker, and the monitor goroutine loop (the paper's per-ECU
+// high-priority monitor thread). There are no per-activation timers: the
+// loop sleeps until the core's earliest armed deadline.
 //
 // The virtual-time model in internal/runtime/simtime reproduces the
 // system-level behaviour; this package exists because the
@@ -51,31 +52,6 @@ func (s *Sem) ForceWake() { s.Wake() }
 // C exposes the wait side of the semaphore to the monitor loop.
 func (s *Sem) C() <-chan struct{} { return s.ch }
 
-// Timer is a one-shot wall-clock timer.
-type Timer struct{ t *time.Timer }
-
-// Cancel stops the timer; the callback may already be running.
-func (t Timer) Cancel() { t.t.Stop() }
-
-// TimerHost arms timers on the Go runtime timer wheel. Callbacks run on
-// their own goroutine, so state they touch must be externally serialized
-// (e.g. routed through Loop.Inject).
-type TimerHost struct{ C *Clock }
-
-// After arms fn d from now.
-func (h TimerHost) After(d rt.Duration, fn func()) rt.Timer {
-	if d < 0 {
-		d = 0
-	}
-	return Timer{time.AfterFunc(d, fn)}
-}
-
-// At arms fn at the absolute clock time t; the priority is ignored (the
-// wall-clock monitor loop already runs on a dedicated locked thread).
-func (h TimerHost) At(t rt.Time, _ int, fn func()) rt.Timer {
-	return h.After(t.Sub(h.C.Now()), fn)
-}
-
 // Loop is the monitor goroutine: wait on the semaphore with a timeout at
 // the earliest pending deadline (sem_timedwait), then run one scan pass.
 // Scan drains all rings in fixed order and fires due exceptions; Next
@@ -89,7 +65,6 @@ type Loop struct {
 	// Next returns the earliest armed deadline, if any.
 	Next func() (rt.Time, bool)
 
-	inject  chan func()
 	stop    chan struct{}
 	done    chan struct{}
 	started bool
@@ -98,11 +73,10 @@ type Loop struct {
 // NewLoop creates a loop; Scan and Next must be set before Start.
 func NewLoop(clock *Clock, sem *Sem) *Loop {
 	return &Loop{
-		Clock:  clock,
-		Sem:    sem,
-		inject: make(chan func(), 64),
-		stop:   make(chan struct{}),
-		done:   make(chan struct{}),
+		Clock: clock,
+		Sem:   sem,
+		stop:  make(chan struct{}),
+		done:  make(chan struct{}),
 	}
 }
 
@@ -119,16 +93,6 @@ func (l *Loop) Start() {
 func (l *Loop) Stop() {
 	close(l.stop)
 	<-l.done
-}
-
-// Inject runs fn on the loop goroutine before the next scan pass. It is
-// how other goroutines (timer callbacks, error propagation from a remote
-// monitor) reach monitor state without locks; fn must not block.
-func (l *Loop) Inject(fn func()) {
-	select {
-	case l.inject <- fn:
-	case <-l.stop:
-	}
 }
 
 func (l *Loop) run() {
@@ -158,23 +122,9 @@ func (l *Loop) run() {
 		select {
 		case <-l.stop:
 			return
-		case fn := <-l.inject:
-			fn()
-			l.drainInjected()
 		case <-l.Sem.C():
 		case <-timer.C:
 		}
 		l.Scan()
-	}
-}
-
-func (l *Loop) drainInjected() {
-	for {
-		select {
-		case fn := <-l.inject:
-			fn()
-		default:
-			return
-		}
 	}
 }

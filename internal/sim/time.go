@@ -2,9 +2,9 @@
 // a fixed-priority preemptive multicore processor model. It is the substrate
 // on which the middleware, executors and monitors run in virtual time.
 //
-// All experiments except the wall-clock microbenchmarks (internal/shmring)
-// execute on this kernel, which makes every run reproducible bit-for-bit for
-// a given seed.
+// All experiments except the wall-clock Fig. 11 overheads and
+// `cmd/chainmon -realtime` execute on this kernel, which makes every run
+// reproducible bit-for-bit for a given seed.
 package sim
 
 import (

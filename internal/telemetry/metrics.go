@@ -56,7 +56,7 @@ func compareLabelNames(a, b Label) int { return strings.Compare(a.Name, b.Name) 
 
 // Registry is a process-wide metrics table. Metric lookup/creation takes a
 // mutex; updates on the returned handles are lock-free atomics, safe for
-// concurrent writers (the shmring producer and monitor goroutines).
+// concurrent writers (the wall-clock producer and monitor goroutines).
 type Registry struct {
 	mu   sync.Mutex
 	fams map[string]*family

@@ -6,7 +6,7 @@
 //
 // The package deliberately imports no other internal package: timestamps
 // are plain int64 nanoseconds (virtual time for the simulation, monotonic
-// wall time for internal/shmring), so every runtime package — including
+// wall time for the wall-clock monitor), so every runtime package — including
 // internal/sim itself — can emit into it without import cycles.
 //
 // Instrumented objects hold a nil pointer to a small pre-resolved probe
@@ -30,7 +30,7 @@ const (
 	// KindRingPostEnd: an end event was posted. Fields as KindRingPostStart.
 	KindRingPostEnd
 	// KindRingDrop: a posting was dropped because the ring was full.
-	// Act = activation, Label = segment.
+	// Fields as KindRingPostStart.
 	KindRingDrop
 	// KindScan: one monitor-thread drain pass completed. Arg = pass
 	// duration in ns (the pass spans [TS-Arg, TS]).
@@ -163,7 +163,7 @@ const (
 // so a track ring is a flat array with no per-event allocation.
 type Event struct {
 	// TS is the event timestamp in nanoseconds: virtual time for the
-	// simulation, monotonic wall time for shmring.
+	// simulation, monotonic wall time for the wall-clock monitor.
 	TS int64
 	// Act is the activation index the event belongs to (0 when N/A).
 	Act uint64
