@@ -149,6 +149,16 @@ type Core struct {
 	freePending *pendingTimeout
 	batch       []Event
 	due         []*pendingTimeout
+
+	// LateEndsMiss judges an end event by its timestamp: an end stamped
+	// after its activation's armed deadline is discarded like any late end,
+	// and the still-armed activation expires in this pass (or the next, if
+	// the end was posted after now was read). NewWallclockMonitor sets it,
+	// so a loop that oversleeps a deadline delays the exception but cannot
+	// turn it into an OK. The simtime host leaves it off: there the monitor
+	// thread's modelled wake-up latency, and the late ends it lets through,
+	// are part of what the experiments reproduce.
+	LateEndsMiss bool
 }
 
 // drainBatch is the per-call batch size of ring drains: one PopBatch moves
@@ -282,7 +292,7 @@ func (c *Core) drain(s *Segment, now Time) {
 		}
 		for _, ev := range c.batch[:n] {
 			p, armed := s.pending[ev.Act]
-			if !armed {
+			if !armed || (c.LateEndsMiss && ev.TS > p.deadline) {
 				// End events for excepted activations are discarded; end events
 				// without a start cannot occur (causality).
 				continue

@@ -76,6 +76,53 @@ func TestCoreExpireAfterDeadline(t *testing.T) {
 	}
 }
 
+// TestCoreLateEndsMiss: a pass that starts after a deadline may find the
+// late end already posted. By default the drain resolves it OK; with
+// LateEndsMiss the end's timestamp decides, and the activation expires in
+// the same pass. An end stamped exactly at the deadline stays OK, and an end
+// stamped after a pass read now leaves the activation armed until a pass
+// reaches its deadline.
+func TestCoreLateEndsMiss(t *testing.T) {
+	late := func(lateEndsMiss bool) *rec {
+		c := NewCore()
+		c.LateEndsMiss = lateEndsMiss
+		r := &rec{}
+		s := c.AddSegment("s", 10*time.Millisecond, &SliceRing{}, &SliceRing{}, r.hooks())
+		s.StartRing().Post(Event{Act: 1, TS: 0})
+		s.StartRing().Post(Event{Act: 2, TS: 0})
+		c.Scan(0)
+		s.EndRing().Post(Event{Act: 1, TS: 10e6})
+		s.EndRing().Post(Event{Act: 2, TS: 11e6})
+		c.Scan(12e6) // woke 2 ms late
+		return r
+	}
+	if r := late(false); len(r.oks) != 2 || len(r.expired) != 0 {
+		t.Errorf("default: oks=%v expired=%v, want both OK", r.oks, r.expired)
+	}
+	if r := late(true); len(r.oks) != 1 || r.oks[0] != 1 || len(r.expired) != 1 || r.expired[0] != 2 {
+		t.Errorf("LateEndsMiss: oks=%v expired=%v, want [1] and [2]", r.oks, r.expired)
+	}
+
+	c := NewCore()
+	c.LateEndsMiss = true
+	r := &rec{}
+	s := c.AddSegment("s", 10*time.Millisecond, &SliceRing{}, &SliceRing{}, r.hooks())
+	s.StartRing().Post(Event{Act: 3, TS: 0})
+	c.Scan(0)
+	s.EndRing().Post(Event{Act: 3, TS: 11e6})
+	c.Scan(9e6) // now was read before the end was stamped
+	if len(r.oks) != 0 || len(r.expired) != 0 || s.Pending() != 1 {
+		t.Fatalf("oks=%v expired=%v pending=%d, want the activation still armed", r.oks, r.expired, s.Pending())
+	}
+	if dl, ok := c.NextDeadline(); !ok || dl != 10e6 {
+		t.Errorf("NextDeadline = %v,%v, want 10ms", dl, ok)
+	}
+	c.Scan(10e6)
+	if len(r.oks) != 0 || len(r.expired) != 1 || r.expired[0] != 3 {
+		t.Errorf("oks=%v expired=%v, want act 3 expired", r.oks, r.expired)
+	}
+}
+
 func TestCoreFireOrderPerSegmentByActivation(t *testing.T) {
 	c := NewCore()
 	type fired struct {
