@@ -215,6 +215,24 @@ func main() {
 			cycle()
 		}
 	})
+	// vehicle_run is the unit of the fleet_chaos benchmark: build and run
+	// one 120-frame full-chain vehicle (default scenario, no faults). Its
+	// allocs/op is the per-vehicle allocation budget of the simulated
+	// message path — publish, link, receive stages, monitor timers — plus
+	// the scenario build, gated against the baseline like every row. Each
+	// op leaves ~650 KB of garbage, so the count also carries the Go
+	// runtime's own per-GC allocations: 0.4–0.75 per op at the default
+	// GOGC (measured at GOMAXPROCS 1–16), which the integer allocs/op
+	// truncates away. Gate it at the default GOGC; GOGC=25 reads one more.
+	run("vehicle_run", func(b *testing.B) {
+		b.ReportAllocs()
+		cfg := perception.DefaultConfig()
+		cfg.Frames = 120
+		cfg.FullChain = true
+		for i := 0; i < b.N; i++ {
+			perception.Build(cfg).Run()
+		}
+	})
 	// sweep_framework isolates the sweep machinery from the combos: one op is
 	// an arena-sharded MapSliceArena walk over the full 102-combo list with a
 	// no-op worker, so allocs/op is the framework's total allocation budget

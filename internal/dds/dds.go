@@ -254,9 +254,9 @@ func (t *Timer) Start(offset sim.Time) {
 				t.fn(idx)
 			}
 		})
-		d.k.After(t.period, fire)
+		d.k.AfterPooled(t.period, fire)
 	}
-	d.k.At(offset, fire)
+	d.k.AtPooled(offset, fire)
 }
 
 // Stop halts the timer after the current period.
@@ -377,12 +377,16 @@ func (d *Domain) route(fromECU string, s *Sample) {
 		flow = d.flowFor(s.Topic, s.Activation)
 	}
 	for _, sub := range d.subs[s.Topic] {
-		sub := sub
 		link := d.Link(fromECU, sub.node.ECU.Name)
 		// Each subscription gets its own copy so RecvTime and hook
-		// decisions do not leak across receivers.
-		dup := *s
-		link.SendTagged(s.Size, s.Activation, flow, func() { sub.arrive(&dup) })
+		// decisions do not leak across receivers. The copy lives on the
+		// heap: hooks and callbacks may keep the *Sample.
+		c := new(Sample)
+		*c = *s
+		r := sub.newDelivery(c)
+		if _, r.pending = link.SendTagged(s.Size, s.Activation, flow, r.arriveFn); r.pending == 0 {
+			sub.release(r) // lost on the wire
+		}
 	}
 }
 
@@ -416,11 +420,19 @@ type Subscription struct {
 
 	delivered uint64
 	discarded uint64
+
+	// Work-item labels of the three receive stages, built once.
+	rxLabel, deliverLabel, cbLabel string
+	// free heads the freelist of delivery records not in flight.
+	free *delivery
 }
 
 // Subscribe registers a subscription on the topic.
 func (n *Node) Subscribe(topic string, cost func(*Sample) sim.Duration, cb func(*Sample)) *Subscription {
-	sub := &Subscription{node: n, Topic: topic, Callback: cb, Cost: cost}
+	sub := &Subscription{
+		node: n, Topic: topic, Callback: cb, Cost: cost,
+		rxLabel: "rx/" + topic, deliverLabel: "deliver/" + topic, cbLabel: "cb/" + topic,
+	}
 	d := n.ECU.Domain
 	d.subs[topic] = append(d.subs[topic], sub)
 	return sub
@@ -436,56 +448,132 @@ func (s *Subscription) Stats() (delivered, discarded uint64) { return s.delivere
 // Expired returns the number of samples dropped by the lifespan QoS.
 func (s *Subscription) Expired() uint64 { return s.expired }
 
-// arrive is the receive path: ksoftirq → middleware thread → hooks →
-// executor callback.
-func (sub *Subscription) arrive(s *Sample) {
-	e := sub.node.ECU
-	d := e.Domain
-	e.Ksoftirq.Enqueue("rx/"+s.Topic, d.KsoftirqCost.Sample(d.rng), func() {
-		cost := d.DeliverCost.Sample(d.rng)
-		if sub.DeliverCost != nil {
-			cost = sub.DeliverCost(s)
-		}
-		sub.node.Middleware.Enqueue("deliver/"+s.Topic, cost, func() {
-			s.RecvTime = d.k.Now()
-			if sub.Lifespan > 0 && e.Clock.Now().Sub(s.SrcTimestamp) > sub.Lifespan {
-				sub.expired++
-				return
-			}
-			if d.sink != nil {
-				d.telRecv(e.Name, s)
-			}
-			for _, hook := range sub.OnDeliver {
-				if !hook(s) {
-					sub.discarded++
-					return
-				}
-			}
-			sub.dispatch(s)
-		})
-	})
+// delivery is one in-flight receive of a sample at a subscription. Its
+// stage methods are the receive path — link arrival → ksoftirq →
+// middleware thread → hooks → executor callback — bound to method values
+// once, when the record is first allocated, so a delivery schedules no
+// closures. Records are recycled through the subscription's freelist.
+//
+// pending counts the receive chains still running on the record. Each
+// arrival the link scheduled holds one (two when a DupFault duplicated the
+// message; both copies share the Sample, as a duplicated message always
+// has) until its chain ends: after the callback, at a lifespan expiry or at
+// a hook discard. The last one returns the record to the freelist.
+type delivery struct {
+	sub     *Subscription
+	s       *Sample
+	pending int
+	next    *delivery
+
+	arriveFn, rxFn, deliverFn, callbackFn func()
 }
 
-// dispatch schedules the application callback on the executor. It is also
-// used by remote-monitor recovery handlers to issue a substitute receive
-// event (Algorithm 1, issue_receive).
-func (sub *Subscription) dispatch(s *Sample) {
+// newDelivery takes a record off the freelist (allocating the first few)
+// for sample s. The caller sets pending.
+func (sub *Subscription) newDelivery(s *Sample) *delivery {
+	r := sub.free
+	if r != nil {
+		sub.free = r.next
+		r.next = nil
+	} else {
+		r = &delivery{sub: sub}
+		r.arriveFn, r.rxFn, r.deliverFn, r.callbackFn = r.arrive, r.rx, r.deliver, r.callback
+	}
+	r.s = s
+	return r
+}
+
+// release parks a record no chain runs on any more.
+func (sub *Subscription) release(r *delivery) {
+	r.s = nil
+	r.next = sub.free
+	sub.free = r
+}
+
+// done ends one receive chain of the record.
+func (r *delivery) done() {
+	if r.pending--; r.pending == 0 {
+		r.sub.release(r)
+	} else if r.pending < 0 {
+		panic("dds: delivery record released twice")
+	}
+}
+
+// arrive runs when the link delivers the message: the receiving ECU's
+// network stack picks it up.
+func (r *delivery) arrive() {
+	e := r.sub.node.ECU
+	d := e.Domain
+	e.Ksoftirq.Enqueue(r.sub.rxLabel, d.KsoftirqCost.Sample(d.rng), r.rxFn)
+}
+
+// rx hands the message from ksoftirq to the node's middleware thread.
+func (r *delivery) rx() {
+	sub := r.sub
+	d := sub.node.ECU.Domain
+	cost := d.DeliverCost.Sample(d.rng)
+	if sub.DeliverCost != nil {
+		cost = sub.DeliverCost(r.s)
+	}
+	sub.node.Middleware.Enqueue(sub.deliverLabel, cost, r.deliverFn)
+}
+
+// deliver is the middleware receive: lifespan QoS, the OnDeliver hooks,
+// then the callback dispatch.
+func (r *delivery) deliver() {
+	sub, s := r.sub, r.s
+	e := sub.node.ECU
+	d := e.Domain
+	s.RecvTime = d.k.Now()
+	if sub.Lifespan > 0 && e.Clock.Now().Sub(s.SrcTimestamp) > sub.Lifespan {
+		sub.expired++
+		r.done()
+		return
+	}
+	if d.sink != nil {
+		d.telRecv(e.Name, s)
+	}
+	for _, hook := range sub.OnDeliver {
+		if !hook(s) {
+			sub.discarded++
+			r.done()
+			return
+		}
+	}
+	sub.dispatch(r)
+}
+
+// callback runs the application callback on the executor.
+func (r *delivery) callback() {
+	if r.sub.Callback != nil {
+		r.sub.Callback(r.s)
+	}
+	r.done()
+}
+
+// dispatch schedules the application callback of the record's sample on
+// the executor.
+func (sub *Subscription) dispatch(r *delivery) {
 	sub.delivered++
 	var cost sim.Duration
 	if sub.Cost != nil {
-		cost = sub.Cost(s)
+		cost = sub.Cost(r.s)
 	}
-	sub.node.Exec.Enqueue("cb/"+s.Topic, cost, func() {
-		if sub.Callback != nil {
-			sub.Callback(s)
-		}
-	})
+	sub.node.Exec.Enqueue(sub.cbLabel, cost, r.callbackFn)
+}
+
+// dispatchSample runs the callback stage for a synthesized sample on a
+// record of its own.
+func (sub *Subscription) dispatchSample(s *Sample) {
+	r := sub.newDelivery(s)
+	r.pending = 1
+	sub.dispatch(r)
 }
 
 // InjectReceive delivers a synthesized sample directly to the application
 // callback, bypassing network and hooks.
 func (sub *Subscription) InjectReceive(s *Sample) {
-	sub.dispatch(s)
+	sub.dispatchSample(s)
 }
 
 // DeliverLocal runs the full local delivery path (OnDeliver hooks, then the
@@ -501,7 +589,7 @@ func (sub *Subscription) DeliverLocal(s *Sample) {
 			return
 		}
 	}
-	sub.dispatch(s)
+	sub.dispatchSample(s)
 }
 
 // Device is a sensor (e.g. a lidar) that publishes a topic periodically
@@ -562,12 +650,12 @@ func (dev *Device) Start(offset sim.Time) {
 			j += extra
 		}
 		if !drop {
-			dev.domain.k.At(grid.Add(j), func() { dev.publish(act) })
+			dev.domain.k.AtPooled(grid.Add(j), func() { dev.publish(act) })
 		}
 		grid = grid.Add(dev.Period)
-		dev.domain.k.At(grid, fire)
+		dev.domain.k.AtPooled(grid, fire)
 	}
-	dev.domain.k.At(grid, fire)
+	dev.domain.k.AtPooled(grid, fire)
 }
 
 // Stop halts the device after the current period.

@@ -67,7 +67,14 @@ type RemoteMonitor struct {
 	expected      uint64
 	deadlineLocal sim.Time // local-clock deadline for the expected activation
 	timer         rt.Timer
-	writer        string // the writer this monitor supervises (from samples)
+	// armedAct is the activation the live timer guards. armTimer cancels
+	// the previous timer before arming the next, so one field serves, and
+	// the timer fires the pre-bound timeoutFn instead of a fresh closure.
+	armedAct  uint64
+	timeoutFn func()
+	// timeoutLabel names the timeout-routine work, built once.
+	timeoutLabel string
+	writer       string // the writer this monitor supervises (from samples)
 
 	counter *weaklyhard.Counter
 	reorder *reorderBuf
@@ -125,9 +132,11 @@ func newDetachedRemoteMonitor(sub *dds.Subscription, cfg SegmentConfig, variant 
 			Median: 10 * sim.Microsecond, Sigma: 0.4,
 			Shift: 2 * sim.Microsecond, Max: 100 * sim.Microsecond,
 		},
-		counter: weaklyhard.NewCounter(cfg.Constraint),
-		stats:   NewSegmentStats(cfg.Name),
+		counter:      weaklyhard.NewCounter(cfg.Constraint),
+		stats:        NewSegmentStats(cfg.Name),
+		timeoutLabel: "rtimeout/" + cfg.Name,
 	}
+	m.timeoutFn = m.onTimeout
 	switch variant {
 	case VariantMonitorThread:
 		if lm == nil {
@@ -341,7 +350,8 @@ func (m *RemoteMonitor) armTimer() {
 		delay = 0
 	}
 	act := m.expected
-	m.timer = m.timers.After(delay, func() { m.onTimeout(act) })
+	m.armedAct = act
+	m.timer = m.timers.After(delay, m.timeoutFn)
 	if m.tel != nil {
 		m.tel.programs.Inc()
 		m.tel.track.Append(telemetry.Event{
@@ -352,12 +362,14 @@ func (m *RemoteMonitor) armTimer() {
 	}
 }
 
-// onTimeout dispatches the timeout routine onto the variant's thread. The
-// latency from here to the routine's entry is the Fig. 12 measurement.
-func (m *RemoteMonitor) onTimeout(act uint64) {
+// onTimeout dispatches the timeout routine for the armed activation onto
+// the variant's thread. The latency from here to the routine's entry is the
+// Fig. 12 measurement.
+func (m *RemoteMonitor) onTimeout() {
+	act := m.armedAct
 	deadlineGlobal := sim.Time(m.clock.Now())
 	cost := m.TimeoutRoutineCost.Sample(m.rng)
-	m.exec.Exec("rtimeout/"+m.cfg.Name, cost, func(started rt.Time) {
+	m.exec.Exec(m.timeoutLabel, cost, func(started rt.Time) {
 		if m.expected != act {
 			return // the sample slipped in between deadline and entry
 		}
@@ -449,9 +461,12 @@ type InterArrivalMonitor struct {
 	sub  *dds.Subscription
 	TMax sim.Duration
 
-	clock      rt.Clock
-	timers     rt.TimerHost
-	timer      rt.Timer
+	clock  rt.Clock
+	timers rt.TimerHost
+	timer  rt.Timer
+	// expireFn is the bound expire method value, created once so arming
+	// the timer on every arrival does not allocate a closure.
+	expireFn   func()
 	arrivals   uint64
 	detections []sim.Time
 	onDetect   func(sim.Time)
@@ -467,6 +482,7 @@ func NewInterArrivalMonitor(sub *dds.Subscription, tMax sim.Duration) *InterArri
 		clock:  simtime.Clock{K: k},
 		timers: simtime.TimerHost{K: k},
 	}
+	m.expireFn = m.expire
 	sub.OnDeliver = append([]func(*dds.Sample) bool{m.onDeliver}, sub.OnDeliver...)
 	return m
 }
@@ -502,7 +518,7 @@ func (m *InterArrivalMonitor) arm() {
 	if m.stopped {
 		return
 	}
-	m.timer = m.timers.After(m.TMax, m.expire)
+	m.timer = m.timers.After(m.TMax, m.expireFn)
 }
 
 func (m *InterArrivalMonitor) expire() {
@@ -516,5 +532,5 @@ func (m *InterArrivalMonitor) expire() {
 	}
 	// Like the DDS deadline QoS, the supervision continues: the next
 	// detection is due t_max later unless a sample arrives first.
-	m.timer = m.timers.After(m.TMax, m.expire)
+	m.timer = m.timers.After(m.TMax, m.expireFn)
 }

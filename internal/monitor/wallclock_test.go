@@ -353,3 +353,66 @@ func TestWallclockMultipleSegmentsFixedOrder(t *testing.T) {
 		}
 	}
 }
+
+// TestWallclockBackToBackPairsNoFalseMiss replays the back-to-back probe: one
+// producer posts each activation's start and end with no work in between,
+// pausing every 2048 pairs until the monitor has drained both rings. A
+// scan that drained the end ring past the snapshot it took before the
+// start drain could take an end whose start was posted after the start
+// drain finished, find nothing armed, discard it — and the on-time
+// activation would expire as a false miss. Every end here is stamped
+// microseconds after its start, far inside the 5 ms deadline, so the run
+// must see no miss and no drop. The one exception is a pair the producer
+// itself took d_mon or longer to post (descheduled between the two posts on
+// a loaded machine): its end is late by its own timestamp, and it is
+// excused by name, never by count.
+func TestWallclockBackToBackPairsNoFalseMiss(t *testing.T) {
+	const (
+		pairs = 1 << 16
+		burst = 2048
+		dMon  = 5 * time.Millisecond
+	)
+	clock, sem := walltime.NewClock(), walltime.NewSem()
+	mon := NewWallclockMonitor(clock, sem, func() rt.EventRing { return walltime.NewRing(2 * burst) }, 1)
+	seg := mon.AddSegment(SegmentConfig{Name: "b2b", DMon: dMon, Period: time.Millisecond})
+	var resolved atomic.Int64
+	var missed []uint64 // monitor goroutine only, read after loop.Stop
+	seg.OnResolve(func(r Resolution) {
+		if r.Status != StatusOK {
+			missed = append(missed, r.Activation)
+		}
+		resolved.Add(1)
+	})
+	loop := startWallLoop(clock, sem, mon)
+	start, end := seg.core.StartRing(), seg.core.EndRing()
+	slow := map[uint64]bool{} // pairs whose two posts spanned d_mon or more
+	for act := uint64(0); act < pairs; act++ {
+		t0 := clock.Now()
+		seg.StartInjected(act)
+		seg.EndInjected(act)
+		if clock.Now().Sub(t0) >= dMon {
+			slow[act] = true
+		}
+		if (act+1)%burst == 0 {
+			settle(sem, func() bool { return start.Len() == 0 && end.Len() == 0 })
+		}
+	}
+	settle(sem, func() bool { return resolved.Load() >= pairs })
+	loop.Stop()
+	if d := seg.Dropped(); d != 0 {
+		t.Errorf("%d posts dropped", d)
+	}
+	if n := resolved.Load(); n != pairs {
+		t.Errorf("%d verdicts for %d activations", n, pairs)
+	}
+	var falseMisses []uint64
+	for _, act := range missed {
+		if !slow[act] {
+			falseMisses = append(falseMisses, act)
+		}
+	}
+	if len(falseMisses) > 0 {
+		t.Errorf("%d on-time activations missed (first %d); %d slow pairs excused",
+			len(falseMisses), falseMisses[0], len(slow))
+	}
+}

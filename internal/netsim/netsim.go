@@ -132,7 +132,8 @@ func (l *Link) transmissionTime(size int) sim.Duration {
 // earlier than any previously sent message (FIFO). It returns the scheduled
 // delivery time and false if the message was dropped.
 func (l *Link) Send(size int, deliver func()) (sim.Time, bool) {
-	return l.SendTagged(size, 0, 0, deliver)
+	at, copies := l.SendTagged(size, 0, 0, deliver)
+	return at, copies > 0
 }
 
 // SendTagged is Send with the sender's causal tags: the activation index
@@ -141,7 +142,12 @@ func (l *Link) Send(size int, deliver func()) (sim.Time, bool) {
 // and duplication faults — carry the tags, so the Perfetto flow view can
 // stitch the network hop between dds-send and dds-recv (or show where a
 // flow died on the wire). Untraced callers use Send, which passes zero tags.
-func (l *Link) SendTagged(size int, act uint64, flow uint32, deliver func()) (sim.Time, bool) {
+//
+// copies is how many times deliver was scheduled: 0 for a lost message, 1
+// normally, 2 when a DupFault duplicated it. A caller that recycles the
+// state deliver works on releases it after that many calls (or at once for
+// a loss). Deliveries run on pooled kernel events, so no handle escapes.
+func (l *Link) SendTagged(size int, act uint64, flow uint32, deliver func()) (at sim.Time, copies int) {
 	l.sent++
 	resp := l.BCRT + l.transmissionTime(size) + l.Jitter.Sample(l.rng)
 	if l.DelayFault != nil {
@@ -161,7 +167,7 @@ func (l *Link) SendTagged(size int, act uint64, flow uint32, deliver func()) (si
 			if l.tel != nil {
 				l.tel.drop(l.k.Now(), act, flow, size)
 			}
-			return 0, false
+			return 0, 0
 		}
 		// Reliable QoS: the receiver NACKs and the writer retransmits;
 		// the sample arrives late instead of never.
@@ -172,7 +178,7 @@ func (l *Link) SendTagged(size int, act uint64, flow uint32, deliver func()) (si
 	if !lost && l.HoldFault != nil {
 		hold = l.HoldFault(l.k.Now(), size)
 	}
-	at := l.k.Now().Add(resp)
+	at = l.k.Now().Add(resp)
 	if hold > 0 {
 		// Reordering: the held message is delivered late and does not
 		// advance the FIFO floor, so subsequent sends overtake it.
@@ -192,21 +198,23 @@ func (l *Link) SendTagged(size int, act uint64, flow uint32, deliver func()) (si
 		// dds-send and the receiver's dds-recv, tagged with the flow.
 		l.tel.send(l.k.Now(), act, flow, at.Sub(l.k.Now()))
 	}
+	copies = 1
 	if deliver != nil {
-		l.k.At(at, deliver)
+		l.k.AtPooled(at, deliver)
 	}
 	if !lost && l.DupFault != nil {
 		if dup, extra := l.DupFault(l.k.Now(), size); dup {
 			l.duplicated++
+			copies = 2
 			if l.tel != nil {
 				l.tel.dup(l.k.Now(), act, flow, extra)
 			}
 			if deliver != nil {
-				l.k.At(at.Add(extra), deliver)
+				l.k.AtPooled(at.Add(extra), deliver)
 			}
 		}
 	}
-	return at, true
+	return at, copies
 }
 
 func (l *Link) String() string {

@@ -258,10 +258,19 @@ func popBatch(r EventRing, bp BatchPopper, buf []Event) int {
 	return n
 }
 
+// drain empties the segment's start ring, then takes the end events that
+// were already posted when the drain began. Every one of those ends has
+// its start posted before it, so the start drain has armed it. An end
+// posted later — possibly together with its start, after the start drain
+// finished — stays in the ring for the next pass; taking it now would find
+// no armed timeout, discard it, and turn the on-time activation into a
+// false miss. Nothing is posted during a simtime drain, so there the
+// snapshot is the whole ring.
 func (c *Core) drain(s *Segment, now Time) {
 	if c.batch == nil {
 		c.batch = make([]Event, drainBatch)
 	}
+	ends := s.end.Len()
 	for {
 		n := popBatch(s.start, s.startBatch, c.batch)
 		if n == 0 {
@@ -285,11 +294,12 @@ func (c *Core) drain(s *Segment, now Time) {
 			// Deadlines already in the past are picked up by fireDue below.
 		}
 	}
-	for {
-		n := popBatch(s.end, s.endBatch, c.batch)
+	for ends > 0 {
+		n := popBatch(s.end, s.endBatch, c.batch[:min(ends, len(c.batch))])
 		if n == 0 {
 			break
 		}
+		ends -= n
 		for _, ev := range c.batch[:n] {
 			p, armed := s.pending[ev.Act]
 			if !armed || (c.LateEndsMiss && ev.TS > p.deadline) {

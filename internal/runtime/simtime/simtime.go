@@ -18,28 +18,22 @@ type Clock struct{ K *sim.Kernel }
 // Now returns the current virtual time.
 func (c Clock) Now() rt.Time { return rt.Time(c.K.Now()) }
 
-// Timer wraps one scheduled kernel event.
-type Timer struct {
-	k  *sim.Kernel
-	ev *sim.Event
-}
-
-// Cancel removes the event from the kernel queue (idempotent; cancelling a
-// fired event is a no-op, matching sim.Kernel.Cancel).
-func (t Timer) Cancel() { t.k.Cancel(t.ev) }
-
-// TimerHost schedules one-shot timers on the kernel event queue.
+// TimerHost schedules one-shot timers on the kernel event queue. The timer
+// handle is the kernel event itself (sim.Event.Cancel is idempotent and a
+// no-op once the event fired), so arming a timer allocates the event and
+// nothing else. The events are not pooled: the monitor keeps the handle
+// after the timer fired.
 type TimerHost struct{ K *sim.Kernel }
 
 // After schedules fn d from now.
 func (h TimerHost) After(d rt.Duration, fn func()) rt.Timer {
-	return Timer{h.K, h.K.After(d, fn)}
+	return h.K.After(d, fn)
 }
 
 // At schedules fn at the absolute virtual time t with the given event
 // priority (ties at the same instant fire in priority order).
 func (h TimerHost) At(t rt.Time, priority int, fn func()) rt.Timer {
-	return Timer{h.K, h.K.AtPriority(sim.Time(t), priority, fn)}
+	return h.K.AtPriority(sim.Time(t), priority, fn)
 }
 
 // Executor dispatches work onto a simulated thread. The started time passed

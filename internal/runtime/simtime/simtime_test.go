@@ -58,3 +58,25 @@ func TestSyncClockForwards(t *testing.T) {
 		t.Errorf("GlobalAfter = %v", got)
 	}
 }
+
+// TestTimerHostAllocs is the allocation gate of a monitor timer arm: the
+// returned rt.Timer is the kernel event itself, so At and After allocate
+// that event and nothing else — no handle is boxed around it.
+func TestTimerHostAllocs(t *testing.T) {
+	k := sim.NewKernel()
+	h := TimerHost{K: k}
+	fire := func() {}
+	var tm rt.Timer
+	if allocs := testing.AllocsPerRun(1000, func() {
+		tm = h.At(rt.Time(k.Now())+1, 3, fire)
+		tm.Cancel()
+	}); allocs != 1 {
+		t.Errorf("TimerHost.At allocates %.2f/op, want 1 (the kernel event)", allocs)
+	}
+	if allocs := testing.AllocsPerRun(1000, func() {
+		tm = h.After(time.Millisecond, fire)
+		tm.Cancel()
+	}); allocs != 1 {
+		t.Errorf("TimerHost.After allocates %.2f/op, want 1 (the kernel event)", allocs)
+	}
+}

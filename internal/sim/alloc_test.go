@@ -217,3 +217,33 @@ func TestReleaseBeforeFireContract(t *testing.T) {
 		t.Fatalf("freelists %d/%d, want 1/2", lo.FreeItems(), hi.FreeItems())
 	}
 }
+
+// TestKernelHeapAllocFree gates the event heap itself: with the freelist
+// and the queue's backing array primed, scheduling pooled events, moving
+// them with Reschedule, canceling them with Kernel.Cancel and Event.Cancel,
+// and popping the rest allocates nothing.
+func TestKernelHeapAllocFree(t *testing.T) {
+	k := NewKernel()
+	nop := func() {}
+	var evs [64]*Event
+	cycle := func() {
+		for i := range evs {
+			evs[i] = k.AtPriorityPooled(k.Now().Add(Duration(i*7%64)), i%3, nop)
+		}
+		for i := 0; i < len(evs); i += 4 {
+			k.Reschedule(evs[i], k.Now().Add(Duration(100-i)))
+		}
+		for i := 1; i < len(evs); i += 8 {
+			k.Cancel(evs[i])
+			evs[i+2].Cancel()
+		}
+		evs = [64]*Event{}
+		for k.Step() {
+		}
+	}
+	cycle() // prime the freelist and the queue's backing array
+	allocs := testing.AllocsPerRun(200, cycle)
+	if allocs != 0 {
+		t.Fatalf("kernel push/pop/cancel/reschedule cycle allocates %.2f/op, want 0", allocs)
+	}
+}

@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"container/heap"
 	"fmt"
 	"math"
 )
@@ -13,11 +12,12 @@ type EventFunc func()
 // time; ties are broken by priority (higher first) and then by insertion
 // order, which keeps runs deterministic.
 type Event struct {
+	k        *Kernel
 	at       Time
-	priority int
 	seq      uint64
 	fn       EventFunc
-	index    int // heap index; -1 once removed
+	priority int32
+	index    int32 // heap index; -1 once removed
 	canceled bool
 	// pooled events return to the kernel freelist once fired or canceled;
 	// inFree guards against double-release.
@@ -31,48 +31,33 @@ func (e *Event) At() Time { return e.at }
 // Canceled reports whether the event has been canceled.
 func (e *Event) Canceled() bool { return e.canceled }
 
-type eventHeap []*Event
+// Cancel removes the event from its kernel's queue, like Kernel.Cancel.
+// With it *Event satisfies the runtime's Timer interface as is, so a timer
+// armed on the kernel costs the event and nothing else.
+func (e *Event) Cancel() { e.k.Cancel(e) }
 
-func (h eventHeap) Len() int { return len(h) }
-
-func (h eventHeap) Less(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
+// before is the queue order: earlier time first, then higher priority, then
+// earlier scheduling. seq is unique, so the order is strict and total — the
+// pop sequence does not depend on the heap's internal layout.
+func (e *Event) before(o *Event) bool {
+	if e.at != o.at {
+		return e.at < o.at
 	}
-	if h[i].priority != h[j].priority {
-		return h[i].priority > h[j].priority
+	if e.priority != o.priority {
+		return e.priority > o.priority
 	}
-	return h[i].seq < h[j].seq
-}
-
-func (h eventHeap) Swap(i, j int) {
-	h[i], h[j] = h[j], h[i]
-	h[i].index = i
-	h[j].index = j
-}
-
-func (h *eventHeap) Push(x any) {
-	e := x.(*Event)
-	e.index = len(*h)
-	*h = append(*h, e)
-}
-
-func (h *eventHeap) Pop() any {
-	old := *h
-	n := len(old)
-	e := old[n-1]
-	old[n-1] = nil
-	e.index = -1
-	*h = old[:n-1]
-	return e
+	return e.seq < o.seq
 }
 
 // Kernel is the discrete-event simulation core: a virtual clock and a queue
 // of pending events. A Kernel is not safe for concurrent use; the simulation
 // is single-threaded by design so that runs are deterministic.
 type Kernel struct {
-	now     Time
-	queue   eventHeap
+	now Time
+	// queue is a binary min-heap in before order; each event keeps its
+	// slot in index. It is written out by hand: container/heap would make
+	// an interface call for every comparison and swap.
+	queue   []*Event
 	seq     uint64
 	stopped bool
 	// executed counts fired events, useful for progress assertions in tests.
@@ -132,11 +117,11 @@ func (k *Kernel) schedule(t Time, priority int, fn EventFunc, pooled bool) *Even
 		e = k.free[len(k.free)-1]
 		k.free[len(k.free)-1] = nil
 		k.free = k.free[:len(k.free)-1]
-		*e = Event{at: t, priority: priority, seq: k.seq, fn: fn, pooled: true}
+		*e = Event{k: k, at: t, priority: int32(priority), seq: k.seq, fn: fn, pooled: true}
 	} else {
-		e = &Event{at: t, priority: priority, seq: k.seq, fn: fn, pooled: pooled}
+		e = &Event{k: k, at: t, priority: int32(priority), seq: k.seq, fn: fn, pooled: pooled}
 	}
-	heap.Push(&k.queue, e)
+	k.push(e)
 	if k.queueProbe != nil {
 		k.queueProbe(len(k.queue))
 	}
@@ -202,7 +187,7 @@ func (k *Kernel) Cancel(e *Event) {
 		return
 	}
 	e.canceled = true
-	heap.Remove(&k.queue, e.index)
+	k.remove(int(e.index))
 	if k.queueProbe != nil {
 		k.queueProbe(len(k.queue))
 	}
@@ -217,20 +202,20 @@ func (k *Kernel) Reschedule(e *Event, t Time) *Event {
 			panic(fmt.Sprintf("sim: rescheduling event to %v before now %v", t, k.now))
 		}
 		e.at = t
-		heap.Fix(&k.queue, e.index)
+		k.fix(int(e.index))
 		return e
 	}
 	if e == nil {
 		panic("sim: rescheduling nil event")
 	}
-	return k.AtPriority(t, e.priority, e.fn)
+	return k.AtPriority(t, int(e.priority), e.fn)
 }
 
 // Step fires the next pending event and advances the clock to it.
 // It reports whether an event was fired.
 func (k *Kernel) Step() bool {
 	for len(k.queue) > 0 {
-		e := heap.Pop(&k.queue).(*Event)
+		e := k.remove(0)
 		if k.queueProbe != nil {
 			k.queueProbe(len(k.queue))
 		}
@@ -273,7 +258,7 @@ func (k *Kernel) RunUntil(horizon Time) {
 		// Peek the earliest non-canceled event.
 		e := k.queue[0]
 		if e.canceled {
-			heap.Pop(&k.queue)
+			k.remove(0)
 			if k.queueProbe != nil {
 				k.queueProbe(len(k.queue))
 			}
@@ -293,6 +278,79 @@ func (k *Kernel) RunUntil(horizon Time) {
 // RunFor executes events within the next d of virtual time.
 func (k *Kernel) RunFor(d Duration) {
 	k.RunUntil(k.now.Add(d))
+}
+
+// push inserts e into the queue.
+func (k *Kernel) push(e *Event) {
+	k.queue = append(k.queue, e)
+	k.up(len(k.queue)-1, e)
+}
+
+// remove takes the event at heap slot i out of the queue and returns it.
+func (k *Kernel) remove(i int) *Event {
+	q := k.queue
+	n := len(q) - 1
+	e := q[i]
+	last := q[n]
+	q[n] = nil
+	k.queue = q[:n]
+	if i != n {
+		k.sift(i, last)
+	}
+	e.index = -1
+	return e
+}
+
+// fix restores the heap order after the event at slot i changed its time.
+func (k *Kernel) fix(i int) { k.sift(i, k.queue[i]) }
+
+// sift places e into hole i, then moves it down or up to its position.
+func (k *Kernel) sift(i int, e *Event) {
+	if !k.down(i, e) {
+		k.up(i, e)
+	}
+}
+
+// up moves e from hole i toward the root until its parent fires first.
+func (k *Kernel) up(i int, e *Event) {
+	q := k.queue
+	for i > 0 {
+		p := (i - 1) / 2
+		if !e.before(q[p]) {
+			break
+		}
+		q[i] = q[p]
+		q[i].index = int32(i)
+		i = p
+	}
+	q[i] = e
+	e.index = int32(i)
+}
+
+// down moves e from hole i toward the leaves until both children fire
+// later; it reports whether e moved.
+func (k *Kernel) down(i int, e *Event) bool {
+	q := k.queue
+	n := len(q)
+	i0 := i
+	for {
+		c := 2*i + 1
+		if c >= n {
+			break
+		}
+		if r := c + 1; r < n && q[r].before(q[c]) {
+			c = r
+		}
+		if !q[c].before(e) {
+			break
+		}
+		q[i] = q[c]
+		q[i].index = int32(i)
+		i = c
+	}
+	q[i] = e
+	e.index = int32(i)
+	return i > i0
 }
 
 // Stop makes Run/RunUntil return after the current event completes.

@@ -281,3 +281,54 @@ func TestPooledScheduleAllocFree(t *testing.T) {
 		t.Fatalf("pooled schedule+fire cycle allocates %.1f/op, want 0", allocs)
 	}
 }
+
+// TestKernelHeapOrderUnderChurn drives the hand-rolled event heap through a
+// seeded mix of schedules (colliding times and priorities), cancels,
+// reschedules and pops, and checks every pop against a brute-force scan for
+// the (time, priority, sequence) minimum. The order is strict and total, so
+// exactly one pop sequence is correct whatever the heap layout.
+func TestKernelHeapOrderUnderChurn(t *testing.T) {
+	rng := NewRNG(3)
+	k := NewKernel()
+	live := map[*Event]bool{}
+	var fired *Event
+	pick := func() *Event { // a pending event, chosen by position in the queue
+		return k.queue[rng.Intn(len(k.queue))]
+	}
+	for step := 0; step < 20000; step++ {
+		switch op := rng.Intn(10); {
+		case op < 5 || len(k.queue) == 0:
+			var e *Event
+			e = k.AtPriorityPooled(k.Now().Add(Duration(rng.Intn(50))), rng.Intn(3), func() { fired = e })
+			live[e] = true
+		case op < 6:
+			e := pick()
+			k.Cancel(e)
+			delete(live, e)
+		case op < 7:
+			k.Reschedule(pick(), k.Now().Add(Duration(rng.Intn(50))))
+		default:
+			var want *Event
+			for e := range live {
+				if want == nil || e.at < want.at ||
+					e.at == want.at && (e.priority > want.priority ||
+						e.priority == want.priority && e.seq < want.seq) {
+					want = e
+				}
+			}
+			k.Step()
+			if fired != want {
+				t.Fatalf("step %d: fired %+v, want %+v", step, *fired, *want)
+			}
+			delete(live, want)
+		}
+		for i, e := range k.queue {
+			if int(e.index) != i {
+				t.Fatalf("step %d: event at slot %d records index %d", step, i, e.index)
+			}
+		}
+		if len(k.queue) != len(live) {
+			t.Fatalf("step %d: queue holds %d events, %d live", step, len(k.queue), len(live))
+		}
+	}
+}
