@@ -5,64 +5,70 @@
 //
 // Usage:
 //
-//	chainmon [-frames N] [-seed S] [-deadline D] [-loss P] [-full]
-//	         [-recover] [-trace out.json] [-faults campaign.json]
-//	         [-seeds N] [-parallel W]
-//	         [-telemetry-trace out.json] [-metrics-out metrics.prom]
-//	         [-telemetry-csv events.csv] [-metrics-addr :9090]
-//	         [-trace-stream events.chmtrc] [-trace-rotate BYTES]
-//	         [-adaptive [-adapt-interval D] [-adapt-guard F]]
-//	chainmon -realtime [-frames N] [-seed S] [-metrics-addr :9090]
-//	         [-metrics-out metrics.prom] [-trace-stream events.chmtrc]
-//	         [-trace-rotate BYTES]
-//	         [-adaptive [-adapt-interval D] [-adapt-guard F]]
+//	chainmon [flags]              sim: one simulated run
+//	chainmon -seeds N [flags]     -seeds: one simulated run per seed (N > 1)
+//	chainmon -realtime [flags]    -realtime: one run on the wall clock
+//	chainmon fleet [flags]        fleet: parameter-jittered vehicle runs
 //	chainmon trace convert events.chmtrc out.json
 //	chainmon trace report [-top N] events.chmtrc
 //	chainmon trace report -blame events.chmtrc
 //	chainmon trace report -diff [-diff-rel F] [-diff-abs D] [-diff-miss F] old.chmtrc new.chmtrc
-//	chainmon fleet [-fleet-size N] [-fleet-seed S] [-fleet-jitter J]
-//	         [-parallel W] [-fleet-out fleet.json] [-frames N] [-full]
-//	         [-fault-mix nominal,burst-loss] [-oracle] [-blame] [-config base.json]
-//	         [-metrics-out metrics.prom]
-//	         [-saturate [-sat-lo L] [-sat-hi H] [-sat-step S] [-sat-target T]]
 //
-// "chainmon fleet" scales the scenario to a population: N vehicles, each
-// parameter-jittered from the base by a seeded RNG, sharded over the worker
-// pool and merged deterministically (the fleet output is byte-identical
-// between -parallel 1 and -parallel N).
+// Every mode fills one run configuration from one flag table. A flag
+// applies in the modes its row marks, and some require another flag:
 //
-// With -realtime the monitor core runs on the wall clock instead of the
-// simulation: a real producer goroutine, real deadlines, and /metrics
-// served live *during* the run (the simulation mode serves metrics only
-// after the run finished).
+//	flag                                       sim  -seeds  -realtime  fleet  requires
+//	-frames                                     x     x        x        x
+//	-seed -realtime                             x     x        x
+//	-deadline -loss -recover -faults -seeds     x     x
+//	-full -config                               x     x                 x
+//	-parallel                                         x                 x
+//	-trace -telemetry-trace -telemetry-csv      x
+//	-metrics-out                                x              x        x
+//	-metrics-addr -trace-stream -adaptive       x              x
+//	-trace-rotate                               x              x              -trace-stream
+//	-adapt-interval -adapt-guard                x              x              -adaptive
+//	-fleet-size -fleet-seed -fleet-jitter                               x
+//	-fleet-out -fault-mix -oracle -blame -saturate                      x
+//	-sat-lo -sat-hi -sat-step -sat-target                               x     -saturate
 //
-// -trace-stream drains the flight recorder to an append-only binary log as
-// the run progresses (bounded memory; drops are counted, never blocking);
-// -trace-rotate caps segment size and gzip-compresses the segments.
-// "chainmon trace convert" turns such a log into Perfetto-loadable JSON with
-// flow arrows linking each activation's hops; "chainmon trace report"
-// prints the end-to-end latency attribution (per-hop and per-segment
-// quantiles, worst activation path — "-top N" keeps the N worst);
-// "trace report -blame" recomputes the per-activation miss attribution
-// (slack ledgers, blame shares, worst-miss exemplars) offline,
-// byte-identical to the run's own /health blame section; "trace report
-// -diff" compares two logs and exits nonzero when the new one regressed
-// beyond the thresholds.
+// -seeds must be at least 1 and -trace-rotate at least 0. Anything else
+// exits 2 with an error naming the flag and the mode, for example:
 //
-// Whenever telemetry is on, a live health layer rides along: streaming
-// quantile sketches and (m,k) SLO burn tracking per segment and chain,
-// exported as chainmon_live_* gauges on /metrics (and in -metrics-out) and
-// as a JSON document on /health. The -metrics-addr mux also mounts
-// net/http/pprof under /debug/pprof/.
+//	chainmon -frames 5 bogus        a positional argument
+//	chainmon flet -fleet-size 2     a misspelled subcommand
+//	chainmon -adapt-interval 2s     without -adaptive
+//	chainmon -parallel 4            on a single run
+//	chainmon -seeds 0
+//	chainmon fleet -sat-lo 0.3      without -saturate
+//	chainmon fleet -config examples/scenarios/chaos-bursty-link.json
+//	                                embedded faults; fleets take -fault-mix
 //
-// -adaptive closes the loop between the health layer and the monitor: a
-// periodic controller re-solves the local segment deadlines from the live
-// latency quantiles and hot-swaps them through the budget table, guarded by
-// hysteresis (-adapt-guard), min/max clamps, a solver margin and burn-aware
-// hold/rollback rules. In the simulation the controller ticks as a kernel
-// event, so same-seed runs produce byte-identical actuation sequences; with
-// -realtime it ticks on a wall-clock ticker. The actuation history and the
-// current budget table are part of the /health document.
+// A -config scenario file goes over the built-in defaults, and a flag set
+// on the command line goes over the file even at its zero value: -config
+// lossy-degraded.json -loss 0 -full=false runs lossless and single-chain.
+// Without a file the flag defaults apply.
+//
+// A fleet jitters every vehicle from the base scenario by a seeded RNG and
+// prints the same bytes at every -parallel. -realtime serves /metrics live
+// during the run; the sim serves it after the run.
+//
+// -trace-stream drains the flight recorder to an append-only binary log
+// (bounded memory; drops are counted, never blocking), rotated into gzip
+// segments by -trace-rotate. "trace convert" turns the log into Perfetto
+// JSON with flow arrows; "trace report" prints per-hop and per-segment
+// latency quantiles and the worst activation paths; "-blame" recomputes the
+// miss attribution byte-identical to the run's /health blame section;
+// "-diff" exits nonzero when the new log regressed beyond the thresholds. A
+// log that ends inside a record is read up to the cut, with a warning.
+//
+// Whenever telemetry is on, a live health layer rides along: quantile
+// sketches and (m,k) SLO burn per segment and chain as chainmon_live_*
+// gauges on /metrics and -metrics-out, a /health JSON document, and
+// /debug/pprof/ on the -metrics-addr mux. -adaptive re-solves the local
+// segment deadlines from the live quantiles and hot-swaps them, guarded by
+// hysteresis (-adapt-guard), clamps and burn-aware hold/rollback; in the
+// sim it ticks as a kernel event, so same-seed runs actuate identically.
 package main
 
 import (
@@ -74,9 +80,8 @@ import (
 	"log"
 	"net"
 	"net/http"
-	"net/http/pprof"
+	_ "net/http/pprof"
 	"os"
-	"path/filepath"
 	"runtime/debug"
 	"sort"
 	"strings"
@@ -85,293 +90,227 @@ import (
 	"chainmon/internal/adaptive"
 	"chainmon/internal/blame"
 	"chainmon/internal/faultinject"
+	"chainmon/internal/fleet"
 	"chainmon/internal/livestats"
 	"chainmon/internal/monitor"
 	"chainmon/internal/parallel"
 	"chainmon/internal/perception"
 	"chainmon/internal/realtime"
-	"chainmon/internal/scenario"
 	"chainmon/internal/sim"
 	"chainmon/internal/telemetry"
-	"chainmon/internal/trace"
 	"chainmon/internal/weaklyhard"
 )
 
 func main() {
-	if len(os.Args) > 1 && os.Args[1] == "trace" {
-		runTraceCmd(os.Args[2:])
+	args := os.Args[1:]
+	if len(args) > 0 && args[0] == "trace" {
+		runTraceCmd(args[1:])
 		return
 	}
-	if len(os.Args) > 1 && os.Args[1] == "fleet" {
-		runFleetCmd(os.Args[2:])
-		return
+	name, cmd := "chainmon", rootModes
+	if len(args) > 0 && args[0] == "fleet" {
+		name, cmd, args = "chainmon fleet", modeFleet, args[1:]
 	}
+	rc, err := parseRun(name, cmd, args)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "%s: %v\n", name, err)
+		os.Exit(2)
+	}
+	switch rc.mode {
+	case modeFleet:
+		runFleet(rc)
+	case modeRealtime:
+		runRealtime(rc)
+	case modeSeeds:
+		runSeeds(rc)
+	default:
+		runSim(rc)
+	}
+}
 
-	frames := flag.Int("frames", 600, "number of lidar frames to simulate")
-	seed := flag.Int64("seed", 1, "simulation seed")
-	deadline := flag.Duration("deadline", 100*time.Millisecond, "local segment deadline d_mon")
-	loss := flag.Float64("loss", 0, "inter-ECU message loss probability")
-	full := flag.Bool("full", false, "monitor the full chains (remote + fusion segments)")
-	withRecovery := flag.Bool("recover", false, "install recovery handlers on the lidar remote segments")
-	traceOut := flag.String("trace", "", "also record an unmonitored trace to this JSON file")
-	configPath := flag.String("config", "", "JSON scenario file (flags are applied on top)")
-	faultsPath := flag.String("faults", "", "JSON fault-campaign file injected into the run (cross-checked by the ground-truth oracle with -full)")
-	seeds := flag.Int("seeds", 1, "run the scenario at N consecutive seeds starting at -seed; reports are merged in seed order")
-	workers := flag.Int("parallel", 0, "worker pool size for -seeds runs (0: GOMAXPROCS, 1: serial)")
-	telTrace := flag.String("telemetry-trace", "", "write the monitor's own flight-recorder trace (Chrome trace-event JSON, open in Perfetto)")
-	metricsOut := flag.String("metrics-out", "", "write the monitor's metrics as Prometheus text to this file after the run")
-	telCSV := flag.String("telemetry-csv", "", "write the flight-recorder events as CSV to this file")
-	metricsAddr := flag.String("metrics-addr", "", "serve /metrics on this address after the run (blocks; ctrl-C to exit). With -realtime: serve live during the run")
-	traceStream := flag.String("trace-stream", "", "stream the flight recorder to this binary log while the run progresses (see 'chainmon trace convert/report')")
-	traceRotate := flag.Int64("trace-rotate", 0, "rotate the -trace-stream log into gzip-compressed segments (<log>.0.gz, .1.gz, …) of roughly this many uncompressed bytes each")
-	rtMode := flag.Bool("realtime", false, "run the monitor core on the wall clock (real goroutines and deadlines) instead of the simulation")
-	adaptiveFlag := flag.Bool("adaptive", false, "run the adaptive budget control loop: periodically re-solve the segment deadlines from live latency quantiles and hot-swap them mid-run")
-	adaptInterval := flag.Duration("adapt-interval", time.Second, "control-loop tick interval (virtual time in the simulation, wall time with -realtime)")
-	adaptGuard := flag.Float64("adapt-guard", adaptive.DefaultHysteresis, "control-loop hysteresis dead band, as a fraction of the current deadline")
-	flag.Parse()
-
-	if *traceRotate < 0 {
-		log.Fatal("-trace-rotate must be positive")
-	}
-	if *traceRotate > 0 && *traceStream == "" {
-		log.Fatal("-trace-rotate requires -trace-stream")
-	}
-
-	if *rtMode {
-		// A wall-clock run has no seeds to sweep, no faults to inject and
-		// no virtual network: every simulation-only flag is a user error,
-		// rejected loudly instead of silently ignored.
-		rcfg := realtime.DefaultConfig()
-		var bad []string
-		flag.Visit(func(fl *flag.Flag) {
-			switch fl.Name {
-			case "frames":
-				rcfg.Frames = *frames
-			case "seed":
-				rcfg.Seed = *seed
-			case "realtime", "metrics-addr", "metrics-out", "trace-stream", "trace-rotate",
-				"adaptive", "adapt-interval", "adapt-guard":
-			default:
-				bad = append(bad, "-"+fl.Name)
-			}
-		})
-		if len(bad) > 0 {
-			log.Fatalf("-realtime is a wall-clock run; it cannot combine with the simulation-only flags %s", strings.Join(bad, ", "))
-		}
-		var ad *adaptOpts
-		if *adaptiveFlag {
-			ad = &adaptOpts{interval: *adaptInterval, guard: *adaptGuard}
-		}
-		runRealtime(rcfg, *metricsAddr, *metricsOut, *traceStream, *traceRotate, ad)
-		return
-	}
-
-	cfg := perception.DefaultConfig()
-	var camp faultinject.Campaign
-	if *configPath != "" {
-		f, err := os.Open(*configPath)
-		if err != nil {
-			log.Fatalf("opening scenario: %v", err)
-		}
-		cfg, camp, err = scenario.LoadFull(f)
-		f.Close()
-		if err != nil {
-			log.Fatal(err)
-		}
-	}
-	if *faultsPath != "" {
-		f, err := os.Open(*faultsPath)
-		if err != nil {
-			log.Fatalf("opening fault campaign: %v", err)
-		}
-		fc, err := faultinject.LoadCampaign(f)
-		f.Close()
-		if err != nil {
-			log.Fatal(err)
-		}
-		// A -faults campaign rides on top of any scenario-embedded faults.
-		camp.Name = fc.Name
-		camp.Faults = append(camp.Faults, fc.Faults...)
-	}
-	flag.Visit(func(fl *flag.Flag) {
-		switch fl.Name {
-		case "frames":
-			cfg.Frames = *frames
-		case "seed":
-			cfg.Seed = *seed
-		case "deadline":
-			cfg.LocalDeadline = sim.Duration(*deadline)
-		case "loss":
-			cfg.Network.LossProb = *loss
-		case "full":
-			cfg.FullChain = *full
-		}
-	})
-	if *configPath == "" {
-		cfg.Frames = *frames
-		cfg.Seed = *seed
-		cfg.LocalDeadline = sim.Duration(*deadline)
-		cfg.Network.LossProb = *loss
-		cfg.FullChain = *full
-	}
-	if *withRecovery {
-		recover := func(ctx *monitor.ExceptionContext) *monitor.Recovery {
-			// Hold-over recovery: repeat the last frame's shape.
-			return &monitor.Recovery{
-				Data: &perception.FrameData{Points: 11000, FrontOnly: true},
-				Size: 16 * 11000,
-			}
-		}
-		cfg.Handlers = map[string]monitor.Handler{
-			perception.SegFrontRemote: recover,
-			perception.SegRearRemote:  recover,
-		}
-	}
-
+// runSim executes one simulated run with its telemetry and exports.
+func runSim(rc *runConfig) {
 	// The control loop reads live quantiles, so -adaptive implies the live
 	// health layer even when no exporter was asked for.
-	wantTelemetry := *telTrace != "" || *metricsOut != "" || *telCSV != "" || *metricsAddr != "" || *traceStream != "" || *adaptiveFlag
-
-	if *seeds > 1 {
-		if *adaptiveFlag {
-			log.Fatal("-adaptive applies to a single run; drop it or use -seeds 1")
-		}
-		// Multi-seed sweep: each seed is an independent simulation sharded
-		// over the worker pool; the merged output is ordered by seed, so a
-		// parallel sweep prints exactly what the serial one would.
-		if wantTelemetry || *traceOut != "" {
-			log.Fatal("-telemetry-*/-metrics-*/-trace apply to a single run; drop them or use -seeds 1")
-		}
-		type outcome struct {
-			out   []byte
-			sound bool
-		}
-		results := parallel.Map(*workers, *seeds, func(shard int) outcome {
-			c := cfg
-			c.Seed = cfg.Seed + int64(shard)
-			var buf bytes.Buffer
-			fmt.Fprintf(&buf, "### seed %d\n", c.Seed)
-			sound := runOne(c, camp, nil, nil, nil, &buf)
-			return outcome{buf.Bytes(), sound}
-		})
-		allSound := true
-		for _, r := range results {
-			os.Stdout.Write(r.out)
-			allSound = allSound && r.sound
-		}
-		if !allSound {
-			os.Exit(1)
-		}
-		return
+	var st *stack
+	if rc.telTrace != "" || rc.metricsOut != "" || rc.telCSV != "" || rc.metricsAddr != "" ||
+		rc.traceStream != "" || rc.adaptive {
+		st = rc.newStack("sim")
 	}
-
-	// The sink (and its streaming writer, when -trace-stream is given) must
-	// exist before the system is built: SetStream has to precede the first
-	// track so every event of the run reaches the log.
-	var sink *telemetry.Sink
-	var stream *telemetry.StreamWriter
-	var live *livestats.Set
-	if wantTelemetry {
-		sink = telemetry.NewSink(telemetry.DefaultTrackCap)
-		if *traceStream != "" {
-			var err error
-			// The simulation is single-threaded, so the direct (inline) mode
-			// is used: deterministic, byte-identical across same-seed runs.
-			stream, err = telemetry.NewStreamFile(*traceStream, "sim", telemetry.StreamOptions{
-				Metrics:     sink.Reg,
-				RotateBytes: *traceRotate,
-			})
-			if err != nil {
-				log.Fatalf("starting trace stream: %v", err)
-			}
-			sink.Rec.SetStream(stream)
+	sound := rc.runOne(rc.sim, st, os.Stdout)
+	if st != nil {
+		// The sim writes the stream inline, so the engine has seen every
+		// event: settle it, then log its exemplar admissions, then close.
+		if st.blame != nil {
+			st.blame.Flush()
+			st.blame.FlushExemplars(st.sink.Rec.Track("blame-exemplar"))
 		}
-		live = newLiveSet(sink, stream)
+		st.closeStream(rc.traceStream)
 	}
-	scenarioName := "perception"
-	if *configPath != "" {
-		scenarioName = strings.TrimSuffix(filepath.Base(*configPath), filepath.Ext(*configPath))
-	}
-	eng := attachBlame(sink, stream, live, "sim", scenarioName)
-
-	var ad *adaptOpts
-	if *adaptiveFlag {
-		ad = &adaptOpts{interval: *adaptInterval, guard: *adaptGuard}
-	}
-	sound := runOne(cfg, camp, sink, live, ad, os.Stdout)
-	finishBlame(eng, sink)
-	closeStream(stream, *traceStream)
 	if !sound {
 		os.Exit(1)
 	}
-
-	if *traceOut != "" {
-		writeTrace(*traceOut, cfg)
+	if rc.traceOut != "" {
+		writeTrace(rc.traceOut, rc.sim)
 	}
-
-	if sink != nil {
-		writeTelemetry(sink, *telTrace, *metricsOut, *telCSV)
-		if *metricsAddr != "" {
-			fmt.Printf("serving metrics on http://%s/metrics (+ /health, /debug/pprof/)\n", *metricsAddr)
-			http.Handle("/metrics", sink.Handler())
-			http.Handle("/health", live.Handler())
-			// net/http/pprof's import already mounted /debug/pprof/ on the
-			// default mux this server uses.
-			log.Fatal(http.ListenAndServe(*metricsAddr, nil))
-		}
+	if st == nil {
+		return
+	}
+	export(rc.telTrace, "telemetry trace", st.sink.WritePerfetto)
+	export(rc.metricsOut, "metrics", st.sink.WriteMetrics)
+	export(rc.telCSV, "telemetry CSV", st.sink.WriteEventsCSV)
+	if rc.metricsAddr != "" {
+		ln := st.listen(rc.metricsAddr)
+		fmt.Printf("serving metrics on http://%s/metrics (+ /health, /debug/pprof/)\n", ln.Addr())
+		log.Fatal(http.Serve(ln, nil))
 	}
 }
 
-// newLiveSet builds the live health layer shared by both timebases: its
-// gauges are republished into the registry on every metrics export (so the
-// live /metrics scrape and the -metrics-out snapshot always agree), and the
-// flight-recorder/stream drop totals surface in /health.
-func newLiveSet(sink *telemetry.Sink, stream *telemetry.StreamWriter) *livestats.Set {
-	live := livestats.NewSet(0)
-	sink.AddExportHook(func() { live.PublishMetrics(sink.Reg) })
-	if rec := sink.Rec; rec != nil {
-		live.AddDropSource("flight-recorder", func() uint64 {
-			var total uint64
-			for _, t := range rec.Tracks() {
-				total += t.Dropped()
-			}
-			return total
-		})
+// runSeeds is the multi-seed sweep: each seed is an independent simulation
+// sharded over the worker pool; the merged output is ordered by seed, so a
+// parallel sweep prints exactly what the serial one would.
+func runSeeds(rc *runConfig) {
+	type outcome struct {
+		out   []byte
+		sound bool
 	}
-	if stream != nil {
-		live.AddDropSource("trace-stream", stream.Dropped)
-	}
-	return live
-}
-
-// attachBlame wires the miss-attribution engine into a telemetry-enabled
-// run: fed from the stream writer when one exists (so the engine sees
-// exactly the event sequence that reaches the log — the byte-identity
-// contract with `trace report -blame`), from the flight recorder otherwise.
-// The engine surfaces as the `blame` section of /health, as
-// chainmon_blame_* gauges on every metrics export, and its `meta` sibling
-// section describes the running binary. Returns nil when telemetry is off.
-func attachBlame(sink *telemetry.Sink, stream *telemetry.StreamWriter, live *livestats.Set, timebase, scenario string) *blame.Engine {
-	if sink == nil || sink.Rec == nil {
-		return nil
-	}
-	eng := blame.New(blame.Options{})
-	eng.SetTimebase(timebase)
-	if stream != nil {
-		stream.SetObserver(eng.Feed)
-	} else {
-		sink.Rec.SetObserver(eng.Feed)
-	}
-	sink.AddExportHook(func() {
-		eng.PublishMetrics(sink.Reg, blame.RecorderResolvers(sink.Rec))
+	results := parallel.Map(rc.workers, rc.seeds, func(shard int) outcome {
+		c := rc.sim
+		c.Seed = rc.sim.Seed + int64(shard)
+		var buf bytes.Buffer
+		fmt.Fprintf(&buf, "### seed %d\n", c.Seed)
+		sound := rc.runOne(c, nil, &buf)
+		return outcome{buf.Bytes(), sound}
 	})
-	if live != nil {
-		live.SetBlameProvider(func() any {
-			return eng.Snapshot(blame.RecorderResolvers(sink.Rec))
-		})
-		live.SetMetaProvider(metaProvider(scenario, eng))
+	allSound := true
+	for _, r := range results {
+		os.Stdout.Write(r.out)
+		allSound = allSound && r.sound
 	}
-	return eng
+	if !allSound {
+		os.Exit(1)
+	}
+}
+
+// runFleet implements "chainmon fleet": N parameter-jittered vehicle sims
+// instantiated from one base scenario, sharded over the worker pool and
+// merged deterministically — the fleet summary is byte-identical between
+// -parallel 1 and -parallel N. Optionally a fault-class mix is assigned
+// round-robin across the fleet, the ground-truth oracle is cross-checked per
+// vehicle, and a saturation search reports the load multiplier at which the
+// fleet starts missing its deadline target.
+func runFleet(rc *runConfig) {
+	cfg := rc.fleet
+	cfg.Base, cfg.Jitter, cfg.Workers = rc.sim, fleet.Uniform(rc.fleetJitter), rc.workers
+	if rc.faultMix != "" {
+		names := strings.Split(rc.faultMix, ",")
+		for i := range names {
+			names[i] = strings.TrimSpace(names[i])
+		}
+		m, err := fleet.MixByName(names)
+		if err != nil {
+			log.Fatal(err)
+		}
+		cfg.Mix = m
+	}
+
+	res, err := fleet.Run(cfg)
+	if err != nil {
+		log.Fatal(err)
+	}
+	if rc.saturate {
+		knee, err := fleet.SaturationSearch(cfg, rc.sat)
+		if err != nil {
+			log.Fatalf("saturation search: %v", err)
+		}
+		res.Knee = &knee
+	}
+
+	os.Stdout.WriteString(res.Summary())
+	if rc.fleetOut == "-" {
+		if err := res.WriteJSON(os.Stdout); err != nil {
+			log.Fatalf("writing fleet summary: %v", err)
+		}
+	} else {
+		export(rc.fleetOut, "fleet summary", res.WriteJSON)
+	}
+	if rc.metricsOut != "" {
+		reg := telemetry.NewRegistry()
+		res.Rollup(reg)
+		export(rc.metricsOut, "fleet metrics", (&telemetry.Sink{Reg: reg}).WriteMetrics)
+	}
+
+	if len(res.Errs()) > 0 {
+		os.Exit(1)
+	}
+	if cfg.Oracle && (res.FalseNegatives() > 0 || res.FalsePositives() > 0) {
+		os.Exit(1)
+	}
+}
+
+// stack is a monitored run's telemetry: the sink, the optional stream log,
+// the live health set and the blame engine (nil without a flight recorder).
+type stack struct {
+	sink   *telemetry.Sink
+	stream *telemetry.StreamWriter
+	live   *livestats.Set
+	blame  *blame.Engine
+}
+
+// newStack builds the telemetry stack of one run on either timebase, before
+// the system is built: SetStream has to precede the first track so every
+// event reaches the log. The single-threaded sim writes the stream inline
+// (byte-identical across same-seed runs); the wall clock's concurrent
+// producers stage events for a background drainer, and without a stream its
+// sink is registry-only and blame stays detached. Live gauges are
+// republished on every metrics export, so a scrape and -metrics-out agree.
+// Blame observes the stream writer when there is one, so it sees exactly
+// the events that reach the log (the byte-identity contract with "trace
+// report -blame").
+func (rc *runConfig) newStack(timebase string) *stack {
+	wall := timebase == "wall"
+	st := &stack{live: livestats.NewSet(0)}
+	if wall && rc.traceStream == "" {
+		st.sink = &telemetry.Sink{Reg: telemetry.NewRegistry()}
+	} else {
+		st.sink = telemetry.NewSink(telemetry.DefaultTrackCap)
+	}
+	if rc.traceStream != "" {
+		var err error
+		st.stream, err = telemetry.NewStreamFile(rc.traceStream, timebase, telemetry.StreamOptions{
+			Background:  wall,
+			Metrics:     st.sink.Reg,
+			RotateBytes: rc.traceRotate,
+		})
+		if err != nil {
+			log.Fatalf("starting trace stream: %v", err)
+		}
+		st.sink.Rec.SetStream(st.stream)
+	}
+	st.sink.AddExportHook(func() { st.live.PublishMetrics(st.sink.Reg) })
+	rec := st.sink.Rec
+	if rec == nil {
+		return st
+	}
+	st.live.AddDropSource("flight-recorder", rec.Dropped)
+	if st.stream != nil {
+		st.live.AddDropSource("trace-stream", st.stream.Dropped)
+	}
+	st.blame = blame.New(blame.Options{})
+	st.blame.SetTimebase(timebase)
+	if st.stream != nil {
+		st.stream.SetObserver(st.blame.Feed)
+	} else {
+		rec.SetObserver(st.blame.Feed)
+	}
+	st.sink.AddExportHook(func() {
+		st.blame.PublishMetrics(st.sink.Reg, blame.RecorderResolvers(rec))
+	})
+	st.live.SetBlameProvider(func() any {
+		return st.blame.Snapshot(blame.RecorderResolvers(rec))
+	})
+	st.live.SetMetaProvider(metaProvider(rc.scenario, st.blame))
+	return st
 }
 
 // metaProvider builds the /health meta section: build identity from the
@@ -386,54 +325,72 @@ func metaProvider(scenario string, eng *blame.Engine) func() any {
 		UptimeNS    int64  `json:"uptime_ns"`
 		BudgetEpoch uint64 `json:"budget_epoch"`
 	}
-	version, goVersion := "unknown", "unknown"
+	meta := runMeta{Version: "unknown", GoVersion: "unknown", Scenario: scenario}
 	if bi, ok := debug.ReadBuildInfo(); ok {
-		goVersion = bi.GoVersion
+		meta.GoVersion = bi.GoVersion
 		if bi.Main.Version != "" {
-			version = bi.Main.Version
+			meta.Version = bi.Main.Version
 		}
 	}
 	start := time.Now()
 	return func() any {
-		return runMeta{
-			Version:     version,
-			GoVersion:   goVersion,
-			Scenario:    scenario,
-			UptimeNS:    time.Since(start).Nanoseconds(),
-			BudgetEpoch: eng.Epoch(),
-		}
+		m := meta
+		m.UptimeNS, m.BudgetEpoch = time.Since(start).Nanoseconds(), eng.Epoch()
+		return m
 	}
-}
-
-// finishBlame settles the engine at the end of a simulation run: every
-// still-pending activation is finalized and the exemplar-admission records
-// are appended to the blame-exemplar flight-recorder track (reaching the
-// stream log too when one is attached — the sim writes inline, so this must
-// run before closeStream).
-func finishBlame(eng *blame.Engine, sink *telemetry.Sink) {
-	if eng == nil {
-		return
-	}
-	eng.Flush()
-	eng.FlushExemplars(sink.Rec.Track("blame-exemplar"))
 }
 
 // closeStream flushes and closes the streaming trace before any metrics
 // snapshot is taken, so chainmon_stream_* in -metrics-out reflect the final
 // counts (snapshot and live /metrics must agree at run end).
-func closeStream(stream *telemetry.StreamWriter, path string) {
-	if stream == nil {
+func (st *stack) closeStream(path string) {
+	if st.stream == nil {
 		return
 	}
-	if err := stream.Close(); err != nil {
+	if err := st.stream.Close(); err != nil {
 		log.Fatalf("closing trace stream: %v", err)
 	}
 	rotated := ""
-	if n := stream.Rotations(); n > 0 {
+	if n := st.stream.Rotations(); n > 0 {
 		rotated = fmt.Sprintf(", %d rotations", n)
 	}
 	fmt.Printf("trace stream written to %s (%d events, %d bytes, %d dropped%s)\n",
-		path, stream.EventsWritten(), stream.BytesWritten(), stream.Dropped(), rotated)
+		path, st.stream.EventsWritten(), st.stream.BytesWritten(), st.stream.Dropped(), rotated)
+}
+
+// listen binds the -metrics-addr listener and mounts the stack's /metrics
+// and /health on the default mux, which the net/http/pprof import already
+// serves /debug/pprof/ on.
+func (st *stack) listen(addr string) net.Listener {
+	ln, err := net.Listen("tcp", addr)
+	if err != nil {
+		log.Fatalf("binding metrics listener: %v", err)
+	}
+	http.Handle("/metrics", st.sink.Handler())
+	http.Handle("/health", st.live.Handler())
+	return ln
+}
+
+// newController builds the -adaptive budget control loop of either
+// timebase: it re-solves the deadlines of two evaluation segments, each
+// starting at initial and clamped to [lo, hi], from the stack's live
+// quantiles and hot-swaps them through table.
+func (rc *runConfig) newController(st *stack, table *monitor.BudgetTable, chain string, segs [2]string,
+	initial, lo, hi, be2e sim.Duration, c weaklyhard.Constraint) *adaptive.Controller {
+	specs := make([]adaptive.SegmentSpec, len(segs))
+	for i, name := range segs {
+		specs[i] = adaptive.SegmentSpec{Name: name, Propagation: 1, Initial: initial, Min: lo, Max: hi}
+	}
+	ctrl, err := adaptive.New(adaptive.Config{
+		Set: st.live, Table: table, Chain: chain, Segments: specs,
+		DEx: sim.Millisecond, Be2e: be2e, Constraint: c,
+		Guard: adaptive.Guardrails{Hysteresis: rc.adaptGuard},
+		Sink:  st.sink,
+	})
+	if err != nil {
+		log.Fatalf("building adaptive controller: %v", err)
+	}
+	return ctrl
 }
 
 // runTraceCmd implements the offline "chainmon trace" subcommands operating
@@ -455,6 +412,9 @@ func runTraceCmd(args []string) {
 		if err != nil {
 			log.Fatalf("reading trace stream: %v", err)
 		}
+		if l.Truncated {
+			fmt.Fprintf(os.Stderr, "chainmon trace: warning: %s ends inside a record; reading the %d events before the cut\n", path, l.Events())
+		}
 		return l
 	}
 	switch args[0] {
@@ -463,17 +423,7 @@ func runTraceCmd(args []string) {
 			fail()
 		}
 		l := openLog(args[1])
-		out, err := os.Create(args[2])
-		if err != nil {
-			log.Fatalf("creating trace JSON: %v", err)
-		}
-		if err := l.WritePerfetto(out); err != nil {
-			out.Close()
-			log.Fatalf("writing trace JSON: %v", err)
-		}
-		if err := out.Close(); err != nil {
-			log.Fatalf("closing trace JSON: %v", err)
-		}
+		writeFile(args[2], "trace JSON", l.WritePerfetto)
 		fmt.Printf("%d events on %d tracks converted to %s\n", l.Events(), len(l.Tracks()), args[2])
 	case "report":
 		fs := flag.NewFlagSet("trace report", flag.ExitOnError)
@@ -505,7 +455,7 @@ func runTraceCmd(args []string) {
 			}
 			oldRep := telemetry.BuildReport(openLog(rest[0]))
 			newRep := telemetry.BuildReport(openLog(rest[1]))
-			d := trace.DiffReports(oldRep, newRep, trace.DiffThresholds{
+			d := telemetry.DiffReports(oldRep, newRep, telemetry.DiffThresholds{
 				RelFrac:  *diffRel,
 				AbsNS:    *diffAbs,
 				MissFrac: *diffMiss,
@@ -523,48 +473,6 @@ func runTraceCmd(args []string) {
 	default:
 		fail()
 	}
-}
-
-// adaptOpts carries the -adaptive flags into a run.
-type adaptOpts struct {
-	interval time.Duration
-	guard    float64
-}
-
-// attachAdaptive wires the budget control loop to the ECU2 evaluation
-// segments: a fresh BudgetTable on their monitor, a controller solving over
-// the live quantiles, and a deterministic kernel-event tick schedule.
-func attachAdaptive(s *perception.System, live *livestats.Set, sink *telemetry.Sink, ad *adaptOpts) *adaptive.Controller {
-	cfg := s.Cfg
-	table := monitor.NewBudgetTable()
-	s.MonECU2.AttachBudget(table)
-	chain := ""
-	if cfg.FullChain {
-		// The front chain ends in the objects segment; its burn state gates
-		// rollback for the controlled pair.
-		chain = s.ChainFront.Name
-	}
-	ctrl, err := adaptive.New(adaptive.Config{
-		Set: live, Table: table, Chain: chain,
-		Segments: []adaptive.SegmentSpec{
-			{Name: perception.SegObjectsLocal, Propagation: 1,
-				Initial: cfg.LocalDeadline, Min: cfg.LocalDeadline / 20, Max: cfg.LocalDeadline},
-			{Name: perception.SegGroundLocal, Propagation: 1,
-				Initial: cfg.LocalDeadline, Min: cfg.LocalDeadline / 20, Max: cfg.LocalDeadline},
-		},
-		DEx: sim.Millisecond,
-		// Both segments at their Max plus 10% headroom: the budget cap is a
-		// sanity bound here, not the binding constraint — Min/Max clamps are.
-		Be2e:       2*(cfg.LocalDeadline+sim.Millisecond) + cfg.LocalDeadline/5,
-		Constraint: cfg.Constraint,
-		Guard:      adaptive.Guardrails{Hysteresis: ad.guard},
-		Sink:       sink,
-	})
-	if err != nil {
-		log.Fatalf("building adaptive controller: %v", err)
-	}
-	ctrl.ScheduleSim(s.K, ad.interval, sim.Time(cfg.Frames)*sim.Time(cfg.Period))
-	return ctrl
 }
 
 // printActuations summarizes the control loop's decisions after a run.
@@ -600,20 +508,34 @@ func printActuations(w io.Writer, hist []adaptive.Actuation, baseNS int64) {
 }
 
 // runOne builds the system for one configuration, runs it and writes the
-// full report to w. A non-nil sink (and live set) is wired into the system
-// (single-run only). The returned flag is false when a fault-campaign
-// oracle cross-check failed.
-func runOne(cfg perception.Config, camp faultinject.Campaign, sink *telemetry.Sink, live *livestats.Set, ad *adaptOpts, w io.Writer) bool {
+// full report to w. A non-nil stack is wired into the system (single run
+// only). The returned flag is false when a fault-campaign oracle
+// cross-check failed.
+func (rc *runConfig) runOne(cfg perception.Config, st *stack, w io.Writer) bool {
 	s := perception.Build(cfg)
-	if sink != nil {
-		perception.AttachTelemetry(s, sink)
-	}
-	if live != nil {
-		perception.AttachLive(s, live)
-	}
+	var sink *telemetry.Sink
 	var ctrl *adaptive.Controller
-	if ad != nil && s.MonECU2 != nil && live != nil {
-		ctrl = attachAdaptive(s, live, sink, ad)
+	if st != nil {
+		sink = st.sink
+		perception.AttachTelemetry(s, sink)
+		perception.AttachLive(s, st.live)
+		if rc.adaptive && s.MonECU2 != nil {
+			table := monitor.NewBudgetTable()
+			s.MonECU2.AttachBudget(table)
+			chain := ""
+			if cfg.FullChain {
+				// The front chain ends in the objects segment; its burn
+				// state gates rollback for the controlled pair.
+				chain = s.ChainFront.Name
+			}
+			d := cfg.LocalDeadline
+			// Both segments at their Max plus 10% headroom: the budget cap
+			// is a sanity bound here, not the binding constraint — Min/Max
+			// clamps are.
+			ctrl = rc.newController(st, table, chain, [2]string{perception.SegObjectsLocal, perception.SegGroundLocal},
+				d, d/20, d, 2*(d+sim.Millisecond)+d/5, cfg.Constraint)
+			ctrl.ScheduleSim(s.K, rc.adaptInterval, sim.Time(cfg.Frames)*sim.Time(cfg.Period))
+		}
 	}
 	var sup *monitor.Supervisor
 	if cfg.FullChain {
@@ -625,16 +547,16 @@ func runOne(cfg perception.Config, camp faultinject.Campaign, sink *telemetry.Si
 		sup.AttachTelemetry(sink)
 	}
 	var oracle *faultinject.Oracle
-	if len(camp.Faults) > 0 {
+	if len(rc.camp.Faults) > 0 {
 		if cfg.FullChain {
 			// Wire the ground-truth oracle before the run so its raw hooks
 			// observe every event; cross-check after the kernel ran dry.
-			oracle = faultinject.ForPerception(s, camp)
+			oracle = faultinject.ForPerception(s, rc.camp)
 		}
-		if err := faultinject.NewInjector(sim.NewRNG(cfg.Seed)).Apply(camp, faultinject.TargetsOf(s)); err != nil {
+		if err := faultinject.NewInjector(sim.NewRNG(cfg.Seed)).Apply(rc.camp, faultinject.TargetsOf(s)); err != nil {
 			log.Fatalf("applying fault campaign: %v", err)
 		}
-		fmt.Fprintf(w, "fault campaign %q armed: %d faults\n", camp.Name, len(camp.Faults))
+		fmt.Fprintf(w, "fault campaign %q armed: %d faults\n", rc.camp.Name, len(rc.camp.Faults))
 	}
 	end := s.Run()
 
@@ -643,11 +565,11 @@ func runOne(cfg perception.Config, camp faultinject.Campaign, sink *telemetry.Si
 
 	fmt.Fprintln(w, "evaluation segments on ECU2:")
 	for _, seg := range []*monitor.LocalSegment{s.SegObjects, s.SegGround} {
-		st := seg.Stats()
-		fmt.Fprintf(w, "  %s\n", st.Summary())
-		fmt.Fprintf(w, "    %s\n", st.Latencies().Tukey().DurationRow("latency"))
-		if st.Exceptions() > 0 {
-			fmt.Fprintf(w, "    %s\n", st.DetectionLatencies().Tukey().DurationRow("detection"))
+		stats := seg.Stats()
+		fmt.Fprintf(w, "  %s\n", stats.Summary())
+		fmt.Fprintf(w, "    %s\n", stats.Latencies().Tukey().DurationRow("latency"))
+		if stats.Exceptions() > 0 {
+			fmt.Fprintf(w, "    %s\n", stats.DetectionLatencies().Tukey().DurationRow("detection"))
 		}
 	}
 
@@ -689,29 +611,28 @@ func runOne(cfg perception.Config, camp faultinject.Campaign, sink *telemetry.Si
 	return sound
 }
 
-// writeTelemetry dumps the sink to the requested files; an empty path skips
-// that exporter.
-func writeTelemetry(sink *telemetry.Sink, tracePath, metricsPath, csvPath string) {
-	write := func(path, what string, fn func(w io.Writer) error) {
-		if path == "" {
-			return
-		}
-		f, err := os.Create(path)
-		if err != nil {
-			log.Fatalf("creating %s file: %v", what, err)
-		}
-		if err := fn(f); err != nil {
-			f.Close()
-			log.Fatalf("writing %s: %v", what, err)
-		}
-		if err := f.Close(); err != nil {
-			log.Fatalf("closing %s file: %v", what, err)
-		}
+// export writes path with fn and reports it on stdout; an empty path skips
+// the export.
+func export(path, what string, fn func(w io.Writer) error) {
+	if path != "" {
+		writeFile(path, what, fn)
 		fmt.Printf("%s written to %s\n", what, path)
 	}
-	write(tracePath, "telemetry trace", sink.WritePerfetto)
-	write(metricsPath, "metrics", sink.WriteMetrics)
-	write(csvPath, "telemetry CSV", sink.WriteEventsCSV)
+}
+
+// writeFile creates path and writes it with fn.
+func writeFile(path, what string, fn func(w io.Writer) error) {
+	f, err := os.Create(path)
+	if err != nil {
+		log.Fatalf("creating %s file: %v", what, err)
+	}
+	if err := fn(f); err != nil {
+		f.Close()
+		log.Fatalf("writing %s: %v", what, err)
+	}
+	if err := f.Close(); err != nil {
+		log.Fatalf("closing %s file: %v", what, err)
+	}
 }
 
 // writeTrace records an unmonitored run of the same scenario and writes the
@@ -723,110 +644,48 @@ func writeTrace(path string, cfg perception.Config) {
 	cfg.Record = true
 	s := perception.Build(cfg)
 	s.Run()
-	f, err := os.Create(path)
-	if err != nil {
-		log.Fatalf("creating trace file: %v", err)
-	}
-	defer f.Close()
-	if err := s.Recorder.Trace().WriteJSON(f); err != nil {
-		log.Fatalf("writing trace: %v", err)
-	}
+	writeFile(path, "trace", s.Recorder.Trace().WriteJSON)
 	fmt.Printf("\nunmonitored trace written to %s\n", path)
 }
 
 // runRealtime executes the wall-clock scenario. Unlike the simulation path,
 // the metrics endpoint is bound *before* the run starts and serves the live
 // registry while frames are still in flight; the process exits once the run
-// and the final exports are done.
-//
-// With traceStream set, the run gets a full sink (flight recorder + flow
-// tracing) and a background streaming writer: producers and the monitor
-// goroutine append to lock-free rings, a drainer goroutine writes the log —
-// bounded memory regardless of run length, drops counted in
+// and the final exports are done. With -trace-stream the producers and the
+// monitor goroutine append to lock-free rings and a drainer goroutine writes
+// the log: bounded memory regardless of run length, drops counted in
 // chainmon_stream_dropped_total.
-func runRealtime(cfg realtime.Config, metricsAddr, metricsOut, traceStream string, traceRotate int64, ad *adaptOpts) {
-	var sink *telemetry.Sink
-	var stream *telemetry.StreamWriter
-	if traceStream != "" {
-		sink = telemetry.NewSink(telemetry.DefaultTrackCap)
-		var err error
-		stream, err = telemetry.NewStreamFile(traceStream, "wall", telemetry.StreamOptions{
-			Background:  true,
-			Metrics:     sink.Reg,
-			RotateBytes: traceRotate,
-		})
-		if err != nil {
-			log.Fatalf("starting trace stream: %v", err)
-		}
-		sink.Rec.SetStream(stream)
-	} else {
-		sink = &telemetry.Sink{Reg: telemetry.NewRegistry()}
-	}
-	live := newLiveSet(sink, stream)
-	cfg.Live = live
-	// Blame rides the stream observer: it sees exactly what the drainer
-	// writes to the log, in log order, so the live /health blame section and
-	// an offline `trace report -blame` of the written log agree byte for
-	// byte. Without a stream there is no flight recorder in this mode, and
-	// the engine stays detached (attachBlame returns nil).
-	eng := attachBlame(sink, stream, live, "wall", "realtime")
+func runRealtime(rc *runConfig) {
+	st := rc.newStack("wall")
+	cfg := rc.rt
+	cfg.Live = st.live
 
 	var ctrl *adaptive.Controller
-	if ad != nil {
+	if rc.adaptive {
 		cfg.Budget = monitor.NewBudgetTable()
-		var err error
-		ctrl, err = adaptive.New(adaptive.Config{
-			Set: live, Table: cfg.Budget, Chain: "rt",
-			Segments: []adaptive.SegmentSpec{
-				{Name: realtime.SegObjects, Propagation: 1,
-					Initial: sim.Duration(cfg.Deadline), Min: sim.Duration(time.Millisecond),
-					Max: sim.Duration(cfg.Period - time.Millisecond)},
-				{Name: realtime.SegGround, Propagation: 1,
-					Initial: sim.Duration(cfg.Deadline), Min: sim.Duration(time.Millisecond),
-					Max: sim.Duration(cfg.Period - time.Millisecond)},
-			},
-			DEx:  sim.Duration(time.Millisecond),
-			Be2e: 2 * sim.Duration(cfg.Period),
-			// Matches the (m,k) budget realtime.Run installs on its segments.
-			Constraint: weaklyhard.Constraint{M: 1, K: 5},
-			Guard:      adaptive.Guardrails{Hysteresis: ad.guard},
-			Sink:       sink,
-		})
-		if err != nil {
-			log.Fatalf("building adaptive controller: %v", err)
-		}
+		// The (m,k) constraint matches the budget realtime.Run installs on
+		// its segments.
+		ctrl = rc.newController(st, cfg.Budget, "rt", [2]string{realtime.SegObjects, realtime.SegGround},
+			cfg.Deadline, time.Millisecond, cfg.Period-time.Millisecond, 2*cfg.Period, weaklyhard.Constraint{M: 1, K: 5})
 	}
 
-	if metricsAddr != "" {
-		ln, err := net.Listen("tcp", metricsAddr)
-		if err != nil {
-			log.Fatalf("binding metrics listener: %v", err)
-		}
-		mux := http.NewServeMux()
-		mux.Handle("/metrics", sink.Handler())
-		mux.Handle("/health", live.Handler())
-		mux.HandleFunc("/debug/pprof/", pprof.Index)
-		mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
-		mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
-		mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
-		mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
+	if rc.metricsAddr != "" {
+		ln := st.listen(rc.metricsAddr)
 		go func() {
-			if err := http.Serve(ln, mux); err != nil {
+			if err := http.Serve(ln, nil); err != nil {
 				log.Printf("metrics server stopped: %v", err)
 			}
 		}()
 		fmt.Printf("serving live metrics on http://%s/metrics (+ /health, /debug/pprof/)\n", ln.Addr())
 	}
 
-	var stopCtrl func()
+	stopCtrl := func() {}
 	startNS := time.Now().UnixNano()
 	if ctrl != nil {
-		stopCtrl = ctrl.StartWall(ad.interval)
+		stopCtrl = ctrl.StartWall(rc.adaptInterval)
 	}
-	res, err := realtime.Run(cfg, sink)
-	if stopCtrl != nil {
-		stopCtrl()
-	}
+	res, err := realtime.Run(cfg, st.sink)
+	stopCtrl()
 	if err != nil {
 		log.Fatalf("wall-clock run failed: %v", err)
 	}
@@ -834,18 +693,16 @@ func runRealtime(cfg realtime.Config, metricsAddr, metricsOut, traceStream strin
 	// running drainer; the engine itself is flushed only after the stream
 	// closed, once the observer has seen every drained event — the same
 	// feed-everything-then-flush order an offline replay of the log uses.
-	if eng != nil {
-		eng.FlushExemplars(sink.Rec.Track("blame-exemplar"))
+	if st.blame != nil {
+		st.blame.FlushExemplars(st.sink.Rec.Track("blame-exemplar"))
 	}
-	// Final flush before the metrics snapshot, so -metrics-out agrees with
-	// what a last live /metrics scrape would have shown.
-	closeStream(stream, traceStream)
-	if eng != nil {
-		eng.Flush()
+	st.closeStream(rc.traceStream)
+	if st.blame != nil {
+		st.blame.Flush()
 	}
 	res.Summary(os.Stdout)
 	if ctrl != nil {
 		printActuations(os.Stdout, ctrl.History(), startNS)
 	}
-	writeTelemetry(sink, "", metricsOut, "")
+	export(rc.metricsOut, "metrics", st.sink.WriteMetrics)
 }

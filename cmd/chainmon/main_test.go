@@ -3,6 +3,7 @@ package main
 import (
 	"crypto/sha256"
 	"encoding/hex"
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -27,8 +28,9 @@ func TestMain(m *testing.M) {
 	os.Exit(m.Run())
 }
 
-// runCLI runs chainmon with args in dir and returns its standard output.
-func runCLI(t *testing.T, dir string, args ...string) string {
+// execCLI runs chainmon with args in dir and returns what it printed and
+// its exit code.
+func execCLI(t *testing.T, dir string, args ...string) (stdout, stderr string, code int) {
 	t.Helper()
 	exe, err := os.Executable()
 	if err != nil {
@@ -37,13 +39,24 @@ func runCLI(t *testing.T, dir string, args ...string) string {
 	cmd := exec.Command(exe, args...)
 	cmd.Dir = dir
 	cmd.Env = append(os.Environ(), runMainEnv+"=1")
-	var stderr strings.Builder
-	cmd.Stderr = &stderr
-	out, err := cmd.Output()
-	if err != nil {
-		t.Fatalf("chainmon %s: %v\n%s", strings.Join(args, " "), err, stderr.String())
+	var out, errOut strings.Builder
+	cmd.Stdout, cmd.Stderr = &out, &errOut
+	var exit *exec.ExitError
+	if err := cmd.Run(); err != nil && !errors.As(err, &exit) {
+		t.Fatalf("chainmon %s: %v", strings.Join(args, " "), err)
 	}
-	return string(out)
+	return out.String(), errOut.String(), cmd.ProcessState.ExitCode()
+}
+
+// runCLI runs chainmon with args in dir, fails the test unless it exits 0,
+// and returns its standard output.
+func runCLI(t *testing.T, dir string, args ...string) string {
+	t.Helper()
+	stdout, stderr, code := execCLI(t, dir, args...)
+	if code != 0 {
+		t.Fatalf("chainmon %s: exit %d\n%s", strings.Join(args, " "), code, stderr)
+	}
+	return stdout
 }
 
 func digest(b []byte) string {

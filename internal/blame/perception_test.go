@@ -119,12 +119,9 @@ func scrapedRun(t *testing.T, seed int64, frames int) (health, metrics string) {
 	cfg.Seed = seed
 	cfg.Frames = frames
 	cfg.FullChain = true
-	holdOver := func(*monitor.ExceptionContext) *monitor.Recovery {
-		return &monitor.Recovery{Data: &perception.FrameData{Points: 11000, FrontOnly: true}, Size: 16 * 11000}
-	}
 	cfg.Handlers = map[string]monitor.Handler{
-		perception.SegFrontRemote: holdOver,
-		perception.SegRearRemote:  holdOver,
+		perception.SegFrontRemote: perception.HoldOver,
+		perception.SegRearRemote:  perception.HoldOver,
 	}
 
 	sink := telemetry.NewSink(telemetry.DefaultTrackCap)

@@ -91,7 +91,7 @@ func FuzzFleetJitter(f *testing.F) {
 		if err != nil {
 			t.Fatalf("marshal jittered scenario: %v", err)
 		}
-		parsed, err := scenario.Load(bytes.NewReader(enc))
+		parsed, _, err := scenario.LoadFull(bytes.NewReader(enc))
 		if err != nil {
 			t.Fatalf("jittered scenario rejected by strict parser: %v\n%s", err, enc)
 		}

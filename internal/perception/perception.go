@@ -65,6 +65,12 @@ type FrameData struct {
 	FrontOnly bool
 }
 
+// HoldOver is the hold-over recovery handler of the lidar remote segments:
+// it repeats the last frame's shape with the front lidar's points only.
+func HoldOver(*monitor.ExceptionContext) *monitor.Recovery {
+	return &monitor.Recovery{Data: &FrameData{Points: 11000, FrontOnly: true}, Size: 16 * 11000}
+}
+
 // Config parameterizes a perception system build.
 type Config struct {
 	Seed   int64

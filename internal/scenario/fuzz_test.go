@@ -14,7 +14,7 @@ func FuzzLoad(f *testing.F) {
 	f.Add(`{"partition": "balanced", "remote_variant": "dds-context"}`)
 	f.Add(`{"loss_prob": 0.5, "clock_epsilon": "50µs"}`)
 	f.Fuzz(func(t *testing.T, input string) {
-		cfg, err := Load(strings.NewReader(input))
+		cfg, _, err := LoadFull(strings.NewReader(input))
 		if err != nil {
 			return
 		}

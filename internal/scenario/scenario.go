@@ -71,17 +71,8 @@ type File struct {
 	// RemoteVariant: "monitor-thread" (default) or "dds-context".
 	RemoteVariant string `json:"remote_variant,omitempty"`
 	// Faults is an embedded fault campaign applied to the built system
-	// (see internal/faultinject for the per-type fields). Load validates
-	// but otherwise ignores it; use LoadFull to obtain the campaign.
+	// (see internal/faultinject for the per-type fields).
 	Faults []faultinject.Spec `json:"faults,omitempty"`
-}
-
-// Load reads a scenario and merges it over the default configuration. An
-// embedded fault campaign is validated but dropped; callers that run
-// campaigns use LoadFull.
-func Load(r io.Reader) (perception.Config, error) {
-	cfg, _, err := LoadFull(r)
-	return cfg, err
 }
 
 // LoadFull reads a scenario plus its embedded fault campaign. The campaign
@@ -185,12 +176,7 @@ func handlerFor(policy string) (monitor.Handler, error) {
 	case PolicyPropagate:
 		return nil, nil
 	case PolicyHoldover:
-		return func(ctx *monitor.ExceptionContext) *monitor.Recovery {
-			return &monitor.Recovery{
-				Data: &perception.FrameData{Points: 11000, FrontOnly: true},
-				Size: 16 * 11000,
-			}
-		}, nil
+		return perception.HoldOver, nil
 	default:
 		return nil, fmt.Errorf("scenario: unknown recovery policy %q", policy)
 	}

@@ -26,7 +26,7 @@ func TestLoadFullScenario(t *testing.T) {
 		"recovery": {"s0a/front-lidar": "holdover", "s0b/rear-lidar": "propagate"},
 		"remote_variant": "dds-context"
 	}`
-	cfg, err := Load(strings.NewReader(src))
+	cfg, _, err := LoadFull(strings.NewReader(src))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,7 +57,7 @@ func TestLoadFullScenario(t *testing.T) {
 }
 
 func TestLoadEmptyKeepsDefaults(t *testing.T) {
-	cfg, err := Load(strings.NewReader(`{}`))
+	cfg, _, err := LoadFull(strings.NewReader(`{}`))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,7 +84,7 @@ func TestLoadRejectsBadInput(t *testing.T) {
 		`{"faults": [{"type": "overload", "ecu": "ecu2", "utilisation": 0.9}]}`,
 	}
 	for i, src := range cases {
-		if _, err := Load(strings.NewReader(src)); err == nil {
+		if _, _, err := LoadFull(strings.NewReader(src)); err == nil {
 			t.Errorf("case %d accepted: %s", i, src)
 		}
 	}
@@ -114,10 +114,6 @@ func TestLoadFullEmbeddedFaults(t *testing.T) {
 	if sim.Duration(camp.Faults[0].Delay) != 30*sim.Millisecond {
 		t.Errorf("delay = %v", sim.Duration(camp.Faults[0].Delay))
 	}
-	// Load drops but still validates the campaign.
-	if _, err := Load(strings.NewReader(src)); err != nil {
-		t.Errorf("Load rejected a valid embedded campaign: %v", err)
-	}
 }
 
 func TestDurationRoundTrip(t *testing.T) {
@@ -135,7 +131,7 @@ func TestDurationRoundTrip(t *testing.T) {
 }
 
 func TestScenarioRunsEndToEnd(t *testing.T) {
-	cfg, err := Load(strings.NewReader(`{
+	cfg, _, err := LoadFull(strings.NewReader(`{
 		"frames": 60,
 		"full_chain": true,
 		"loss_prob": 0.05,

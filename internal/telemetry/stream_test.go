@@ -239,6 +239,9 @@ func TestStreamTruncatedLogTolerated(t *testing.T) {
 	if l.Events() != 1 {
 		t.Errorf("events = %d, want 1 (the complete record)", l.Events())
 	}
+	if !l.Truncated {
+		t.Error("a log cut inside a record must be flagged Truncated")
+	}
 }
 
 // Flow stitching in the converted Perfetto JSON: multi-track flows get

@@ -142,8 +142,8 @@ func segmentName(path string, i int) string {
 // segment set path.0.gz, path.1.gz, … (when path itself does not exist).
 // Rotated segments are merged into one Log — the definition replay at each
 // segment start is recognized and deduplicated — and a truncated final
-// segment (a run killed mid-flush) is tolerated just like ReadLog tolerates
-// a truncated trailing record.
+// segment (a run killed mid-flush) is tolerated and flagged just like
+// ReadLog tolerates a truncated trailing record.
 func OpenLogSet(path string) (*Log, error) {
 	if _, err := os.Stat(path); err == nil {
 		l := newLog()
@@ -170,6 +170,7 @@ func OpenLogSet(path string) (*Log, error) {
 			// killed right after rotating) is the same benign truncation
 			// readFrom tolerates inside a record.
 			if i == len(segs)-1 && isTruncation(err) {
+				l.Truncated = true
 				break
 			}
 			return nil, fmt.Errorf("telemetry: segment %s: %w", seg, err)

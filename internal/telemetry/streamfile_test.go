@@ -234,6 +234,9 @@ func TestStreamFileTruncatedFinalSegment(t *testing.T) {
 	if l.Events() == 0 || l.Events() >= total {
 		t.Errorf("events = %d, want a nonzero strict subset of %d", l.Events(), total)
 	}
+	if !l.Truncated {
+		t.Error("a final segment cut inside a record must flag the log Truncated")
+	}
 
 	// Now cut the final segment to nothing at all.
 	if err := os.WriteFile(last, nil, 0o644); err != nil {
@@ -245,6 +248,9 @@ func TestStreamFileTruncatedFinalSegment(t *testing.T) {
 	}
 	if l2.Events() == 0 {
 		t.Error("no events recovered from the intact segments")
+	}
+	if !l2.Truncated {
+		t.Error("an empty final segment must flag the log Truncated")
 	}
 }
 

@@ -16,6 +16,10 @@ type Log struct {
 	// Timebase is the timestamp domain recorded in the log metadata
 	// ("sim" or "wall"; empty in logs without the meta record).
 	Timebase string
+	// Truncated reports that the log ends inside a record (a run killed
+	// mid-flush): the events before the cut parsed, the partial record did
+	// not.
+	Truncated bool
 
 	labels []string
 	scopes []string
@@ -54,9 +58,9 @@ func newLog() *Log {
 }
 
 // ReadLog parses an event log written by a StreamWriter. It tolerates a
-// truncated final record (a run killed mid-flush) but rejects structural
-// corruption. For on-disk logs that may be gzip-compressed or rotated into
-// segments, use OpenLogSet instead.
+// truncated final record (a run killed mid-flush), flagging it in
+// Log.Truncated, but rejects structural corruption. For on-disk logs that
+// may be gzip-compressed or rotated into segments, use OpenLogSet instead.
 func ReadLog(r io.Reader) (*Log, error) {
 	l := newLog()
 	if err := l.readFrom(r); err != nil {
@@ -81,10 +85,10 @@ func (l *Log) readFrom(r io.Reader) error {
 	payload := make([]byte, 0, 256)
 	for {
 		if _, err := io.ReadFull(br, hdr[:]); err != nil {
-			if err == io.EOF || err == io.ErrUnexpectedEOF {
-				return nil // end of stream or truncated trailing record
+			if err == io.EOF {
+				return nil
 			}
-			return err
+			return l.truncated(err)
 		}
 		n := binary.LittleEndian.Uint32(hdr[0:4])
 		typ := hdr[4]
@@ -96,10 +100,7 @@ func (l *Log) readFrom(r io.Reader) error {
 		}
 		payload = payload[:n]
 		if _, err := io.ReadFull(br, payload); err != nil {
-			if err == io.EOF || err == io.ErrUnexpectedEOF {
-				return nil // truncated trailing record
-			}
-			return err
+			return l.truncated(err)
 		}
 		switch typ {
 		case recTrackDef:
@@ -162,6 +163,16 @@ func (l *Log) readFrom(r io.Reader) error {
 			return fmt.Errorf("telemetry: unknown record type 0x%02x", typ)
 		}
 	}
+}
+
+// truncated absorbs an end of input inside a record by flagging the log;
+// any other read error is returned.
+func (l *Log) truncated(err error) error {
+	if !isTruncation(err) {
+		return err
+	}
+	l.Truncated = true
+	return nil
 }
 
 // Tracks returns the log's tracks in definition (creation) order.
