@@ -5,8 +5,10 @@
 //   - hot-path allocation cuts: kernel event scheduling with and without the
 //     pooled freelist, the overload queue-churn workload (work-item freelist
 //     and pre-bound wakers), the deadline hot-swap cycle of the adaptive
-//     budget loop (budget_swap), and the sweep-framework overhead per combo,
-//     all measured via testing.Benchmark;
+//     budget loop (budget_swap), one blame-attributed flow (blame_flow), a
+//     /health scrape with a full budget history (health_render), and the
+//     sweep-framework overhead per combo, all measured via
+//     testing.Benchmark;
 //   - parallel campaign throughput: the frozen 102-combo chaos matrix (or
 //     the 10k nightly matrix with -matrix 10k) run serially and through the
 //     sharded worker pool, with the merged summaries byte-compared so the
@@ -40,17 +42,25 @@ import (
 	"flag"
 	"fmt"
 	"log"
+	"net/http"
+	"net/http/httptest"
 	"os"
 	"runtime"
 	"testing"
 	"time"
 
+	"chainmon/internal/adaptive"
+	"chainmon/internal/blame"
 	"chainmon/internal/faultinject"
 	"chainmon/internal/fleet"
+	"chainmon/internal/livestats"
+	"chainmon/internal/monitor"
 	"chainmon/internal/parallel"
 	"chainmon/internal/perception"
 	rt "chainmon/internal/runtime"
 	"chainmon/internal/sim"
+	"chainmon/internal/telemetry"
+	"chainmon/internal/weaklyhard"
 )
 
 // schemaVersion identifies the report layout; bump it when fields change
@@ -213,6 +223,72 @@ func main() {
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			cycle()
+		}
+	})
+	// blame_flow is the attribution engine's per-activation cost: one op
+	// feeds an on-time flow's six hops (dds-send, net-send, dds-recv, ring
+	// post, timeout arm, verdict) and finalizes the flow that falls out of
+	// the reorder window. TestFeedAllocFree in internal/blame pins it at 0
+	// allocs/op.
+	run("blame_flow", func(b *testing.B) {
+		b.ReportAllocs()
+		e := blame.New(blame.Options{})
+		act := uint64(0)
+		flow := func() {
+			act++
+			f, ts := telemetry.FlowID(1, act), int64(act)*100_000
+			for i, k := range []telemetry.Kind{
+				telemetry.KindDDSSend, telemetry.KindNetSend, telemetry.KindDDSRecv, telemetry.KindRingPostStart,
+			} {
+				e.Feed(0, telemetry.Event{TS: ts + int64(i)*1000, Act: act, Flow: f, Kind: k, Label: 1})
+			}
+			e.Feed(1, telemetry.Event{TS: ts + 3000, Act: act, Arg: ts + 23000, Flow: f,
+				Kind: telemetry.KindTimeoutArm, Label: 1})
+			e.Feed(1, telemetry.Event{TS: ts + 13000, Act: act, Arg: 10000, Flow: f,
+				Kind: telemetry.KindVerdict, Label: 1, Status: telemetry.StatusOK})
+		}
+		for i := 0; i < 2*blame.DefaultWindow; i++ { // warm the freelist and aggregates
+			flow()
+		}
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			flow()
+		}
+	})
+	// health_render is one /health scrape through the live handler with the
+	// adaptive budget section carrying its full 256-actuation history, the
+	// document's largest part. TestBudgetHealthAllocs in internal/adaptive
+	// pins the budget section's share.
+	run("health_render", func(b *testing.B) {
+		b.ReportAllocs()
+		set := livestats.NewSet(0)
+		for _, name := range []string{"objects", "ground"} {
+			sc := set.Segment(name, weaklyhard.Constraint{M: 1, K: 10})
+			for i := 0; i < 1000; i++ {
+				sc.Observe(float64(5_000_000+i*1000), false)
+			}
+		}
+		ctrl, err := adaptive.New(adaptive.Config{
+			Set: set, Table: monitor.NewBudgetTable(),
+			Segments: []adaptive.SegmentSpec{
+				{Name: "objects", Initial: 10 * sim.Millisecond},
+				{Name: "ground", Initial: 10 * sim.Millisecond},
+			},
+			DEx: sim.Millisecond, Be2e: 40 * sim.Millisecond,
+			Constraint: weaklyhard.Constraint{M: 1, K: 10},
+		})
+		if err != nil {
+			b.Fatal(err)
+		}
+		for i := 0; i < 300; i++ {
+			ctrl.Tick(int64(i) * int64(sim.Second))
+		}
+		h, req := set.Handler(), httptest.NewRequest(http.MethodGet, "/health", nil)
+		w := httptest.NewRecorder()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			w.Body.Reset()
+			h.ServeHTTP(w, req)
 		}
 	})
 	// vehicle_run is the unit of the fleet_chaos benchmark: build and run

@@ -83,7 +83,6 @@ import (
 	_ "net/http/pprof"
 	"os"
 	"runtime/debug"
-	"sort"
 	"strings"
 	"time"
 
@@ -492,13 +491,9 @@ func printActuations(w io.Writer, hist []adaptive.Actuation, baseNS int64) {
 			continue
 		}
 		fmt.Fprintf(w, "  t=%-12v epoch=%d %-10s", time.Duration(a.AtNS-baseNS), a.Epoch, a.Result)
-		names := make([]string, 0, len(a.DeadlinesNS))
-		for name := range a.DeadlinesNS {
-			names = append(names, name)
-		}
-		sort.Strings(names)
-		for _, name := range names {
-			fmt.Fprintf(w, " %s=%v", name, time.Duration(a.DeadlinesNS[name]))
+		for i := 0; i < a.DeadlinesNS.Len(); i++ {
+			name, ns := a.DeadlinesNS.At(i)
+			fmt.Fprintf(w, " %s=%v", name, time.Duration(ns))
 		}
 		if a.Reason != "" {
 			fmt.Fprintf(w, "  (%s)", a.Reason)

@@ -23,7 +23,10 @@
 package adaptive
 
 import (
+	"encoding/json"
 	"fmt"
+	"slices"
+	"strconv"
 	"sync"
 	"time"
 
@@ -111,10 +114,36 @@ type Actuation struct {
 	Epoch  uint64 `json:"epoch"`  // table epoch staged by this actuation (0 when none)
 	Result string `json:"result"` // "applied" | "held" | "infeasible" | "rollback"
 	Reason string `json:"reason,omitempty"`
-	// DeadlinesNS maps segment name to the monitored deadline in force
-	// after this actuation. encoding/json sorts map keys, so the history
-	// marshals deterministically.
-	DeadlinesNS map[string]int64 `json:"deadlines_ns"`
+	// DeadlinesNS is the monitored-deadline table in force after this
+	// actuation.
+	DeadlinesNS DeadlineTable `json:"deadlines_ns"`
+}
+
+// DeadlineTable is a monitored-deadline table: one deadline per controlled
+// segment, in nanoseconds, sorted by segment name. It marshals to the bytes
+// encoding/json renders for the map from segment name to deadline — the
+// /health wire format. The controller renders that object once, when it
+// builds the table, so a scrape copies bytes instead of reflecting over a
+// map for every retained actuation. Tables are immutable and shared.
+type DeadlineTable struct {
+	names []string // sorted segment names, shared by all of a controller's tables
+	ns    []int64  // ns[i] is the deadline of names[i]
+	raw   []byte   // the JSON object
+}
+
+// Len returns the number of segments in the table.
+func (t DeadlineTable) Len() int { return len(t.ns) }
+
+// At returns the i-th segment in name order and its deadline in nanoseconds.
+func (t DeadlineTable) At(i int) (name string, ns int64) { return t.names[i], t.ns[i] }
+
+// MarshalJSON returns the table as a JSON object keyed by segment name, in
+// name order; the zero table marshals like a nil map.
+func (t DeadlineTable) MarshalJSON() ([]byte, error) {
+	if t.raw == nil {
+		return []byte("null"), nil
+	}
+	return t.raw, nil
 }
 
 // Actuation results.
@@ -142,6 +171,12 @@ type Controller struct {
 	current  map[string]sim.Duration
 	previous map[string]sim.Duration // last superseded table, rollback target
 	lastBurn livestats.BurnState
+
+	// names are the segment names in name order and keys their JSON
+	// quotations, rendered once; table is current as a DeadlineTable.
+	names []string
+	keys  [][]byte
+	table DeadlineTable
 
 	track *telemetry.Track
 }
@@ -176,7 +211,14 @@ func New(cfg Config) (*Controller, error) {
 		}
 		seen[s.Name] = true
 		c.current[s.Name] = s.Initial
+		c.names = append(c.names, s.Name)
 	}
+	slices.Sort(c.names)
+	for _, name := range c.names {
+		key, _ := json.Marshal(name) // a string always marshals
+		c.keys = append(c.keys, key)
+	}
+	c.table = c.deadlineTable(c.current)
 	if cfg.Sink != nil {
 		c.track = cfg.Sink.Rec.Track("budget")
 	}
@@ -204,6 +246,7 @@ func (c *Controller) Tick(nowNS int64) Actuation {
 		act.Reason = fmt.Sprintf("chain %q burn state escalated to %v", c.cfg.Chain, burn)
 		c.stageLocked(c.previous, &act)
 		c.current, c.previous = c.previous, nil
+		c.table = c.deadlineTable(c.current)
 		return c.recordLocked(act)
 	}
 	c.lastBurn = burn
@@ -330,6 +373,7 @@ func (c *Controller) Tick(nowNS int64) Actuation {
 	act.Result = ResultApplied
 	c.stageLocked(next, &act)
 	c.previous, c.current = c.current, next
+	c.table = c.deadlineTable(c.current)
 	return c.recordLocked(act)
 }
 
@@ -384,13 +428,26 @@ func (c *Controller) stageLocked(table map[string]sim.Duration, act *Actuation) 
 	}
 }
 
+// deadlineTable renders a deadline map as a DeadlineTable.
+func (c *Controller) deadlineTable(table map[string]sim.Duration) DeadlineTable {
+	t := DeadlineTable{names: c.names, ns: make([]int64, len(c.names))}
+	t.raw = append(t.raw, '{')
+	for i, name := range c.names {
+		t.ns[i] = int64(table[name])
+		if i > 0 {
+			t.raw = append(t.raw, ',')
+		}
+		t.raw = append(append(t.raw, c.keys[i]...), ':')
+		t.raw = strconv.AppendInt(t.raw, t.ns[i], 10)
+	}
+	t.raw = append(t.raw, '}')
+	return t
+}
+
 // recordLocked finalizes act (snapshotting the in-force table), appends it
 // to the bounded history, refreshes the gauges, and returns it.
 func (c *Controller) recordLocked(act Actuation) Actuation {
-	act.DeadlinesNS = make(map[string]int64, len(c.current))
-	for name, d := range c.current {
-		act.DeadlinesNS[name] = int64(d)
-	}
+	act.DeadlinesNS = c.table
 	c.history = append(c.history, act)
 	if len(c.history) > maxHistory {
 		drop := len(c.history) - maxHistory
@@ -434,27 +491,23 @@ func (c *Controller) Deadlines() map[string]sim.Duration {
 
 // healthDoc is the /health "budget" section (registered on the Set by New).
 type healthDocT struct {
-	Epoch          uint64           `json:"epoch"`
-	AppliedEpoch   uint64           `json:"applied_epoch"`
-	DeadlinesNS    map[string]int64 `json:"deadlines_ns"`
-	Actuations     []Actuation      `json:"actuations"`
-	DroppedHistory int              `json:"dropped_history,omitempty"`
+	Epoch          uint64        `json:"epoch"`
+	AppliedEpoch   uint64        `json:"applied_epoch"`
+	DeadlinesNS    DeadlineTable `json:"deadlines_ns"`
+	Actuations     []Actuation   `json:"actuations"`
+	DroppedHistory int           `json:"dropped_history,omitempty"`
 }
 
 func (c *Controller) healthDoc() any {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	doc := healthDocT{
-		Epoch:        c.cfg.Table.Epoch(),
-		AppliedEpoch: c.cfg.Table.AppliedEpoch(),
-		DeadlinesNS:  make(map[string]int64, len(c.current)),
-		Actuations:   append([]Actuation(nil), c.history...),
+	return healthDocT{
+		Epoch:          c.cfg.Table.Epoch(),
+		AppliedEpoch:   c.cfg.Table.AppliedEpoch(),
+		DeadlinesNS:    c.table,
+		Actuations:     append([]Actuation(nil), c.history...),
+		DroppedHistory: c.dropped,
 	}
-	for name, d := range c.current {
-		doc.DeadlinesNS[name] = int64(d)
-	}
-	doc.DroppedHistory = c.dropped
-	return doc
 }
 
 // ScheduleSim drives the controller from a simulation kernel: one Tick

@@ -2,6 +2,7 @@ package adaptive
 
 import (
 	"encoding/json"
+	"io"
 	"strings"
 	"testing"
 
@@ -21,6 +22,16 @@ func feedScope(set *livestats.Set, name string, n int, lat sim.Duration) {
 	for i := 0; i < n; i++ {
 		sc.Observe(float64(lat), false)
 	}
+}
+
+// deadlineOf looks a segment up in a deadline table (0 when absent).
+func deadlineOf(t DeadlineTable, name string) int64 {
+	for i := 0; i < t.Len(); i++ {
+		if n, ns := t.At(i); n == name {
+			return ns
+		}
+	}
+	return 0
 }
 
 func newUnitController(t *testing.T, cfg Config) (*Controller, *monitor.BudgetTable) {
@@ -57,7 +68,7 @@ func TestGuardrailHysteresisHolds(t *testing.T) {
 	if tab.Epoch() != 0 {
 		t.Fatalf("table staged epoch %d, want untouched 0", tab.Epoch())
 	}
-	if got := act.DeadlinesNS["s"]; got != int64(5500*sim.Microsecond) {
+	if got := deadlineOf(act.DeadlinesNS, "s"); got != int64(5500*sim.Microsecond) {
 		t.Fatalf("held actuation reports deadline %d, want the unchanged initial", got)
 	}
 }
@@ -316,10 +327,10 @@ func TestAdaptiveEndToEndSim(t *testing.T) {
 	if len(applied) != 2 || rollbacks != 1 {
 		t.Fatalf("got %d applied / %d rollbacks, want 2 applied (tighten, re-solve) and 1 rollback", len(applied), rollbacks)
 	}
-	if got := applied[0].DeadlinesNS["work"]; got != int64(6*sim.Millisecond) {
+	if got := deadlineOf(applied[0].DeadlinesNS, "work"); got != int64(6*sim.Millisecond) {
 		t.Fatalf("slack phase actuated %v, want the 6ms Min clamp", sim.Duration(got))
 	}
-	relaxed := sim.Duration(applied[1].DeadlinesNS["work"])
+	relaxed := sim.Duration(deadlineOf(applied[1].DeadlinesNS, "work"))
 	if relaxed <= 8200*sim.Microsecond || relaxed >= 10*sim.Millisecond {
 		t.Fatalf("post-spike deadline %v, want ~8.6ms (max 8.2ms + margin), strictly above the spike costs", relaxed)
 	}
@@ -361,5 +372,48 @@ func TestAdaptiveSameSeedByteIdentical(t *testing.T) {
 	_, _, _, h2 := adaptiveRun(t)
 	if string(h1) != string(h2) {
 		t.Fatalf("same-seed actuation histories differ:\n%s\nvs\n%s", h1, h2)
+	}
+}
+
+// TestBudgetHealthAllocs pins the cost of rendering the /health budget
+// section with a full actuation history: each retained actuation's
+// deadline table is pre-rendered JSON, so a warm indenting encoder renders
+// the whole section in a fixed handful of allocations instead of
+// reflecting over one map per actuation (1289 allocations at 256).
+func TestBudgetHealthAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts of pooled JSON rendering are not meaningful under -race")
+	}
+	c, _ := newUnitController(t, Config{
+		Segments: []SegmentSpec{
+			{Name: "objects", Initial: 10 * sim.Millisecond},
+			{Name: "ground", Initial: 12 * sim.Millisecond},
+		},
+		DEx: sim.Millisecond, Be2e: 40 * sim.Millisecond,
+		Constraint: weaklyhard.Constraint{M: 0, K: 1},
+	})
+	for i := 0; i < maxHistory+10; i++ {
+		c.Tick(int64(i))
+	}
+	enc := json.NewEncoder(io.Discard)
+	enc.SetIndent("", "  ")
+	render := func() {
+		if err := enc.Encode(c.healthDoc()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	render() // warm the encoder's indent buffer
+	// The section's interface box and its copy of the history.
+	const want = 2
+	if allocs := testing.AllocsPerRun(50, render); allocs != want {
+		t.Fatalf("rendering the budget section with %d actuations allocates %.0f, want %d",
+			maxHistory, allocs, want)
+	}
+	raw, err := json.Marshal(c.healthDoc())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(string(raw), `"deadlines_ns":{"ground":12000000,"objects":10000000}`) {
+		t.Fatalf("budget section does not carry the name-sorted deadline object: %.200s", raw)
 	}
 }

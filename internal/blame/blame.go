@@ -98,12 +98,14 @@ type hop struct {
 	status uint8
 }
 
-// flowState is one unresolved activation.
+// flowState is one unresolved activation. Finalized flows are recycled
+// through the engine's freelist (next); their hop arrays, grown to at most
+// MaxHops, survive recycling, so steady-state Feed does not allocate.
 type flowState struct {
-	flow    uint32
-	act     uint64 // full activation index (first non-zero Event.Act seen)
-	hops    []hop
-	dropped int
+	flow uint32
+	act  uint64 // full activation index (first non-zero Event.Act seen)
+	hops []hop
+	next *flowState
 }
 
 // hopKey names one ledger-entry population without resolving strings:
@@ -179,6 +181,10 @@ type Engine struct {
 	truncatedHops uint64
 	forced        uint64
 
+	// free recycles finalized flow records; spans is finalization scratch.
+	free  *flowState
+	spans []span
+
 	// pendingExemplars buffers flight-recorder records for admitted
 	// exemplars; FlushExemplars drains it outside every lock.
 	pendingExemplars []telemetry.Event
@@ -233,24 +239,46 @@ func (e *Engine) Feed(track uint16, ev telemetry.Event) {
 
 	fs, ok := e.flows[ev.Flow]
 	if !ok {
-		fs = &flowState{flow: ev.Flow}
+		fs = e.newFlow(ev.Flow)
 		e.flows[ev.Flow] = fs
 		e.order = append(e.order, ev.Flow)
 		sc.pending = append(sc.pending, ev.Flow)
 		e.evictLocked()
+		if e.flows[ev.Flow] != fs {
+			// A stale insertion-order entry of a re-created id named this
+			// flow, and the eviction finalized it: the hop goes with it,
+			// and the recycled record must stay untouched.
+			return
+		}
 	}
 	if fs.act == 0 && ev.Act != 0 {
 		fs.act = ev.Act
 	}
 	if len(fs.hops) >= e.opt.MaxHops {
-		fs.dropped++
 		e.truncatedHops++
 		return
+	}
+	if len(fs.hops) == cap(fs.hops) {
+		// Double the hop array, never past MaxHops: it outlives the flow, so
+		// its capacity is part of the engine's memory bound.
+		fs.hops = append(make([]hop, 0, min(max(2*cap(fs.hops), 8), e.opt.MaxHops)), fs.hops...)
 	}
 	fs.hops = append(fs.hops, hop{
 		ts: ev.TS, arg: ev.Arg, epoch: e.epoch,
 		kind: ev.Kind, label: ev.Label, track: track, status: ev.Status,
 	})
+}
+
+// newFlow takes a flow record off the freelist, or allocates one.
+func (e *Engine) newFlow(flow uint32) *flowState {
+	fs := e.free
+	if fs == nil {
+		return &flowState{flow: flow}
+	}
+	e.free = fs.next
+	fs.next = nil
+	fs.flow = flow
+	return fs
 }
 
 // Epoch returns the largest budget-table epoch the engine has observed
@@ -316,14 +344,24 @@ func (e *Engine) sweepLocked(sc *scopeAgg) {
 // insertion-order list and compacts its backing array when mostly stale, so
 // the list stays proportional to the live pending set on unbounded runs.
 func (e *Engine) trimOrderLocked() {
-	for len(e.order) > 0 {
-		if _, ok := e.flows[e.order[0]]; ok {
+	n := 0
+	for n < len(e.order) {
+		if _, ok := e.flows[e.order[n]]; ok {
 			break
 		}
-		e.order = e.order[1:]
+		n++
 	}
+	e.popOrderLocked(n)
 	if cap(e.order) > 4*e.opt.MaxPending && len(e.order) <= e.opt.MaxPending {
 		e.order = append(make([]uint32, 0, 2*e.opt.MaxPending), e.order...)
+	}
+}
+
+// popOrderLocked removes the first n entries of the insertion-order list by
+// shifting the rest down, so appends keep reusing one backing array.
+func (e *Engine) popOrderLocked(n int) {
+	if n > 0 {
+		e.order = e.order[:copy(e.order, e.order[n:])]
 	}
 }
 
@@ -331,28 +369,32 @@ func (e *Engine) trimOrderLocked() {
 // is exceeded, keeping engine memory constant; callers hold e.mu.
 func (e *Engine) evictLocked() {
 	for len(e.flows) > e.opt.MaxPending {
-		// Pop stale entries (already finalized by a sweep) off the front.
-		for len(e.order) > 0 {
-			if _, ok := e.flows[e.order[0]]; ok {
-				break
-			}
-			e.order = e.order[1:]
-		}
+		e.trimOrderLocked() // stale entries: already finalized by a sweep
 		if len(e.order) == 0 {
 			return
 		}
 		id := e.order[0]
-		e.order = e.order[1:]
+		e.popOrderLocked(1)
 		e.forced++
 		e.finalizeLocked(e.flows[id])
 	}
 }
 
-// finalizeLocked resolves one activation: sorts its hops, builds the slack
-// ledger and folds it into the scope aggregates; callers hold e.mu.
+// finalizeLocked resolves one activation and recycles its flow record;
+// callers hold e.mu.
 func (e *Engine) finalizeLocked(fs *flowState) {
 	delete(e.flows, fs.flow)
 	e.finalized++
+	e.attributeLocked(fs)
+	fs.act = 0
+	fs.hops = fs.hops[:0]
+	fs.next = e.free
+	e.free = fs
+}
+
+// attributeLocked sorts a finalized activation's hops, builds the slack
+// ledger and folds it into the scope aggregates; callers hold e.mu.
+func (e *Engine) attributeLocked(fs *flowState) {
 	sc := e.scope(telemetry.FlowScopeOf(fs.flow))
 
 	hops := fs.hops
@@ -374,7 +416,8 @@ func (e *Engine) finalizeLocked(fs *flowState) {
 	// with the budget in force at arm time read off the arm event itself
 	// (absolute deadline − span start = the monitored deadline d_mon that
 	// epoch had staged for the segment).
-	spans := segSpans(hops)
+	spans := segSpans(e.spans[:0], hops)
+	e.spans = spans
 
 	// Worst verdict across the activation's segments.
 	worst := telemetry.StatusOK
@@ -395,14 +438,13 @@ func (e *Engine) finalizeLocked(fs *flowState) {
 	// end-to-end latency — nothing lost, nothing double-counted. Entries
 	// whose endpoints both lie inside a segment span fold into that
 	// segment's population; the rest are kind→kind transitions.
-	segDelta := map[uint16]int64{}
 	for i := 1; i < len(hops); i++ {
 		delta := hops[i].ts - hops[i-1].ts
 		key := hopKey{from: hops[i-1].kind, to: hops[i].kind}
-		for _, sp := range spans {
-			if hops[i-1].ts >= sp.start && hops[i].ts <= sp.end {
+		for j := range spans {
+			if sp := &spans[j]; hops[i-1].ts >= sp.start && hops[i].ts <= sp.end {
 				key = hopKey{seg: true, label: sp.label}
-				segDelta[sp.label] += delta
+				sp.delta += delta
 				break
 			}
 		}
@@ -432,7 +474,7 @@ func (e *Engine) finalizeLocked(fs *flowState) {
 		}
 		over := dwell - sp.budget
 		if !sp.hasBudget {
-			over = segDelta[sp.label] // unbudgeted span: blame the full dwell
+			over = sp.delta // unbudgeted span: blame the full dwell
 		}
 		if over < 0 {
 			over = 0
@@ -456,37 +498,39 @@ type span struct {
 	start     int64
 	end       int64
 	budget    int64
+	delta     int64 // Σ ledger-entry deltas attributed to the span
 	epoch     uint64
 	hasBudget bool
 	missed    bool
 }
 
-// segSpans extracts the per-segment spans of a sorted hop timeline.
-func segSpans(hops []hop) []span {
-	var spans []span
-	find := func(label uint16) *span {
-		for i := range spans {
-			if spans[i].label == label {
-				return &spans[i]
-			}
+// findSpan returns the span of a segment label, or nil.
+func findSpan(spans []span, label uint16) *span {
+	for i := range spans {
+		if spans[i].label == label {
+			return &spans[i]
 		}
-		return nil
 	}
+	return nil
+}
+
+// segSpans appends the per-segment spans of a sorted hop timeline to spans.
+func segSpans(spans []span, hops []hop) []span {
 	for i := range hops {
 		h := &hops[i]
 		switch h.kind {
 		case telemetry.KindRingPostStart:
-			if find(h.label) == nil {
+			if findSpan(spans, h.label) == nil {
 				spans = append(spans, span{label: h.label, start: h.ts, end: hops[len(hops)-1].ts})
 			}
 		case telemetry.KindTimeoutArm:
-			if sp := find(h.label); sp != nil && !sp.hasBudget {
+			if sp := findSpan(spans, h.label); sp != nil && !sp.hasBudget {
 				sp.budget = h.arg - sp.start
 				sp.epoch = h.epoch
 				sp.hasBudget = true
 			}
 		case telemetry.KindVerdict:
-			if sp := find(h.label); sp != nil {
+			if sp := findSpan(spans, h.label); sp != nil {
 				sp.end = h.ts
 				if h.status == telemetry.StatusMissed {
 					sp.missed = true

@@ -1,6 +1,7 @@
 package blame
 
 import (
+	"slices"
 	"testing"
 
 	"chainmon/internal/telemetry"
@@ -173,5 +174,63 @@ func TestSweepFinalizesOutOfWindow(t *testing.T) {
 	doc = e.Snapshot(res())
 	if doc.Flows != 1 {
 		t.Errorf("flows = %d, want 1 (act 1 is 4 activations behind act 5)", doc.Flows)
+	}
+}
+
+// TestFeedAllocFree is the CI allocation gate on the attribution hot path:
+// once the flow-record freelist, the hop arrays, the span scratch and the
+// scope aggregates have reached steady state, one on-time activation's hop
+// sequence plus the window finalization it triggers allocates nothing.
+func TestFeedAllocFree(t *testing.T) {
+	e := New(Options{Window: 8})
+	act := uint64(0)
+	flow := func() {
+		act++
+		feedFlow(e, 1, act, int64(act)*1000, 10, 20, 1, telemetry.StatusOK)
+	}
+	for i := 0; i < 200; i++ { // warm the freelist, scratch and map capacity
+		flow()
+	}
+	if allocs := testing.AllocsPerRun(1000, flow); allocs != 0 {
+		t.Fatalf("Feed + finalization allocates %.2f/flow, want 0", allocs)
+	}
+	if doc := e.Snapshot(res()); doc.Flows != act-8 {
+		t.Fatalf("flows = %d, want %d finalized by the window", doc.Flows, act-8)
+	}
+}
+
+// TestRecreatedFlowEvictedOnArrival pins the pending cap's handling of a
+// flow id that returns after finalization (a late hop of an activation
+// already swept out of the window). A stale insertion-order entry of the
+// id can name the re-created flow, so the eviction its arrival triggers
+// may finalize that flow at once. The hop is then dropped with it, and the
+// flow records that are recycled stay clean: the next flow attributes
+// only its own hops.
+func TestRecreatedFlowEvictedOnArrival(t *testing.T) {
+	e := New(Options{MaxPending: 2, Window: 2})
+	hop := func(scope uint8, act uint64, ts int64, kind telemetry.Kind) {
+		e.Feed(0, telemetry.Event{TS: ts, Act: act, Flow: telemetry.FlowID(scope, act), Kind: kind})
+	}
+	hop(2, 1, 0, telemetry.KindDDSSend)  // A: stays pending, ahead of X
+	hop(1, 1, 0, telemetry.KindDDSSend)  // X
+	hop(1, 3, 10, telemetry.KindDDSSend) // Y: sweeps X out of the window
+	hop(3, 1, 20, telemetry.KindDDSSend) // Z: evicts A, X's stale entry leads
+	hop(1, 1, 50, telemetry.KindDDSRecv) // X again: evicted on arrival
+	hop(3, 2, 100, telemetry.KindDDSSend)
+	hop(3, 2, 110, telemetry.KindDDSRecv)
+	e.Flush()
+	doc := e.Snapshot(Resolvers{
+		Label: func(uint16) string { return "" },
+		Scope: func(id uint8) string { return string(rune('a' + id)) },
+	})
+	i := slices.IndexFunc(doc.Scopes, func(sc ScopeDoc) bool { return sc.Scope == "d" })
+	if i < 0 {
+		t.Fatal("scope 3 missing from the snapshot")
+	}
+	if sc := doc.Scopes[i]; sc.Flows != 1 || sc.E2ETotalNS != 10 {
+		t.Fatalf("scope 3: flows=%d e2e=%d, want 1 flow of 10ns (its own two hops)", sc.Flows, sc.E2ETotalNS)
+	}
+	if doc.Forced != 3 {
+		t.Errorf("forced finalizations = %d, want 3 (A, the re-created X, then Y)", doc.Forced)
 	}
 }

@@ -49,10 +49,11 @@ func heldOver(act uint64) lidar.FrameMeta {
 
 // blamedRun executes the lossy scenario with a direct sim stream writer and
 // an online blame engine observing it — exactly the wiring the chainmon
-// binary uses for -trace-stream runs — and returns the online snapshot plus
-// the raw log bytes. The engine sees precisely the events, in precisely the
-// order, that reach the log: that is the byte-identity contract.
-func blamedRun(t *testing.T, seed int64) (blame.Doc, []byte) {
+// binary uses for -trace-stream runs — and returns the online snapshot, the
+// engine's blame-exemplar flight-recorder records and the raw log bytes.
+// The engine sees precisely the events, in precisely the order, that reach
+// the log: that is the byte-identity contract.
+func blamedRun(t *testing.T, seed int64, opt blame.Options) (blame.Doc, []telemetry.Event, []byte) {
 	t.Helper()
 	sink := telemetry.NewSink(1 << 14)
 	var buf bytes.Buffer
@@ -60,7 +61,7 @@ func blamedRun(t *testing.T, seed int64) (blame.Doc, []byte) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng := blame.New(blame.Options{})
+	eng := blame.New(opt)
 	eng.SetTimebase("sim")
 	sw.SetObserver(eng.Feed)
 	sink.Rec.SetStream(sw) // before AttachTelemetry: tracks register on creation
@@ -68,11 +69,12 @@ func blamedRun(t *testing.T, seed int64) (blame.Doc, []byte) {
 	perception.AttachTelemetry(s, sink)
 	s.Run()
 	eng.Flush()
-	eng.FlushExemplars(sink.Rec.Track("blame-exemplar"))
+	exemplars := sink.Rec.Track("blame-exemplar")
+	eng.FlushExemplars(exemplars)
 	if err := sw.Close(); err != nil {
 		t.Fatal(err)
 	}
-	return eng.Snapshot(blame.RecorderResolvers(sink.Rec)), buf.Bytes()
+	return eng.Snapshot(blame.RecorderResolvers(sink.Rec)), exemplars.Events(), buf.Bytes()
 }
 
 // TestSimOnlineOfflineByteIdentical pins the replay contract on the sim
@@ -80,7 +82,7 @@ func blamedRun(t *testing.T, seed int64) (blame.Doc, []byte) {
 // offline snapshot recomputed from the written log marshal to identical
 // bytes — same ledgers, same sketch quantiles, same exemplars, same shares.
 func TestSimOnlineOfflineByteIdentical(t *testing.T) {
-	online, raw := blamedRun(t, 11)
+	online, _, raw := blamedRun(t, 11, blame.Options{})
 	l, err := telemetry.ReadLog(bytes.NewReader(raw))
 	if err != nil {
 		t.Fatal(err)
@@ -103,6 +105,52 @@ func TestSimOnlineOfflineByteIdentical(t *testing.T) {
 	}
 	if online.Flows == 0 || online.Missed == 0 {
 		t.Fatalf("flows=%d missed=%d: the lossy run must attribute misses", online.Flows, online.Missed)
+	}
+}
+
+// TestPressureGolden pins the engine's output when its memory caps bite:
+// with a pending cap far below the run's flows and a hop cap below a long
+// activation's hop count, most flows are force-finalized, hops are
+// truncated, and flows are re-created after finalization. Online and
+// offline replays run the same engine, so only a golden pins this path.
+// Regenerate deliberately with:
+//
+//	go test ./internal/blame -run TestPressureGolden -update
+func TestPressureGolden(t *testing.T) {
+	var out bytes.Buffer
+	for _, opt := range []blame.Options{
+		{MaxPending: 6, MaxHops: 12},
+		{MaxPending: 4, MaxHops: 12, Window: 2},
+	} {
+		doc, exemplars, _ := blamedRun(t, 11, opt)
+		if doc.Forced == 0 || doc.TruncatedHops == 0 {
+			t.Errorf("%+v: forced=%d truncated=%d, want both > 0", opt, doc.Forced, doc.TruncatedHops)
+		}
+		b, err := json.MarshalIndent(struct {
+			Options   blame.Options
+			Snapshot  blame.Doc
+			Exemplars []telemetry.Event
+		}{opt, doc, exemplars}, "", "  ")
+		if err != nil {
+			t.Fatal(err)
+		}
+		out.Write(b)
+		out.WriteByte('\n')
+	}
+	path := filepath.Join("testdata", "pressure.golden")
+	if *update {
+		if err := os.WriteFile(path, out.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("reading golden file (run with -update to generate): %v", err)
+	}
+	if got := out.String(); got != string(want) {
+		t.Errorf("%s drifted (%d vs %d bytes); first differing line: %s\n"+
+			"if the change is intended, rerun with -update",
+			path, len(got), len(want), firstDiffLine(got, string(want)))
 	}
 }
 
@@ -249,7 +297,7 @@ func firstDiffLine(a, b string) string {
 // ledger partitions each activation's latency, it never double-counts or
 // leaks time.
 func TestLedgerConservationOnRealRun(t *testing.T) {
-	doc, raw := blamedRun(t, 23)
+	doc, _, raw := blamedRun(t, 23, blame.Options{})
 	if len(doc.Scopes) == 0 {
 		t.Fatal("no scopes attributed")
 	}

@@ -2,6 +2,7 @@ package livestats
 
 import (
 	"encoding/json"
+	"io"
 	"math"
 	"net/http"
 	"sort"
@@ -334,15 +335,43 @@ func (s *Set) Status() BurnState {
 
 // Handler returns an http.Handler serving the Health document as JSON, for
 // mounting at /health. Degraded states still answer 200 — the document is
-// the signal; 5xx is reserved for a monitor that cannot answer at all.
+// the signal; 5xx is reserved for a monitor that cannot answer at all. The
+// document is snapshotted under the set's lock and encoded and written
+// outside it.
 func (s *Set) Handler() http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
 		w.Header().Set("Content-Type", "application/json")
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", "  ")
-		enc.Encode(s.Health())
+		he := healthEncoders.Get().(*healthEncoder)
+		he.w = w
+		if err := he.enc.Encode(s.Health()); err != nil {
+			// The client has gone, or a provider returned an unencodable
+			// value (nothing was written). json.Encoder keeps a write
+			// error for every later Encode, so this encoder is dropped.
+			return
+		}
+		he.w = nil
+		healthEncoders.Put(he)
 	})
 }
+
+// healthEncoder is a reusable indenting /health encoder. json.Encoder keeps
+// its indent buffer across Encode calls, and /health is hundreds of KB with
+// a full adaptive history, so pooling the encoder spares every scrape from
+// regrowing that buffer. Encode hands the finished document to Write once,
+// which forwards it to the response being served.
+type healthEncoder struct {
+	w   io.Writer
+	enc *json.Encoder
+}
+
+func (he *healthEncoder) Write(p []byte) (int, error) { return he.w.Write(p) }
+
+var healthEncoders = sync.Pool{New: func() any {
+	he := &healthEncoder{}
+	he.enc = json.NewEncoder(he)
+	he.enc.SetIndent("", "  ")
+	return he
+}}
 
 var liveQuantiles = []struct {
 	label string

@@ -2,6 +2,8 @@ package livestats
 
 import (
 	"encoding/json"
+	"errors"
+	"net/http"
 	"net/http/httptest"
 	"strings"
 	"sync"
@@ -82,6 +84,31 @@ func TestSetHandlerServesJSON(t *testing.T) {
 	}
 }
 
+// failingWriter is a response whose client has gone.
+type failingWriter struct{ h http.Header }
+
+func (w failingWriter) Header() http.Header     { return w.h }
+func (failingWriter) Write([]byte) (int, error) { return 0, errors.New("client gone") }
+func (failingWriter) WriteHeader(int)           {}
+
+// TestSetHandlerAfterFailedWrite pins the pooled /health encoder's error
+// path: a scrape whose client has gone must not leave its write error
+// behind for the next scrape.
+func TestSetHandlerAfterFailedWrite(t *testing.T) {
+	set := NewSet(0)
+	set.Segment("a", weaklyhard.Constraint{M: 1, K: 3}).Observe(1e6, false)
+	h := set.Handler()
+	for i := 0; i < 3; i++ {
+		h.ServeHTTP(failingWriter{http.Header{}}, httptest.NewRequest("GET", "/health", nil))
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest("GET", "/health", nil))
+		var doc Health
+		if err := json.Unmarshal(rec.Body.Bytes(), &doc); err != nil {
+			t.Fatalf("scrape after a failed write served %q: %v", rec.Body.String(), err)
+		}
+	}
+}
+
 func TestSetPublishMetrics(t *testing.T) {
 	set := NewSet(0)
 	seg := set.Segment("rt/ground", weaklyhard.Constraint{M: 1, K: 5})
@@ -117,24 +144,35 @@ func TestSetPublishMetrics(t *testing.T) {
 func TestSetConcurrentFeedAndScrape(t *testing.T) {
 	// The hot path (Observe) and the scrape path (Health/PublishMetrics)
 	// run on different goroutines in -realtime; this is the -race witness.
+	// Two scrapers share the pooled /health encoders, and every response
+	// must be one whole document.
 	set := NewSet(0)
 	seg := set.Segment("s", weaklyhard.Constraint{M: 1, K: 10})
 	reg := telemetry.NewRegistry()
+	handler := set.Handler()
 	var wg sync.WaitGroup
-	wg.Add(2)
+	wg.Add(3)
 	go func() {
 		defer wg.Done()
 		for i := 0; i < 5000; i++ {
 			seg.Observe(float64(i)*1e3, i%7 == 0)
 		}
 	}()
-	go func() {
-		defer wg.Done()
-		for i := 0; i < 200; i++ {
-			set.Health()
-			set.PublishMetrics(reg)
-		}
-	}()
+	for g := 0; g < 2; g++ {
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 200; i++ {
+				rec := httptest.NewRecorder()
+				handler.ServeHTTP(rec, httptest.NewRequest("GET", "/health", nil))
+				var h Health
+				if err := json.Unmarshal(rec.Body.Bytes(), &h); err != nil {
+					t.Errorf("concurrent scrape served invalid JSON: %v", err)
+					return
+				}
+				set.PublishMetrics(reg)
+			}
+		}()
+	}
 	wg.Wait()
 	if seg.Count() != 5000 {
 		t.Errorf("count = %d", seg.Count())

@@ -416,3 +416,51 @@ func TestWallclockBackToBackPairsNoFalseMiss(t *testing.T) {
 			len(falseMisses), falseMisses[0], len(slow))
 	}
 }
+
+// stepClock is a wall clock the test advances by hand.
+type stepClock struct{ now rt.Time }
+
+func (c *stepClock) Now() rt.Time { return c.now }
+
+// nopWaker stands in for the monitor semaphore; the test calls ScanNow.
+type nopWaker struct{}
+
+func (nopWaker) Wake()      {}
+func (nopWaker) ForceWake() {}
+
+// TestWallclockExceptionAllocFree pins that, once warm, raising and handling
+// a timeout on the wall clock allocates nothing per exception. With an
+// allocation per exception, a wall-clock run's allocation count follows
+// its number of misses, and that depends on how the producer is scheduled.
+func TestWallclockExceptionAllocFree(t *testing.T) {
+	const dMon = time.Millisecond
+	clock := &stepClock{}
+	mon := NewWallclockMonitor(clock, nopWaker{}, func() rt.EventRing { return walltime.NewRing(16) }, 1)
+	seg := mon.AddSegment(SegmentConfig{Name: "w", DMon: dMon, Period: time.Millisecond})
+	missed := 0
+	seg.OnResolve(func(r Resolution) {
+		if r.Status == StatusMissed {
+			missed++
+		}
+	})
+	var act uint64
+	miss := func() {
+		seg.StartInjected(act)
+		act++
+		clock.now += rt.Time(2 * dMon)
+		mon.ScanNow()
+	}
+	// Warm up past the segment's bookkeeping horizon, so its maps and the
+	// exception records have reached their steady size.
+	for i := 0; i < 5000; i++ {
+		miss()
+	}
+	const runs = 1000
+	allocs := testing.AllocsPerRun(runs, miss)
+	if want := int(act); missed != want {
+		t.Fatalf("%d of %d activations missed, want all", missed, want)
+	}
+	if allocs != 0 {
+		t.Errorf("one missed activation allocates %.0f times, want 0", allocs)
+	}
+}

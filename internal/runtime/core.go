@@ -1,5 +1,10 @@
 package runtime
 
+import (
+	"cmp"
+	"slices"
+)
+
 // SegmentHooks customizes one Segment of a Core without the Core knowing
 // anything about verdict bookkeeping, telemetry or the timebase. All hooks
 // are optional (nil disables them) and run synchronously inside Scan, on the
@@ -102,6 +107,7 @@ type Segment struct {
 	Name string
 	DMon Duration
 
+	index   int // registration order, the order due timeouts fire in
 	start   EventRing
 	end     EventRing
 	hooks   SegmentHooks
@@ -148,7 +154,7 @@ type Core struct {
 	// deferred), so the scratch cannot be aliased mid-drain.
 	freePending *pendingTimeout
 	batch       []Event
-	due         []*pendingTimeout
+	due         []deadlineEntry
 
 	// LateEndsMiss judges an end event by its timestamp: an end stamped
 	// after its activation's armed deadline is discarded like any late end,
@@ -192,6 +198,7 @@ func (c *Core) AddSegment(name string, dMon Duration, start, end EventRing, hook
 	s := &Segment{
 		Name:    name,
 		DMon:    dMon,
+		index:   len(c.segments),
 		start:   start,
 		end:     end,
 		hooks:   hooks,
@@ -223,9 +230,7 @@ func (c *Core) Scan(now Time) {
 	for _, s := range c.segments {
 		c.drain(s, now)
 	}
-	for _, s := range c.segments {
-		c.fireDue(s, now)
-	}
+	c.fireDue(now)
 	// Prune stale heap tops (activations that completed or fired) so the
 	// lazy-deletion heap stays bounded by the live pending set instead of
 	// growing with the total activation count. The simtime path never calls
@@ -319,33 +324,52 @@ func (c *Core) drain(s *Segment, now Time) {
 	}
 }
 
-// fireDue raises temporal exceptions for all armed activations of the
-// segment whose monitored deadline has passed without an end event. Fired
-// entries stay in the deadline heap (lazy deletion) and their scan timers
-// are left to expire: a stale ForceWake causes one extra empty pass, which
-// is harmless and mirrors the paper's semaphore semantics.
-func (c *Core) fireDue(s *Segment, now Time) {
+// fireDue raises temporal exceptions for all armed activations whose
+// monitored deadline has passed without an end event. Every armed deadline
+// has a heap entry, so popping the due entries finds them all in
+// O(due · log pending), skipping stale ones (activations that completed or
+// were re-timed). They fire in fixed segment order, by activation within a
+// segment. Their scan timers are left to expire: a stale ForceWake causes
+// one extra empty pass, which is harmless and mirrors the paper's semaphore
+// semantics.
+func (c *Core) fireDue(now Time) {
 	due := c.due[:0]
-	for _, p := range s.pending {
-		if p.deadline <= now {
-			due = append(due, p)
+	for len(c.deadline.entries) > 0 && c.deadline.entries[0].at <= now {
+		e := c.deadline.entries[0]
+		c.deadline.pop()
+		if p, ok := e.seg.pending[e.act]; ok && p.deadline == e.at {
+			if due == nil {
+				// Room for one due timeout per segment before growing.
+				due = make([]deadlineEntry, 0, len(c.segments))
+			}
+			due = append(due, e)
 		}
 	}
-	// Deterministic order by activation.
-	for i := 1; i < len(due); i++ {
-		for j := i; j > 0 && due[j].start.Act < due[j-1].start.Act; j-- {
-			due[j], due[j-1] = due[j-1], due[j]
+	sortDue(due)
+	for _, e := range due {
+		// A start event posted twice arms one timeout under two entries.
+		p, ok := e.seg.pending[e.act]
+		if !ok {
+			continue
 		}
-	}
-	for i, p := range due {
-		delete(s.pending, p.start.Act)
-		if s.hooks.Expire != nil {
-			s.hooks.Expire(p.start, p.deadline, now)
+		delete(e.seg.pending, e.act)
+		if e.seg.hooks.Expire != nil {
+			e.seg.hooks.Expire(p.start, p.deadline, now)
 		}
 		c.releasePending(p)
-		due[i] = nil
 	}
 	c.due = due[:0]
+}
+
+// sortDue orders timeouts by segment registration order, then activation:
+// the deterministic order verdicts are raised in.
+func sortDue(due []deadlineEntry) {
+	slices.SortFunc(due, func(a, b deadlineEntry) int {
+		if c := cmp.Compare(a.seg.index, b.seg.index); c != 0 {
+			return c
+		}
+		return cmp.Compare(a.act, b.act)
+	})
 }
 
 // SetDeadline hot-swaps the segment's monitored deadline. It must run on
@@ -373,17 +397,14 @@ func (c *Core) SetDeadline(s *Segment, d Duration, now Time, retime bool) {
 		return
 	}
 	due := c.due[:0]
-	for _, p := range s.pending {
+	for act, p := range s.pending {
 		if p.start.TS.Add(d) < p.deadline {
-			due = append(due, p)
+			due = append(due, deadlineEntry{seg: s, act: act})
 		}
 	}
-	for i := 1; i < len(due); i++ {
-		for j := i; j > 0 && due[j].start.Act < due[j-1].start.Act; j-- {
-			due[j], due[j-1] = due[j-1], due[j]
-		}
-	}
-	for i, p := range due {
+	sortDue(due)
+	for _, e := range due {
+		p := s.pending[e.act]
 		if p.timer != nil {
 			p.timer.Cancel()
 			p.timer = nil
@@ -393,7 +414,6 @@ func (c *Core) SetDeadline(s *Segment, d Duration, now Time, retime bool) {
 		if s.hooks.Arm != nil {
 			p.timer = s.hooks.Arm(p.start, p.deadline, now)
 		}
-		due[i] = nil
 	}
 	c.due = due[:0]
 	// Deadlines that moved into the past fire on the host's next Scan pass
@@ -427,8 +447,9 @@ type deadlineEntry struct {
 // deadlineHeap is a hand-rolled min-heap on deadlineEntry.at. container/heap
 // would box every pushed entry into an interface value — one allocation per
 // armed timeout — so the two operations the Core needs are written out.
-// Only the minimum is ever observed (NextDeadline), so heap-layout details
-// are not part of the deterministic surface.
+// Entries with equal deadlines pop in heap-layout order, and fireDue sorts
+// what it pops, so heap-layout details are not part of the deterministic
+// surface.
 type deadlineHeap struct {
 	entries []deadlineEntry
 }

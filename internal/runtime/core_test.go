@@ -137,7 +137,9 @@ func TestCoreFireOrderPerSegmentByActivation(t *testing.T) {
 	}
 	a := c.AddSegment("a", time.Millisecond, &SliceRing{}, &SliceRing{}, mk("a"))
 	b := c.AddSegment("b", time.Millisecond, &SliceRing{}, &SliceRing{}, mk("b"))
-	// Post out of activation order, with b's deadline earlier than a's.
+	// Post out of activation order, with b's deadline earlier than a's. A
+	// start posted twice arms one timeout, which fires once.
+	a.StartRing().Post(Event{Act: 9, TS: 5})
 	a.StartRing().Post(Event{Act: 9, TS: 5})
 	a.StartRing().Post(Event{Act: 2, TS: 5})
 	b.StartRing().Post(Event{Act: 7, TS: 0})
