@@ -59,19 +59,9 @@ func main() {
 	c := weaklyhard.Constraint{M: *m, K: *k}
 	var p budget.Problem
 	if *fromHealth != "" {
-		h, err := readHealth(*fromHealth)
-		if err != nil {
-			log.Fatal(err)
-		}
-		order := splitSegments(*segments)
-		if order == nil {
-			for name := range h.Segments {
-				order = append(order, name)
-			}
-			sort.Strings(order)
-		}
 		var skipped []string
-		p, skipped, err = healthProblem(h, order, int64(*dex), int64(*be2e), int64(*bseg), c)
+		var err error
+		p, skipped, err = healthSourceProblem(*fromHealth, splitSegments(*segments), int64(*dex), int64(*be2e), int64(*bseg), c)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -154,6 +144,23 @@ func main() {
 	}
 }
 
+// healthSourceProblem reads the /health document at src and solves over the
+// segments in order, or over every segment the document names, sorted by
+// name, when order is nil.
+func healthSourceProblem(src string, order []string, dex, be2e, bseg int64, c weaklyhard.Constraint) (budget.Problem, []string, error) {
+	h, err := readHealth(src)
+	if err != nil {
+		return budget.Problem{}, nil, err
+	}
+	if order == nil {
+		for name := range h.Segments {
+			order = append(order, name)
+		}
+		sort.Strings(order)
+	}
+	return healthProblem(h, order, dex, be2e, bseg, c)
+}
+
 // healthProblem turns a /health document into a solver problem through the
 // live frontend — the exact code path the adaptive controller's ticks use,
 // which is what keeps offline and online answers in agreement (pinned by
@@ -169,10 +176,15 @@ func healthProblem(h livestats.Health, order []string, dex, be2e, bseg int64, c 
 	return lp.Build()
 }
 
+// maxHealthBytes bounds a /health document read from a URL or a file. A
+// live document with a full adaptive history and blame attribution is a few
+// hundred KB; a longer one is reported as an error, never truncated.
+const maxHealthBytes = 8 << 20
+
 // readHealth loads a /health document from a URL or a file.
 func readHealth(src string) (livestats.Health, error) {
 	var h livestats.Health
-	var raw []byte
+	var r io.Reader
 	if strings.HasPrefix(src, "http://") || strings.HasPrefix(src, "https://") {
 		resp, err := http.Get(src)
 		if err != nil {
@@ -182,16 +194,21 @@ func readHealth(src string) (livestats.Health, error) {
 		if resp.StatusCode != http.StatusOK {
 			return h, fmt.Errorf("scraping %s: %s", src, resp.Status)
 		}
-		raw, err = io.ReadAll(resp.Body)
-		if err != nil {
-			return h, err
-		}
+		r = resp.Body
 	} else {
-		var err error
-		raw, err = os.ReadFile(src)
+		f, err := os.Open(src)
 		if err != nil {
 			return h, err
 		}
+		defer f.Close()
+		r = f
+	}
+	raw, err := io.ReadAll(io.LimitReader(r, maxHealthBytes+1))
+	if err != nil {
+		return h, fmt.Errorf("reading %s: %w", src, err)
+	}
+	if len(raw) > maxHealthBytes {
+		return h, fmt.Errorf("health document %s exceeds %d bytes", src, maxHealthBytes)
 	}
 	if err := json.Unmarshal(raw, &h); err != nil {
 		return h, fmt.Errorf("parsing health document: %w", err)

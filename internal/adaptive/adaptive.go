@@ -23,6 +23,7 @@
 package adaptive
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"slices"
@@ -123,8 +124,8 @@ type Actuation struct {
 // segment, in nanoseconds, sorted by segment name. It marshals to the bytes
 // encoding/json renders for the map from segment name to deadline — the
 // /health wire format. The controller renders that object once, when it
-// builds the table, so a scrape copies bytes instead of reflecting over a
-// map for every retained actuation. Tables are immutable and shared.
+// builds the table, so rendering an actuation copies bytes instead of
+// reflecting over a map. Tables are immutable and shared.
 type DeadlineTable struct {
 	names []string // sorted segment names, shared by all of a controller's tables
 	ns    []int64  // ns[i] is the deadline of names[i]
@@ -158,6 +159,19 @@ const (
 // embeds it; an unbounded history would grow a multi-day run's snapshot).
 const maxHistory = 256
 
+// The budget section is the value of a top-level /health field, so its
+// closing brace sits one level deep, its fields two and each element of its
+// arrays three.
+const (
+	sectionIndent = livestats.Indent
+	fieldIndent   = sectionIndent + livestats.Indent
+	elemIndent    = fieldIndent + livestats.Indent
+)
+
+// slabSize is the chunk retained actuation renderings are carved from: a
+// few dozen renderings share one allocation.
+const slabSize = 16 << 10
+
 // Controller is the adaptive budget control loop. Tick is safe for
 // concurrent use; on the sim timebase drive it from a kernel event
 // (ScheduleSim) so runs stay deterministic.
@@ -166,7 +180,7 @@ type Controller struct {
 
 	mu       sync.Mutex
 	seq      int
-	history  []Actuation
+	history  []record
 	dropped  int // actuations evicted from history by the cap
 	current  map[string]sim.Duration
 	previous map[string]sim.Duration // last superseded table, rollback target
@@ -178,7 +192,20 @@ type Controller struct {
 	keys  [][]byte
 	table DeadlineTable
 
+	// enc renders an actuation for /health into scratch, from where it is
+	// copied into slab; see render.
+	enc     *json.Encoder
+	scratch bytes.Buffer
+	slab    []byte
+
 	track *telemetry.Track
+}
+
+// record is one retained actuation and its /health rendering, made by the
+// first scrape that includes it and kept for the actuation's lifetime.
+type record struct {
+	act Actuation
+	raw []byte
 }
 
 // New validates the config and creates a controller. It registers itself as
@@ -222,7 +249,9 @@ func New(cfg Config) (*Controller, error) {
 	if cfg.Sink != nil {
 		c.track = cfg.Sink.Rec.Track("budget")
 	}
-	cfg.Set.SetBudgetProvider(c.healthDoc)
+	c.enc = json.NewEncoder(&c.scratch)
+	c.enc.SetIndent(elemIndent, livestats.Indent)
+	cfg.Set.SetBudgetProvider(c.appendHealth)
 	return c, nil
 }
 
@@ -448,7 +477,7 @@ func (c *Controller) deadlineTable(table map[string]sim.Duration) DeadlineTable 
 // to the bounded history, refreshes the gauges, and returns it.
 func (c *Controller) recordLocked(act Actuation) Actuation {
 	act.DeadlinesNS = c.table
-	c.history = append(c.history, act)
+	c.history = append(c.history, record{act: act})
 	if len(c.history) > maxHistory {
 		drop := len(c.history) - maxHistory
 		c.history = append(c.history[:0], c.history[drop:]...)
@@ -474,7 +503,14 @@ func (c *Controller) recordLocked(act Actuation) Actuation {
 func (c *Controller) History() []Actuation {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return append([]Actuation(nil), c.history...)
+	if len(c.history) == 0 {
+		return nil
+	}
+	out := make([]Actuation, len(c.history))
+	for i := range c.history {
+		out[i] = c.history[i].act
+	}
+	return out
 }
 
 // Deadlines returns the monitored deadlines the controller believes in
@@ -489,25 +525,67 @@ func (c *Controller) Deadlines() map[string]sim.Duration {
 	return out
 }
 
-// healthDoc is the /health "budget" section (registered on the Set by New).
-type healthDocT struct {
-	Epoch          uint64        `json:"epoch"`
-	AppliedEpoch   uint64        `json:"applied_epoch"`
-	DeadlinesNS    DeadlineTable `json:"deadlines_ns"`
-	Actuations     []Actuation   `json:"actuations"`
-	DroppedHistory int           `json:"dropped_history,omitempty"`
-}
-
-func (c *Controller) healthDoc() any {
+// appendHealth appends the /health "budget" section (registered on the Set
+// by New): the epochs, the table in force and the retained history, laid
+// out as the document carries it. Each actuation is rendered once, by the
+// first scrape that includes it; later scrapes copy that rendering.
+func (c *Controller) appendHealth(dst []byte) []byte {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return healthDocT{
-		Epoch:          c.cfg.Table.Epoch(),
-		AppliedEpoch:   c.cfg.Table.AppliedEpoch(),
-		DeadlinesNS:    c.table,
-		Actuations:     append([]Actuation(nil), c.history...),
-		DroppedHistory: c.dropped,
+	dst = append(dst, "{\n"+fieldIndent+`"epoch": `...)
+	dst = strconv.AppendUint(dst, c.cfg.Table.Epoch(), 10)
+	dst = append(dst, ",\n"+fieldIndent+`"applied_epoch": `...)
+	dst = strconv.AppendUint(dst, c.cfg.Table.AppliedEpoch(), 10)
+	dst = append(dst, ",\n"+fieldIndent+`"deadlines_ns": {`...)
+	for i, key := range c.keys {
+		if i > 0 {
+			dst = append(dst, ',')
+		}
+		dst = append(append(append(dst, "\n"+elemIndent...), key...), ": "...)
+		dst = strconv.AppendInt(dst, c.table.ns[i], 10)
 	}
+	dst = append(dst, "\n"+fieldIndent+"},\n"+fieldIndent+`"actuations": `...)
+	if len(c.history) == 0 {
+		dst = append(dst, "null"...)
+	} else {
+		dst = append(dst, '[')
+		for i := range c.history {
+			r := &c.history[i]
+			if r.raw == nil {
+				r.raw = c.render(&r.act)
+			}
+			if i > 0 {
+				dst = append(dst, ',')
+			}
+			dst = append(append(dst, "\n"+elemIndent...), r.raw...)
+		}
+		dst = append(dst, "\n"+fieldIndent+"]"...)
+	}
+	if c.dropped > 0 {
+		dst = append(dst, ",\n"+fieldIndent+`"dropped_history": `...)
+		dst = strconv.AppendInt(dst, int64(c.dropped), 10)
+	}
+	return append(dst, "\n"+sectionIndent+"}"...)
+}
+
+// render returns encoding/json's rendering of act as an element of the
+// section's actuations array, carved from the controller's slab. The
+// encoder is warm after the first call, and act is passed by pointer, so
+// its deadline table is copied through MarshalJSON without boxing.
+func (c *Controller) render(act *Actuation) []byte {
+	c.scratch.Reset()
+	if err := c.enc.Encode(act); err != nil {
+		// Integers, strings and a pre-rendered table always encode.
+		panic(fmt.Sprintf("adaptive: rendering actuation %d: %v", act.Seq, err))
+	}
+	raw := c.scratch.Bytes()
+	raw = raw[:len(raw)-1] // Encode's trailing newline
+	if cap(c.slab)-len(c.slab) < len(raw) {
+		c.slab = make([]byte, 0, max(slabSize, len(raw)))
+	}
+	start := len(c.slab)
+	c.slab = append(c.slab, raw...)
+	return c.slab[start:len(c.slab):len(c.slab)]
 }
 
 // ScheduleSim drives the controller from a simulation kernel: one Tick

@@ -1,10 +1,15 @@
 package adaptive
 
 import (
+	"bytes"
 	"encoding/json"
-	"io"
+	"fmt"
+	"net/http"
+	"net/http/httptest"
 	"strings"
+	"sync"
 	"testing"
+	"time"
 
 	"chainmon/internal/dds"
 	"chainmon/internal/livestats"
@@ -203,6 +208,16 @@ func TestRollbackOnBurnEscalation(t *testing.T) {
 	}
 }
 
+// budgetDoc is the layout of the /health budget section, kept here as the
+// reference the controller's rendering must match.
+type budgetDoc struct {
+	Epoch          uint64        `json:"epoch"`
+	AppliedEpoch   uint64        `json:"applied_epoch"`
+	DeadlinesNS    DeadlineTable `json:"deadlines_ns"`
+	Actuations     []Actuation   `json:"actuations"`
+	DroppedHistory int           `json:"dropped_history,omitempty"`
+}
+
 // TestHealthDocExposesBudget: New registers the controller as the Set's
 // budget provider, so /health documents carry the table and history.
 func TestHealthDocExposesBudget(t *testing.T) {
@@ -216,15 +231,12 @@ func TestHealthDocExposesBudget(t *testing.T) {
 		Guard:      Guardrails{MinSamples: 8},
 	})
 	c.Tick(1)
-	doc, ok := set.Health().Budget.(healthDocT)
-	if !ok {
-		t.Fatalf("health budget section is %T, want the controller's doc", set.Health().Budget)
+	var doc budgetDoc
+	if err := json.Unmarshal(set.Health().Budget, &doc); err != nil {
+		t.Fatalf("health budget section does not parse: %v\n%s", err, set.Health().Budget)
 	}
 	if doc.Epoch != 1 || len(doc.Actuations) != 1 || doc.Actuations[0].Result != ResultApplied {
 		t.Fatalf("health doc %+v, want epoch 1 with one applied actuation", doc)
-	}
-	if _, err := json.Marshal(doc); err != nil {
-		t.Fatalf("health doc must marshal: %v", err)
 	}
 }
 
@@ -375,15 +387,12 @@ func TestAdaptiveSameSeedByteIdentical(t *testing.T) {
 	}
 }
 
-// TestBudgetHealthAllocs pins the cost of rendering the /health budget
-// section with a full actuation history: each retained actuation's
-// deadline table is pre-rendered JSON, so a warm indenting encoder renders
-// the whole section in a fixed handful of allocations instead of
-// reflecting over one map per actuation (1289 allocations at 256).
+// TestBudgetHealthAllocs pins the cost of the /health budget section with a
+// full actuation history: each retained actuation is rendered once, by the
+// first scrape that includes it, so appending the section into a warm
+// buffer copies bytes and allocates nothing. Rendering the history again on
+// every scrape, or reflecting over it, fails the gate.
 func TestBudgetHealthAllocs(t *testing.T) {
-	if raceEnabled {
-		t.Skip("allocation counts of pooled JSON rendering are not meaningful under -race")
-	}
 	c, _ := newUnitController(t, Config{
 		Segments: []SegmentSpec{
 			{Name: "objects", Initial: 10 * sim.Millisecond},
@@ -395,25 +404,193 @@ func TestBudgetHealthAllocs(t *testing.T) {
 	for i := 0; i < maxHistory+10; i++ {
 		c.Tick(int64(i))
 	}
-	enc := json.NewEncoder(io.Discard)
-	enc.SetIndent("", "  ")
-	render := func() {
-		if err := enc.Encode(c.healthDoc()); err != nil {
-			t.Fatal(err)
+	buf := c.appendHealth(nil) // renders every retained actuation
+	render := func() { buf = c.appendHealth(buf[:0]) }
+	if allocs := testing.AllocsPerRun(50, render); allocs != 0 {
+		t.Fatalf("appending the budget section with %d actuations allocates %.0f, want 0",
+			maxHistory, allocs)
+	}
+	want := "\"deadlines_ns\": {\n" + elemIndent + "\"ground\": 12000000,\n" + elemIndent + "\"objects\": 10000000\n" + fieldIndent + "}"
+	if !strings.Contains(string(buf), want) {
+		t.Fatalf("budget section does not carry the name-sorted deadline object: %.300s", buf)
+	}
+}
+
+// healthSet builds a live set as a monitor process has it, with the
+// section providers a test asks for. n < 0 attaches no controller;
+// otherwise the controller ticks n times: an applied actuation, a rollback
+// when the chain's burn state escalates, then holds whose reason quotes a
+// chain name that needs JSON and HTML escaping.
+func healthSet(t *testing.T, n int, withBlame, withMeta bool) (*livestats.Set, *Controller) {
+	t.Helper()
+	set := livestats.NewSet(0)
+	set.SetTimebase("sim")
+	set.AddDropSource("trace-stream", func() uint64 { return 3 })
+	feedScope(set, "s", 100, 5*sim.Millisecond)
+	set.Segment("s", weaklyhard.Constraint{M: 1, K: 4}).ObserveDrain(1500)
+	const chainName = `e2e "<&>"`
+	chain := set.Chain(chainName, weaklyhard.Constraint{M: 1, K: 4})
+	chain.Observe(6e6, false)
+	if withBlame {
+		set.SetBlameProvider(func() any {
+			return map[string]any{
+				"epoch":  2,
+				"empty":  map[string]int{},
+				"none":   []int{},
+				"scopes": []any{map[string]any{"scope": "s<1>&\"", "share": 0.25, "hops": [][]int{{1, 2}, {}}}},
+			}
+		})
+	}
+	if withMeta {
+		set.SetMetaProvider(func() any {
+			return map[string]any{"scenario": "unit", "budget_epoch": 1}
+		})
+	}
+	if n < 0 {
+		return set, nil
+	}
+	c, _ := newUnitController(t, Config{
+		Set: set, Chain: chainName,
+		Segments: []SegmentSpec{
+			{Name: "s", Initial: 10 * sim.Millisecond},
+			{Name: "t", Initial: 8 * sim.Millisecond},
+		},
+		DEx: sim.Millisecond, Be2e: 40 * sim.Millisecond,
+		Constraint: weaklyhard.Constraint{M: 0, K: 1},
+		Guard:      Guardrails{MinSamples: 8},
+	})
+	for i := 0; i < n; i++ {
+		if i == 1 {
+			chain.Record(true) // two misses in a (1,4) window: violated
+			chain.Record(true)
+		}
+		c.Tick(int64(i+1) * int64(sim.Second))
+	}
+	return set, c
+}
+
+// TestHealthBytesAtHistoryEdges pins the spliced /health document to
+// encoding/json's own rendering, json.MarshalIndent(set.Health(), "", "  ")
+// plus a newline, at the edges of the actuation history (none yet, one,
+// exactly the cap, past the cap) and with each section present and absent.
+// The budget section's content is checked against the reference layout.
+func TestHealthBytesAtHistoryEdges(t *testing.T) {
+	for _, n := range []int{-1, 0, 1, maxHistory, 300} {
+		for _, withBlame := range []bool{false, true} {
+			for _, withMeta := range []bool{false, true} {
+				t.Run(fmt.Sprintf("history=%d/blame=%v/meta=%v", n, withBlame, withMeta), func(t *testing.T) {
+					set, c := healthSet(t, n, withBlame, withMeta)
+					h := set.Handler()
+					for scrape := 0; scrape < 2; scrape++ { // rendering, then copying
+						rec := httptest.NewRecorder()
+						h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/health", nil))
+						want, err := json.MarshalIndent(set.Health(), "", "  ")
+						if err != nil {
+							t.Fatal(err)
+						}
+						want = append(want, '\n')
+						if rec.Code != http.StatusOK || !bytes.Equal(rec.Body.Bytes(), want) {
+							t.Fatalf("scrape %d: status %d, %d bytes; want encoding/json's %d bytes; first difference: %s",
+								scrape, rec.Code, rec.Body.Len(), len(want), firstDiff(rec.Body.Bytes(), want))
+						}
+					}
+					if c == nil {
+						return
+					}
+					ref := budgetDoc{
+						Epoch:          c.cfg.Table.Epoch(),
+						AppliedEpoch:   c.cfg.Table.AppliedEpoch(),
+						DeadlinesNS:    c.table,
+						Actuations:     c.History(),
+						DroppedHistory: max(n-maxHistory, 0),
+					}
+					wantDoc, err := json.Marshal(ref)
+					if err != nil {
+						t.Fatal(err)
+					}
+					var got bytes.Buffer
+					if err := json.Compact(&got, set.Health().Budget); err != nil {
+						t.Fatal(err)
+					}
+					if !bytes.Equal(got.Bytes(), wantDoc) {
+						t.Fatalf("budget section content differs from the reference layout; first difference: %s",
+							firstDiff(got.Bytes(), wantDoc))
+					}
+					if n == maxHistory && !strings.Contains(got.String(), `"result":"rollback","reason":"chain \"e2e \\\"\u003c\u0026\u003e\\\"\"`) {
+						t.Fatalf("history lacks the escaped rollback reason: %.600s", got.String())
+					}
+				})
+			}
 		}
 	}
-	render() // warm the encoder's indent buffer
-	// The section's interface box and its copy of the history.
-	const want = 2
-	if allocs := testing.AllocsPerRun(50, render); allocs != want {
-		t.Fatalf("rendering the budget section with %d actuations allocates %.0f, want %d",
-			maxHistory, allocs, want)
+}
+
+// firstDiff quotes got and want from the first byte where they differ.
+func firstDiff(got, want []byte) string {
+	i := 0
+	for i < len(got) && i < len(want) && got[i] == want[i] {
+		i++
 	}
-	raw, err := json.Marshal(c.healthDoc())
-	if err != nil {
-		t.Fatal(err)
+	return fmt.Sprintf("at byte %d: got %.80q, want %.80q", i, got[i:], want[i:])
+}
+
+// TestConcurrentTicksAndScrapes is the -race witness of the history's
+// lifetime: a wall-clock controller ticks, evicts and renders while two
+// goroutines scrape /health. Every body must be one whole document whose
+// history is a contiguous run of actuations, the last of them numbered by
+// everything ever recorded.
+func TestConcurrentTicksAndScrapes(t *testing.T) {
+	set := livestats.NewSet(0)
+	feedScope(set, "s", 100, 5*sim.Millisecond)
+	c, _ := newUnitController(t, Config{
+		Set:      set,
+		Segments: []SegmentSpec{{Name: "s", Initial: 10 * sim.Millisecond}},
+		DEx:      sim.Millisecond, Be2e: 40 * sim.Millisecond,
+		Constraint: weaklyhard.Constraint{M: 0, K: 1},
+		Guard:      Guardrails{MinSamples: 8},
+	})
+	stop := c.StartWall(50 * time.Microsecond)
+	defer stop()
+	handler := set.Handler()
+	deadline := time.Now().Add(20 * time.Second)
+	var wg sync.WaitGroup
+	for g := 0; g < 2; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			// Scrape until the history has been evicted past the cap twice.
+			for last := -1; last < 2*maxHistory; {
+				if time.Now().After(deadline) {
+					t.Errorf("only %d ticks seen before the deadline", last+1)
+					return
+				}
+				rec := httptest.NewRecorder()
+				handler.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/health", nil))
+				var doc struct {
+					Budget budgetDoc `json:"budget"`
+				}
+				if err := json.Unmarshal(rec.Body.Bytes(), &doc); err != nil {
+					t.Errorf("concurrent scrape served an invalid document: %v", err)
+					return
+				}
+				acts := doc.Budget.Actuations
+				for i := 1; i < len(acts); i++ {
+					if acts[i].Seq != acts[i-1].Seq+1 {
+						t.Errorf("history jumps from seq %d to %d", acts[i-1].Seq, acts[i].Seq)
+						return
+					}
+				}
+				if len(acts) == 0 {
+					continue
+				}
+				last = acts[len(acts)-1].Seq
+				if len(acts)+doc.Budget.DroppedHistory != last+1 {
+					t.Errorf("%d retained + %d dropped actuations, but the last is seq %d",
+						len(acts), doc.Budget.DroppedHistory, last)
+					return
+				}
+			}
+		}()
 	}
-	if !strings.Contains(string(raw), `"deadlines_ns":{"ground":12000000,"objects":10000000}`) {
-		t.Fatalf("budget section does not carry the name-sorted deadline object: %.200s", raw)
-	}
+	wg.Wait()
 }

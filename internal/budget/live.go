@@ -8,6 +8,7 @@ package budget
 
 import (
 	"fmt"
+	"math"
 	"sort"
 
 	"chainmon/internal/livestats"
@@ -65,13 +66,21 @@ func SnapshotPoints(qs livestats.QuantileSnapshot) []QuantilePoint {
 // chain order (the document's maps carry no order, but propagation makes
 // order part of the problem). prop maps a segment name to its propagation
 // factor p_l; nil means every miss propagates (p_l = 1), the conservative
-// default for monitored chains.
+// default for monitored chains. The document is outside input: a quantile
+// that is not a latency in [0, 2^63) ns is an error, not a wrapped
+// deadline.
 func FromHealth(h livestats.Health, order []string, prop func(name string) int) ([]LiveSegment, error) {
 	out := make([]LiveSegment, 0, len(order))
 	for _, name := range order {
 		sh, ok := h.Segments[name]
 		if !ok {
 			return nil, fmt.Errorf("budget: segment %q not in health snapshot", name)
+		}
+		pts := SnapshotPoints(sh.Latency)
+		for _, pt := range pts {
+			if !(pt.NS >= 0 && pt.NS < math.MaxInt64) {
+				return nil, fmt.Errorf("budget: segment %q quantile %g is %g ns, not a latency", name, pt.Q, pt.NS)
+			}
 		}
 		p := 1
 		if prop != nil {
@@ -81,7 +90,7 @@ func FromHealth(h livestats.Health, order []string, prop func(name string) int) 
 			Name:        name,
 			Propagation: p,
 			Count:       sh.Latency.Count,
-			Points:      SnapshotPoints(sh.Latency),
+			Points:      pts,
 		})
 	}
 	return out, nil

@@ -1,6 +1,7 @@
 package budget
 
 import (
+	"math"
 	"testing"
 
 	"chainmon/internal/livestats"
@@ -97,6 +98,12 @@ func TestLiveFromHealthRoundTrip(t *testing.T) {
 	}
 	if _, err := FromHealth(h, []string{"nope"}, nil); err == nil {
 		t.Fatal("missing segment must be an error")
+	}
+	for _, bad := range []float64{-1, 1e19, math.Inf(1)} {
+		h.Segments["c"] = livestats.ScopeHealth{Latency: livestats.QuantileSnapshot{Count: 1, P50NS: ms(1), P95NS: ms(2), P99NS: ms(3), MaxNS: bad}}
+		if _, err := FromHealth(h, []string{"c"}, nil); err == nil {
+			t.Fatalf("a %g ns quantile must be an error, not a latency", bad)
+		}
 	}
 }
 

@@ -2,7 +2,7 @@ package livestats
 
 import (
 	"encoding/json"
-	"io"
+	"fmt"
 	"math"
 	"net/http"
 	"sort"
@@ -26,9 +26,9 @@ type Set struct {
 	scopes   map[string]*Scope
 	names    []string // creation order; exports sort anyway
 	drops    []dropSource
-	budget   func() any // adaptive-controller /health section, nil = absent
-	blame    func() any // blame-engine /health section, nil = absent
-	meta     func() any // run self-description /health section, nil = absent
+	budget   func(dst []byte) []byte // adaptive-controller /health section, nil = absent
+	blame    func() any              // blame-engine /health section, nil = absent
+	meta     func() any              // run self-description /health section, nil = absent
 }
 
 type dropSource struct {
@@ -100,11 +100,17 @@ func (s *Set) scope(name, kind string, c weaklyhard.Constraint) *Scope {
 	return sc
 }
 
+// Indent is the /health document's indentation per nesting level.
+const Indent = "  "
+
 // SetBudgetProvider registers the adaptive budget controller's /health
-// section provider. The returned value must be JSON-marshalable and
-// deterministic for a given controller state; it is fetched outside the
+// section provider. fn appends the section to dst as one JSON value, laid
+// out exactly as the document carries it: the value of a top-level field,
+// as json.Indent(dst, compact, Indent, Indent) lays it out, with strings
+// HTML-escaped as encoding/json escapes them. The bytes must be
+// deterministic for a given controller state. fn is called outside the
 // set's lock so the provider may lock its own state.
-func (s *Set) SetBudgetProvider(fn func() any) {
+func (s *Set) SetBudgetProvider(fn func(dst []byte) []byte) {
 	s.mu.Lock()
 	s.budget = fn
 	s.mu.Unlock()
@@ -243,13 +249,12 @@ type Health struct {
 	Chains   map[string]ScopeHealth `json:"chains"`
 	Drops    map[string]uint64      `json:"drops,omitempty"`
 	// Budget is the adaptive budget controller's self-description (current
-	// deadline table, epoch, actuation history), filled by the budget
-	// provider when one is registered. Typed as any because livestats sits
-	// below the controller in the dependency order.
-	Budget any `json:"budget,omitempty"`
+	// deadline table, epoch, actuation history) as the budget provider
+	// renders it, when one is registered.
+	Budget json.RawMessage `json:"budget,omitempty"`
 	// Blame is the blame engine's attribution snapshot (a blame.Doc),
-	// filled by the blame provider when one is registered. Same typing
-	// rationale as Budget.
+	// filled by the blame provider when one is registered. Typed as any
+	// because livestats sits below the engine in the dependency order.
 	Blame any `json:"blame,omitempty"`
 	// Meta is the run's self-description (build version, scenario name,
 	// uptime, current budget epoch), filled by the meta provider.
@@ -259,24 +264,29 @@ type Health struct {
 
 // Health captures a point-in-time snapshot of the whole set. Map keys are
 // scope names; encoding/json renders maps with sorted keys, so the
-// document is deterministic.
+// document is deterministic. json.MarshalIndent(h, "", Indent) plus a
+// newline is the document the Handler serves, byte for byte.
 func (s *Set) Health() Health {
-	s.mu.Lock()
-	budget, blame, meta := s.budget, s.blame, s.meta
-	s.mu.Unlock()
-	var budgetDoc, blameDoc, metaDoc any
+	h, budget, blame, meta := s.snapshot()
 	if budget != nil {
-		budgetDoc = budget() // outside the lock: the provider locks its own state
+		h.Budget = budget(nil)
 	}
 	if blame != nil {
-		blameDoc = blame()
+		h.Blame = blame()
 	}
 	if meta != nil {
-		metaDoc = meta()
+		h.Meta = meta()
 	}
+	return h
+}
+
+// snapshot captures the document's top-level fields under the set's lock
+// and returns them with the registered section providers, which the caller
+// runs outside the lock: each provider locks its own state.
+func (s *Set) snapshot() (h Health, budget func([]byte) []byte, blame, meta func() any) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	h := Health{
+	h = Health{
 		Status:   s.worstLocked().String(),
 		Timebase: s.timebase,
 		Alpha:    s.alpha,
@@ -306,10 +316,7 @@ func (s *Set) Health() Health {
 			h.Drops[d.name] += d.fn()
 		}
 	}
-	h.Budget = budgetDoc
-	h.Blame = blameDoc
-	h.Meta = metaDoc
-	return h
+	return h, s.budget, s.blame, s.meta
 }
 
 // worstLocked returns the max burn state across all SLO-tracked scopes.
@@ -335,43 +342,86 @@ func (s *Set) Status() BurnState {
 
 // Handler returns an http.Handler serving the Health document as JSON, for
 // mounting at /health. Degraded states still answer 200 — the document is
-// the signal; 5xx is reserved for a monitor that cannot answer at all. The
-// document is snapshotted under the set's lock and encoded and written
-// outside it.
+// the signal; 5xx is reserved for a monitor that cannot answer at all,
+// such as one whose provider returned a value encoding/json rejects. The
+// document is assembled in full before its first byte is written, and no
+// lock is held across the write.
 func (s *Set) Handler() http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
-		w.Header().Set("Content-Type", "application/json")
-		he := healthEncoders.Get().(*healthEncoder)
-		he.w = w
-		if err := he.enc.Encode(s.Health()); err != nil {
-			// The client has gone, or a provider returned an unencodable
-			// value (nothing was written). json.Encoder keeps a write
-			// error for every later Encode, so this encoder is dropped.
+		hw := healthWriters.Get().(*healthWriter)
+		defer healthWriters.Put(hw)
+		doc, err := hw.render(s)
+		if err != nil {
+			http.Error(w, "health: "+err.Error(), http.StatusInternalServerError)
 			return
 		}
-		he.w = nil
-		healthEncoders.Put(he)
+		w.Header().Set("Content-Type", "application/json")
+		w.Write(doc) // a failed write means the client has gone
 	})
 }
 
-// healthEncoder is a reusable indenting /health encoder. json.Encoder keeps
-// its indent buffer across Encode calls, and /health is hundreds of KB with
-// a full adaptive history, so pooling the encoder spares every scrape from
-// regrowing that buffer. Encode hands the finished document to Write once,
-// which forwards it to the response being served.
-type healthEncoder struct {
-	w   io.Writer
-	enc *json.Encoder
+// healthWriter assembles /health documents. Its buffer and its encoders'
+// indent buffers outlive a scrape, so a warm scrape regrows nothing; a
+// pool of them serves concurrent scrapes.
+type healthWriter struct {
+	buf     []byte
+	top     *json.Encoder // the top-level fields, from depth 0
+	section *json.Encoder // one provider section, from depth 1
 }
 
-func (he *healthEncoder) Write(p []byte) (int, error) { return he.w.Write(p) }
+// Write appends an encoder's output to the document.
+func (hw *healthWriter) Write(p []byte) (int, error) {
+	hw.buf = append(hw.buf, p...)
+	return len(p), nil
+}
 
-var healthEncoders = sync.Pool{New: func() any {
-	he := &healthEncoder{}
-	he.enc = json.NewEncoder(he)
-	he.enc.SetIndent("", "  ")
-	return he
+var healthWriters = sync.Pool{New: func() any {
+	hw := &healthWriter{}
+	hw.top = json.NewEncoder(hw)
+	hw.top.SetIndent("", Indent)
+	hw.section = json.NewEncoder(hw)
+	hw.section.SetIndent(Indent, Indent)
+	return hw
 }}
+
+// render assembles s's /health document: the top-level fields through
+// encoding/json, then each provider section as the value of its field. The
+// budget provider appends its section already laid out; blame and meta are
+// encoded and indented at their own depth. The result equals a
+// json.Encoder's rendering of Health with SetIndent("", Indent), and is
+// valid until hw's next render.
+func (hw *healthWriter) render(s *Set) ([]byte, error) {
+	h, budget, blame, meta := s.snapshot()
+	hw.buf = hw.buf[:0]
+	if err := hw.top.Encode(h); err != nil {
+		return nil, err
+	}
+	// The top-level object always has fields, so it ends in "\n}\n":
+	// reopen it for the sections.
+	hw.buf = hw.buf[:len(hw.buf)-len("\n}\n")]
+	if budget != nil {
+		hw.buf = budget(append(hw.buf, ",\n"+Indent+`"budget": `...))
+	}
+	for _, sec := range [...]struct {
+		name string
+		fn   func() any
+	}{{"blame", blame}, {"meta", meta}} {
+		if sec.fn == nil {
+			continue
+		}
+		v := sec.fn()
+		if v == nil {
+			continue // omitted, like the field's omitempty
+		}
+		hw.buf = append(hw.buf, ",\n"+Indent+`"`...)
+		hw.buf = append(append(hw.buf, sec.name...), `": `...)
+		if err := hw.section.Encode(v); err != nil {
+			return nil, fmt.Errorf("%s section: %w", sec.name, err)
+		}
+		hw.buf = hw.buf[:len(hw.buf)-1] // Encode's trailing newline
+	}
+	return append(hw.buf, "\n}\n"...), nil
+}
 
 var liveQuantiles = []struct {
 	label string

@@ -3,6 +3,7 @@ package livestats
 import (
 	"encoding/json"
 	"errors"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -91,7 +92,7 @@ func (w failingWriter) Header() http.Header     { return w.h }
 func (failingWriter) Write([]byte) (int, error) { return 0, errors.New("client gone") }
 func (failingWriter) WriteHeader(int)           {}
 
-// TestSetHandlerAfterFailedWrite pins the pooled /health encoder's error
+// TestSetHandlerAfterFailedWrite pins the pooled /health writer's error
 // path: a scrape whose client has gone must not leave its write error
 // behind for the next scrape.
 func TestSetHandlerAfterFailedWrite(t *testing.T) {
@@ -105,6 +106,37 @@ func TestSetHandlerAfterFailedWrite(t *testing.T) {
 		var doc Health
 		if err := json.Unmarshal(rec.Body.Bytes(), &doc); err != nil {
 			t.Fatalf("scrape after a failed write served %q: %v", rec.Body.String(), err)
+		}
+	}
+}
+
+// TestSetHandlerUnencodableSection: a provider value encoding/json rejects
+// leaves the monitor unable to answer, so the scrape gets 500 with a
+// one-line error instead of 200 with an empty body. The pooled document
+// stays usable: the next scrape with a good provider gets the whole
+// document.
+func TestSetHandlerUnencodableSection(t *testing.T) {
+	set := NewSet(0)
+	set.Segment("a", weaklyhard.Constraint{M: 1, K: 3}).Observe(1e6, false)
+	h := set.Handler()
+	for i := 0; i < 3; i++ {
+		set.SetMetaProvider(func() any { return map[string]any{"uptime_ns": math.NaN()} })
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest("GET", "/health", nil))
+		if body := rec.Body.String(); rec.Code != http.StatusInternalServerError ||
+			strings.Count(body, "\n") != 1 || !strings.HasSuffix(body, "\n") || !strings.Contains(body, "meta") {
+			t.Fatalf("NaN meta section answered %d %q, want 500 and one line naming the section", rec.Code, body)
+		}
+
+		set.SetMetaProvider(func() any { return map[string]any{"uptime_ns": 1} })
+		rec = httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest("GET", "/health", nil))
+		want, err := json.MarshalIndent(set.Health(), "", "  ")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rec.Code != http.StatusOK || rec.Body.String() != string(want)+"\n" {
+			t.Fatalf("scrape after a failed one answered %d with %q, want 200 with %q", rec.Code, rec.Body.String(), want)
 		}
 	}
 }
@@ -144,7 +176,7 @@ func TestSetPublishMetrics(t *testing.T) {
 func TestSetConcurrentFeedAndScrape(t *testing.T) {
 	// The hot path (Observe) and the scrape path (Health/PublishMetrics)
 	// run on different goroutines in -realtime; this is the -race witness.
-	// Two scrapers share the pooled /health encoders, and every response
+	// Two scrapers share the pooled /health writers, and every response
 	// must be one whole document.
 	set := NewSet(0)
 	seg := set.Segment("s", weaklyhard.Constraint{M: 1, K: 10})
