@@ -6,9 +6,10 @@
 //     pooled freelist, the overload queue-churn workload (work-item freelist
 //     and pre-bound wakers), the deadline hot-swap cycle of the adaptive
 //     budget loop (budget_swap), one blame-attributed flow (blame_flow), a
-//     /health scrape with a full budget history (health_render), and the
-//     sweep-framework overhead per combo, all measured via
-//     testing.Benchmark;
+//     /health scrape with a full budget history (health_render), one
+//     /health and one /metrics scrape of a mid-run full stack
+//     (scrape_pair), and the sweep-framework overhead per combo, all
+//     measured via testing.Benchmark;
 //   - parallel campaign throughput: the frozen 102-combo chaos matrix (or
 //     the 10k nightly matrix with -matrix 10k) run serially and through the
 //     sharded worker pool, with the merged summaries byte-compared so the
@@ -28,7 +29,8 @@
 // ns/op regressions beyond -gate-ns fail when the fraction is positive
 // (wall-clock gating only makes sense against a baseline from the same
 // machine class, e.g. night-over-night CI artifacts — leave it 0 across
-// machines).
+// machines). A baseline row missing from the run, and a baseline of another
+// schema version, fail too.
 //
 // Usage:
 //
@@ -293,6 +295,28 @@ func main() {
 			h.ServeHTTP(w, req)
 		}
 	})
+	// scrape_pair is one /health + /metrics scrape of a full stack stopped
+	// half way through a 3000-frame run (seed 1, 150 s of history): every
+	// online layer attached, blame section, budget history and all. An
+	// untimed first scrape binds every /metrics row and renders every
+	// retained actuation, as the previous scrape of a live run has.
+	health, metrics, err := midRunStack(1, 1500)
+	if err != nil {
+		log.Fatal(err)
+	}
+	run("scrape_pair", func(b *testing.B) {
+		b.ReportAllocs()
+		w, req := discard{http.Header{}}, httptest.NewRequest(http.MethodGet, "/", nil)
+		scrape := func() {
+			health.ServeHTTP(w, req)
+			metrics.ServeHTTP(w, req)
+		}
+		scrape()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			scrape()
+		}
+	})
 	// vehicle_run is the unit of the fleet_chaos benchmark: build and run
 	// one 120-frame full-chain vehicle (default scenario, no faults). Its
 	// allocs/op is the per-vehicle allocation budget of the simulated
@@ -346,7 +370,19 @@ func main() {
 			fmt.Fprintf(os.Stderr, "wrote %s\n", *out)
 		}
 		if *baseline != "" {
-			gate(rep, *baseline, *gateNs)
+			base, err := readReport(*baseline)
+			if err != nil {
+				log.Fatalf("gate: %v", err)
+			}
+			failed := false
+			for _, f := range gate(rep, base, *gateNs) {
+				fmt.Fprintln(os.Stderr, "gate:", f)
+				failed = failed || f.fail
+			}
+			if failed {
+				log.Fatal("gate: benchmark regression against baseline")
+			}
+			fmt.Fprintln(os.Stderr, "gate: no regression against baseline")
 		}
 	}()
 
@@ -455,47 +491,67 @@ func main() {
 		fleetSerialT, fleetParT, rep.FleetSweep.Speedup)
 }
 
-// gate compares the fresh report against a baseline file and terminates the
-// process non-zero on regression. Allocation counts gate strictly — they are
-// deterministic and machine-independent. Wall-clock gates only when gateNs
-// is positive, at that relative tolerance.
-func gate(rep report, baselinePath string, gateNs float64) {
-	raw, err := os.ReadFile(baselinePath)
+// readReport reads a report written by a previous run.
+func readReport(path string) (report, error) {
+	var rep report
+	raw, err := os.ReadFile(path)
 	if err != nil {
-		log.Fatalf("gate: read baseline: %v", err)
+		return rep, fmt.Errorf("read baseline: %w", err)
 	}
-	var base report
-	if err := json.Unmarshal(raw, &base); err != nil {
-		log.Fatalf("gate: parse baseline: %v", err)
+	if err := json.Unmarshal(raw, &rep); err != nil {
+		return rep, fmt.Errorf("parse baseline %s: %w", path, err)
+	}
+	return rep, nil
+}
+
+// finding is the gate's verdict on one row, or on the report as a whole
+// (empty name).
+type finding struct {
+	name string
+	fail bool
+	msg  string
+}
+
+func (f finding) String() string { return fmt.Sprintf("%-24s %s", f.name, f.msg) }
+
+// gate compares the fresh report against a baseline and returns one finding
+// per row. A baseline of another schema version fails as a whole, and so
+// does each baseline row the fresh report lacks: a deleted or renamed row
+// must not drop out of the gate unnoticed. A fresh row without a baseline
+// is skipped. Allocation counts gate strictly — they are deterministic and
+// machine-independent. Wall-clock gates only when gateNs is positive, at
+// that relative tolerance.
+func gate(rep, base report, gateNs float64) []finding {
+	if base.SchemaVersion != rep.SchemaVersion {
+		return []finding{{fail: true, msg: fmt.Sprintf("FAIL baseline schema version %d, this report's is %d",
+			base.SchemaVersion, rep.SchemaVersion)}}
 	}
 	byName := make(map[string]benchRow, len(base.Benchmarks))
 	for _, row := range base.Benchmarks {
 		byName[row.Name] = row
 	}
-	failed := false
+	var out []finding
 	for _, row := range rep.Benchmarks {
 		prev, ok := byName[row.Name]
-		if !ok {
-			fmt.Fprintf(os.Stderr, "gate: %-24s no baseline row, skipping\n", row.Name)
-			continue
+		delete(byName, row.Name)
+		switch {
+		case !ok:
+			out = append(out, finding{row.Name, false, "no baseline row, skipping"})
+		case row.AllocsPerOp > prev.AllocsPerOp:
+			out = append(out, finding{row.Name, true,
+				fmt.Sprintf("FAIL allocs/op %d -> %d", prev.AllocsPerOp, row.AllocsPerOp)})
+		case gateNs > 0 && prev.NsPerOp > 0 && row.NsPerOp > prev.NsPerOp*(1+gateNs):
+			out = append(out, finding{row.Name, true,
+				fmt.Sprintf("FAIL ns/op %.1f -> %.1f (>%.0f%%)", prev.NsPerOp, row.NsPerOp, gateNs*100)})
+		default:
+			out = append(out, finding{row.Name, false,
+				fmt.Sprintf("ok (allocs %d<=%d, %.1f ns/op vs %.1f)", row.AllocsPerOp, prev.AllocsPerOp, row.NsPerOp, prev.NsPerOp)})
 		}
-		if row.AllocsPerOp > prev.AllocsPerOp {
-			failed = true
-			fmt.Fprintf(os.Stderr, "gate: %-24s FAIL allocs/op %d -> %d\n",
-				row.Name, prev.AllocsPerOp, row.AllocsPerOp)
-			continue
-		}
-		if gateNs > 0 && prev.NsPerOp > 0 && row.NsPerOp > prev.NsPerOp*(1+gateNs) {
-			failed = true
-			fmt.Fprintf(os.Stderr, "gate: %-24s FAIL ns/op %.1f -> %.1f (>%.0f%%)\n",
-				row.Name, prev.NsPerOp, row.NsPerOp, gateNs*100)
-			continue
-		}
-		fmt.Fprintf(os.Stderr, "gate: %-24s ok (allocs %d<=%d, %.1f ns/op vs %.1f)\n",
-			row.Name, row.AllocsPerOp, prev.AllocsPerOp, row.NsPerOp, prev.NsPerOp)
 	}
-	if failed {
-		log.Fatal("gate: benchmark regression against baseline")
+	for _, row := range base.Benchmarks {
+		if _, missing := byName[row.Name]; missing {
+			out = append(out, finding{row.Name, true, "FAIL baseline row missing from this report"})
+		}
 	}
-	fmt.Fprintln(os.Stderr, "gate: no regression against baseline")
+	return out
 }

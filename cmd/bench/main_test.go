@@ -1,0 +1,103 @@
+package main
+
+import (
+	"encoding/json"
+	"net/http"
+	"net/http/httptest"
+	"slices"
+	"strings"
+	"testing"
+)
+
+func rows(rs ...benchRow) report {
+	return report{SchemaVersion: schemaVersion, Benchmarks: rs}
+}
+
+// TestGate pins the allocation gate's verdict on each kind of difference
+// between a fresh report and its baseline.
+func TestGate(t *testing.T) {
+	base := rows(
+		benchRow{Name: "a", NsPerOp: 100, AllocsPerOp: 2},
+		benchRow{Name: "b", NsPerOp: 100, AllocsPerOp: 0},
+	)
+	for _, tc := range []struct {
+		name   string
+		rep    report
+		base   report
+		gateNs float64
+		fail   []string // names of the failing findings; "" is the report
+		skip   []string // names of the skipped rows
+	}{
+		{name: "same", rep: base, base: base},
+		{name: "fewer allocs", rep: rows(
+			benchRow{Name: "a", NsPerOp: 100, AllocsPerOp: 1},
+			benchRow{Name: "b", NsPerOp: 100}), base: base},
+		{name: "missing row", rep: rows(benchRow{Name: "a", NsPerOp: 100, AllocsPerOp: 2}),
+			base: base, fail: []string{"b"}},
+		{name: "renamed row", rep: rows(
+			benchRow{Name: "a", NsPerOp: 100, AllocsPerOp: 2},
+			benchRow{Name: "b2", NsPerOp: 100}),
+			base: base, fail: []string{"b"}, skip: []string{"b2"}},
+		{name: "added row", rep: rows(
+			benchRow{Name: "a", NsPerOp: 100, AllocsPerOp: 2},
+			benchRow{Name: "b", NsPerOp: 100},
+			benchRow{Name: "c", NsPerOp: 100, AllocsPerOp: 9}),
+			base: base, skip: []string{"c"}},
+		{name: "allocs increase", rep: rows(
+			benchRow{Name: "a", NsPerOp: 100, AllocsPerOp: 3},
+			benchRow{Name: "b", NsPerOp: 100}),
+			base: base, fail: []string{"a"}},
+		{name: "slower, ns ungated", rep: rows(
+			benchRow{Name: "a", NsPerOp: 100, AllocsPerOp: 2},
+			benchRow{Name: "b", NsPerOp: 500}), base: base},
+		{name: "slower within -gate-ns", rep: rows(
+			benchRow{Name: "a", NsPerOp: 100, AllocsPerOp: 2},
+			benchRow{Name: "b", NsPerOp: 119}), base: base, gateNs: 0.2},
+		{name: "slower beyond -gate-ns", rep: rows(
+			benchRow{Name: "a", NsPerOp: 100, AllocsPerOp: 2},
+			benchRow{Name: "b", NsPerOp: 121}),
+			base: base, gateNs: 0.2, fail: []string{"b"}},
+		{name: "schema mismatch", rep: base,
+			base: report{SchemaVersion: schemaVersion - 1, Benchmarks: base.Benchmarks}, fail: []string{""}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var fail, skip []string
+			for _, f := range gate(tc.rep, tc.base, tc.gateNs) {
+				switch {
+				case f.fail:
+					fail = append(fail, f.name)
+				case strings.Contains(f.msg, "skipping"):
+					skip = append(skip, f.name)
+				}
+			}
+			if !slices.Equal(fail, tc.fail) || !slices.Equal(skip, tc.skip) {
+				t.Errorf("failing %q, skipped %q; want failing %q, skipped %q", fail, skip, tc.fail, tc.skip)
+			}
+		})
+	}
+}
+
+// TestMidRunStackScrapes checks that the scrape_pair row measures two
+// whole documents, not an error answer.
+func TestMidRunStackScrapes(t *testing.T) {
+	health, metrics, err := midRunStack(1, 150)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, ep := range []struct {
+		h    http.Handler
+		want string
+	}{{health, `"blame"`}, {metrics, "chainmon_blame_share_ppm{"}} {
+		rec := httptest.NewRecorder()
+		ep.h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/", nil))
+		if rec.Code != http.StatusOK || !strings.Contains(rec.Body.String(), ep.want) {
+			t.Fatalf("scrape answered %d without %s:\n%.500s", rec.Code, ep.want, rec.Body.String())
+		}
+	}
+	rec := httptest.NewRecorder()
+	health.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/", nil))
+	var doc map[string]any
+	if err := json.Unmarshal(rec.Body.Bytes(), &doc); err != nil || doc["budget"] == nil {
+		t.Fatalf("mid-run /health is not a whole document with a budget section: %v", err)
+	}
+}

@@ -58,7 +58,8 @@
 // segments by -trace-rotate. "trace convert" turns the log into Perfetto
 // JSON with flow arrows; "trace report" prints per-hop and per-segment
 // latency quantiles and the worst activation paths; "-blame" recomputes the
-// miss attribution byte-identical to the run's /health blame section;
+// miss attribution with the same renderer as the run's /health blame
+// section, one level of indentation apart;
 // "-diff" exits nonzero when the new log regressed beyond the thresholds. A
 // log that ends inside a record is read up to the cut, with a warning.
 //
@@ -73,7 +74,6 @@ package main
 
 import (
 	"bytes"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
@@ -430,7 +430,7 @@ func runTraceCmd(args []string) {
 		diffRel := fs.Float64("diff-rel", 0, "allowed relative quantile growth (default 0.10)")
 		diffAbs := fs.Duration("diff-abs", 0, "absolute quantile growth floor (default 1ms)")
 		diffMiss := fs.Float64("diff-miss", 0, "allowed per-segment miss-fraction growth (default 0.01)")
-		blameMode := fs.Bool("blame", false, "recompute the per-activation miss attribution from the log and print it as JSON (byte-identical to the run's /health blame section)")
+		blameMode := fs.Bool("blame", false, "recompute the per-activation miss attribution from the log and print it as JSON (the same renderer as the run's /health blame section; the two are one level of indentation apart)")
 		topN := fs.Int("top", 1, "keep the worst N activation paths per scope (same ordering as the blame engine's exemplar store)")
 		fs.Parse(args[1:])
 		rest := fs.Args()
@@ -441,11 +441,7 @@ func runTraceCmd(args []string) {
 			l := openLog(rest[0])
 			eng := blame.FromLog(l, blame.Options{})
 			doc := eng.Snapshot(blame.LogResolvers(l))
-			out, err := json.MarshalIndent(doc, "", "  ")
-			if err != nil {
-				log.Fatalf("marshaling blame report: %v", err)
-			}
-			os.Stdout.Write(append(out, '\n'))
+			os.Stdout.Write(append(doc.AppendJSON(nil, "", "  "), '\n'))
 			return
 		}
 		if *diffMode {

@@ -199,6 +199,14 @@ type Controller struct {
 	slab    []byte
 
 	track *telemetry.Track
+
+	// The chainmon_budget_* metrics, bound in the Sink's registry by the
+	// first actuation that sets them: the epoch and deadline gauges
+	// (deadlines parallel to cfg.Segments) by the first one, each result's
+	// counter by the first actuation with that result.
+	epochGauge     *telemetry.Gauge
+	deadlineGauges []*telemetry.Gauge
+	actuations     map[string]*telemetry.Counter
 }
 
 // record is one retained actuation and its /health rendering, made by the
@@ -484,19 +492,37 @@ func (c *Controller) recordLocked(act Actuation) Actuation {
 		c.dropped += drop
 	}
 	if c.cfg.Sink != nil {
-		reg := c.cfg.Sink.Reg
-		reg.Gauge("chainmon_budget_epoch",
-			"Epoch of the most recently staged deadline table (0: construction-time deadlines still in force).").Set(int64(c.cfg.Table.Epoch()))
-		for _, spec := range c.cfg.Segments {
-			reg.Gauge("chainmon_budget_deadline_ns",
-				"Monitored deadline currently in force for a controlled segment, in nanoseconds.",
-				telemetry.L("segment", spec.Name)...).Set(int64(c.current[spec.Name]))
-		}
-		reg.Counter("chainmon_budget_actuations_total",
-			"Adaptive budget control iterations by outcome.",
-			telemetry.L("result", act.Result)...).Inc()
+		c.publishLocked(act.Result)
 	}
 	return act
+}
+
+// publishLocked refreshes the chainmon_budget_* metrics after an actuation
+// with the given result, binding each on first use; callers hold c.mu.
+func (c *Controller) publishLocked(result string) {
+	reg := c.cfg.Sink.Reg
+	if c.epochGauge == nil {
+		c.epochGauge = reg.Gauge("chainmon_budget_epoch",
+			"Epoch of the most recently staged deadline table (0: construction-time deadlines still in force).")
+		for _, spec := range c.cfg.Segments {
+			c.deadlineGauges = append(c.deadlineGauges, reg.Gauge("chainmon_budget_deadline_ns",
+				"Monitored deadline currently in force for a controlled segment, in nanoseconds.",
+				telemetry.L("segment", spec.Name)...))
+		}
+		c.actuations = map[string]*telemetry.Counter{}
+	}
+	c.epochGauge.Set(int64(c.cfg.Table.Epoch()))
+	for i, spec := range c.cfg.Segments {
+		c.deadlineGauges[i].Set(int64(c.current[spec.Name]))
+	}
+	ctr := c.actuations[result]
+	if ctr == nil {
+		ctr = reg.Counter("chainmon_budget_actuations_total",
+			"Adaptive budget control iterations by outcome.",
+			telemetry.L("result", result)...)
+		c.actuations[result] = ctr
+	}
+	ctr.Inc()
 }
 
 // History returns a copy of the retained actuation history.

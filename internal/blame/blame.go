@@ -188,6 +188,10 @@ type Engine struct {
 	// pendingExemplars buffers flight-recorder records for admitted
 	// exemplars; FlushExemplars drains it outside every lock.
 	pendingExemplars []telemetry.Event
+
+	// bindings holds the metrics gauges of each registry PublishMetrics
+	// has published into.
+	bindings []*binding
 }
 
 // New creates an engine.
@@ -643,11 +647,14 @@ func (e *Engine) FlushExemplars(track *telemetry.Track) int {
 }
 
 func sketchQuantiles(sk *livestats.Sketch) (p50, p95, p99, max int64) {
-	q := func(v float64) int64 {
-		if math.IsNaN(v) {
-			return 0
-		}
-		return int64(v)
+	return nanToZero(sk.Quantile(0.50)), nanToZero(sk.Quantile(0.95)), nanToZero(sk.Quantile(0.99)), nanToZero(sk.Max())
+}
+
+// nanToZero truncates a sketch reading to nanoseconds; an empty sketch's
+// NaN reads 0.
+func nanToZero(v float64) int64 {
+	if math.IsNaN(v) {
+		return 0
 	}
-	return q(sk.Quantile(0.50)), q(sk.Quantile(0.95)), q(sk.Quantile(0.99)), q(sk.Max())
+	return int64(v)
 }

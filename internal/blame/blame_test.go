@@ -234,3 +234,24 @@ func TestRecreatedFlowEvictedOnArrival(t *testing.T) {
 		t.Errorf("forced finalizations = %d, want 3 (A, the re-created X, then Y)", doc.Forced)
 	}
 }
+
+// TestPublishMetricsAllocFree is the CI allocation gate on the engine's
+// /metrics export hook: once a registry's rows are bound, republishing
+// reads the aggregates and sets the bound gauges, allocating nothing.
+func TestPublishMetricsAllocFree(t *testing.T) {
+	e := New(Options{Window: 4})
+	for act := uint64(1); act <= 100; act++ {
+		status := telemetry.StatusOK
+		if act%7 == 0 {
+			status = telemetry.StatusMissed
+		}
+		feedFlow(e, 1, act, int64(act)*1000, 30, 20, uint16(1+act%2), status)
+		feedFlow(e, 2, act, int64(act)*1000, 10, 20, 1, telemetry.StatusOK)
+	}
+	e.Flush()
+	reg := telemetry.NewRegistry()
+	e.PublishMetrics(reg, res()) // binds every row
+	if allocs := testing.AllocsPerRun(100, func() { e.PublishMetrics(reg, res()) }); allocs != 0 {
+		t.Fatalf("a publish that adds no row allocates %.0f, want 0", allocs)
+	}
+}

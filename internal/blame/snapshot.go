@@ -252,32 +252,171 @@ func FromLog(l *telemetry.Log, opt Options) *Engine {
 // PublishMetrics writes the engine's aggregates into the metrics registry
 // as chainmon_blame_* gauges. Call from a Sink export hook so every scrape
 // and snapshot sees current values.
+//
+// Each row's gauge is bound once per registry, by the publish that first
+// sees the row; later publishes read the aggregates under the engine lock
+// and Set the bound gauges, without building a Snapshot. Names are
+// resolved only to bind a new row, after the engine lock is released, as
+// in Snapshot.
 func (e *Engine) PublishMetrics(reg *telemetry.Registry, res Resolvers) {
-	doc := e.Snapshot(res)
-	reg.Gauge("chainmon_blame_epoch",
-		"Largest budget-table epoch observed by the blame engine.").Set(int64(doc.Epoch))
-	reg.Gauge("chainmon_blame_flows_total",
-		"Activations attributed by the blame engine.").Set(int64(doc.Flows))
-	reg.Gauge("chainmon_blame_missed_total",
-		"Attributed activations whose worst verdict was a miss.").Set(int64(doc.Missed))
-	for _, sc := range doc.Scopes {
-		scopeL := telemetry.L("scope", sc.Scope)
-		reg.Gauge("chainmon_blame_scope_blame_ns",
-			"Total blamed overrun time of a scope, in nanoseconds.", scopeL...).Set(sc.TotalBlameNS)
-		for _, h := range sc.Hops {
-			labels := telemetry.L("scope", sc.Scope, "hop", h.Name)
-			reg.Gauge("chainmon_blame_share_ppm",
-				"Fraction of the scope's blamed overrun attributable to a hop, in ppm.", labels...).Set(h.SharePPM)
-			reg.Gauge("chainmon_blame_overrun_ns",
-				"Blamed overrun of a hop on missed activations, in nanoseconds.",
-				append(labels, telemetry.Label{Name: "q", Value: "max"})...).Set(h.MaxNS)
+	e.mu.Lock()
+	b := e.bindingLocked(reg)
+	todo := e.publishLocked(b)
+	e.mu.Unlock()
+	if len(todo) == 0 {
+		return
+	}
+	gauges := bindRows(reg, res, todo)
+	e.mu.Lock()
+	b.install(todo, gauges)
+	e.publishLocked(b)
+	e.mu.Unlock()
+}
+
+// binding is one registry's bound chainmon_blame_* gauges.
+type binding struct {
+	reg                  *telemetry.Registry
+	epoch, flows, missed *telemetry.Gauge
+	scopes               []scopeGauges // parallel to Engine.scopeIDs
+}
+
+type scopeGauges struct {
+	blame *telemetry.Gauge
+	hops  [][2]*telemetry.Gauge // share, overrun max; parallel to scopeAgg.hopOrder
+	segs  [][2]*telemetry.Gauge // overrun, budget; parallel to scopeAgg.segOrder
+}
+
+// unbound is one row a binding lacks, by raw ids: a scope's own row
+// (idx < 0), or the idx-th hop or segment row of the scope.
+type unbound struct {
+	scope int // index into Engine.scopeIDs
+	idx   int
+	seg   bool
+	id    uint8
+	key   hopKey
+	label uint16
+}
+
+// bindingLocked returns reg's binding, creating it with its unlabelled
+// gauges; callers hold e.mu.
+func (e *Engine) bindingLocked(reg *telemetry.Registry) *binding {
+	for _, b := range e.bindings {
+		if b.reg == reg {
+			return b
 		}
-		for _, s := range sc.Segments {
-			labels := telemetry.L("scope", sc.Scope, "segment", s.Name)
-			reg.Gauge("chainmon_blame_segment_overrun_ns",
-				"Accumulated budget overrun of a segment, in nanoseconds.", labels...).Set(s.OverrunNS)
-			reg.Gauge("chainmon_blame_segment_budget_ns",
-				"Segment budget most recently seen in force at arm time, in nanoseconds.", labels...).Set(s.BudgetNS)
+	}
+	b := &binding{
+		reg: reg,
+		epoch: reg.Gauge("chainmon_blame_epoch",
+			"Largest budget-table epoch observed by the blame engine."),
+		flows: reg.Gauge("chainmon_blame_flows_total",
+			"Activations attributed by the blame engine."),
+		missed: reg.Gauge("chainmon_blame_missed_total",
+			"Attributed activations whose worst verdict was a miss."),
+	}
+	e.bindings = append(e.bindings, b)
+	return b
+}
+
+// publishLocked sets every bound gauge of b from the aggregates and returns
+// the rows b lacks, in scope, hop, segment order; callers hold e.mu.
+func (e *Engine) publishLocked(b *binding) (todo []unbound) {
+	var flows, missed uint64
+	for i, id := range e.scopeIDs {
+		sc := e.scopes[id]
+		flows += sc.flows
+		missed += sc.missed
+		var total int64
+		for _, key := range sc.hopOrder {
+			total += sc.hops[key].blameNS
+		}
+		var g *scopeGauges
+		if i < len(b.scopes) {
+			g = &b.scopes[i]
+			g.blame.Set(total)
+		} else {
+			todo = append(todo, unbound{scope: i, idx: -1, id: id})
+		}
+		for j, key := range sc.hopOrder {
+			if g == nil || j >= len(g.hops) {
+				todo = append(todo, unbound{scope: i, idx: j, id: id, key: key})
+				continue
+			}
+			agg := sc.hops[key]
+			var share int64
+			if total > 0 {
+				share = agg.blameNS * 1_000_000 / total
+			}
+			g.hops[j][0].Set(share)
+			g.hops[j][1].Set(nanToZero(agg.overrun.Max()))
+		}
+		for j, label := range sc.segOrder {
+			if g == nil || j >= len(g.segs) {
+				todo = append(todo, unbound{scope: i, idx: j, seg: true, id: id, label: label})
+				continue
+			}
+			sa := sc.segs[label]
+			g.segs[j][0].Set(sa.overrunNS)
+			g.segs[j][1].Set(sa.budgetNS)
+		}
+	}
+	b.epoch.Set(int64(e.epoch))
+	b.flows.Set(int64(flows))
+	b.missed.Set(int64(missed))
+	return todo
+}
+
+// bindRows resolves the names of the rows in todo and binds their gauges
+// in reg. It runs outside the engine lock: the resolvers take telemetry
+// locks.
+func bindRows(reg *telemetry.Registry, res Resolvers, todo []unbound) [][2]*telemetry.Gauge {
+	gauges := make([][2]*telemetry.Gauge, len(todo))
+	for i, u := range todo {
+		scope := res.Scope(u.id)
+		switch {
+		case u.idx < 0:
+			gauges[i][0] = reg.Gauge("chainmon_blame_scope_blame_ns",
+				"Total blamed overrun time of a scope, in nanoseconds.", telemetry.L("scope", scope)...)
+		case u.seg:
+			labels := telemetry.L("scope", scope, "segment", res.Label(u.label))
+			gauges[i] = [2]*telemetry.Gauge{
+				reg.Gauge("chainmon_blame_segment_overrun_ns",
+					"Accumulated budget overrun of a segment, in nanoseconds.", labels...),
+				reg.Gauge("chainmon_blame_segment_budget_ns",
+					"Segment budget most recently seen in force at arm time, in nanoseconds.", labels...),
+			}
+		default:
+			labels := telemetry.L("scope", scope, "hop", hopName(u.key, res.Label))
+			gauges[i] = [2]*telemetry.Gauge{
+				reg.Gauge("chainmon_blame_share_ppm",
+					"Fraction of the scope's blamed overrun attributable to a hop, in ppm.", labels...),
+				reg.Gauge("chainmon_blame_overrun_ns",
+					"Blamed overrun of a hop on missed activations, in nanoseconds.",
+					append(labels, telemetry.Label{Name: "q", Value: "max"})...),
+			}
+		}
+	}
+	return gauges
+}
+
+// install adds the gauges bound for todo to b. A row another publish bound
+// in the meantime keeps its binding: both resolved to the same gauge.
+// Callers hold the engine lock.
+func (b *binding) install(todo []unbound, gauges [][2]*telemetry.Gauge) {
+	for i, u := range todo {
+		switch {
+		case u.idx < 0:
+			if u.scope == len(b.scopes) {
+				b.scopes = append(b.scopes, scopeGauges{blame: gauges[i][0]})
+			}
+		case u.seg:
+			if g := &b.scopes[u.scope]; u.idx == len(g.segs) {
+				g.segs = append(g.segs, gauges[i])
+			}
+		default:
+			if g := &b.scopes[u.scope]; u.idx == len(g.hops) {
+				g.hops = append(g.hops, gauges[i])
+			}
 		}
 	}
 }

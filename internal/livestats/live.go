@@ -1,11 +1,14 @@
 package livestats
 
 import (
+	"cmp"
 	"encoding/json"
 	"fmt"
 	"math"
 	"net/http"
-	"sort"
+	"slices"
+	"strconv"
+	"strings"
 	"sync"
 
 	"chainmon/internal/telemetry"
@@ -24,11 +27,12 @@ type Set struct {
 	alpha    float64
 	timebase string
 	scopes   map[string]*Scope
-	names    []string // creation order; exports sort anyway
-	drops    []dropSource
+	sorted   []*Scope                // by kind (chains first), then by name
+	drops    []dropSource            // by name; equal names in registration order
 	budget   func(dst []byte) []byte // adaptive-controller /health section, nil = absent
 	blame    func() any              // blame-engine /health section, nil = absent
 	meta     func() any              // run self-description /health section, nil = absent
+	status   []statusGauge           // chainmon_live_status, one per registry
 }
 
 type dropSource struct {
@@ -40,12 +44,13 @@ type dropSource struct {
 // a latency sketch, an optional ring-drain latency sketch, and an optional
 // (m,k) SLO tracker.
 type Scope struct {
-	set   *Set
-	name  string
-	kind  string // "segment" or "chain"
-	lat   *Sketch
-	drain *Sketch
-	slo   *SLO
+	set    *Set
+	name   string
+	kind   string // "segment" or "chain"
+	lat    *Sketch
+	drain  *Sketch
+	slo    *SLO
+	gauges []*scopeGauges // one per registry the scope was published into
 }
 
 // NewSet creates an empty set whose sketches use relative accuracy alpha
@@ -96,7 +101,10 @@ func (s *Set) scope(name, kind string, c weaklyhard.Constraint) *Scope {
 		sc.slo = NewSLO(c)
 	}
 	s.scopes[key] = sc
-	s.names = append(s.names, key)
+	i, _ := slices.BinarySearchFunc(s.sorted, sc, func(a, b *Scope) int {
+		return cmp.Or(strings.Compare(a.kind, b.kind), strings.Compare(a.name, b.name))
+	})
+	s.sorted = slices.Insert(s.sorted, i, sc)
 	return sc
 }
 
@@ -139,7 +147,11 @@ func (s *Set) SetMetaProvider(fn func() any) {
 // surface on /health.
 func (s *Set) AddDropSource(name string, fn func() uint64) {
 	s.mu.Lock()
-	s.drops = append(s.drops, dropSource{name, fn})
+	i := len(s.drops)
+	for i > 0 && s.drops[i-1].name > name {
+		i--
+	}
+	s.drops = slices.Insert(s.drops, i, dropSource{name, fn})
 	s.mu.Unlock()
 }
 
@@ -267,34 +279,15 @@ type Health struct {
 // document is deterministic. json.MarshalIndent(h, "", Indent) plus a
 // newline is the document the Handler serves, byte for byte.
 func (s *Set) Health() Health {
-	h, budget, blame, meta := s.snapshot()
-	if budget != nil {
-		h.Budget = budget(nil)
-	}
-	if blame != nil {
-		h.Blame = blame()
-	}
-	if meta != nil {
-		h.Meta = meta()
-	}
-	return h
-}
-
-// snapshot captures the document's top-level fields under the set's lock
-// and returns them with the registered section providers, which the caller
-// runs outside the lock: each provider locks its own state.
-func (s *Set) snapshot() (h Health, budget func([]byte) []byte, blame, meta func() any) {
 	s.mu.Lock()
-	defer s.mu.Unlock()
-	h = Health{
+	h := Health{
 		Status:   s.worstLocked().String(),
 		Timebase: s.timebase,
 		Alpha:    s.alpha,
 		Segments: map[string]ScopeHealth{},
 		Chains:   map[string]ScopeHealth{},
 	}
-	for _, key := range s.names {
-		sc := s.scopes[key]
+	for _, sc := range s.sorted {
 		sh := ScopeHealth{Latency: snapshotSketch(sc.lat)}
 		if sc.drain != nil {
 			d := snapshotSketch(sc.drain)
@@ -316,13 +309,25 @@ func (s *Set) snapshot() (h Health, budget func([]byte) []byte, blame, meta func
 			h.Drops[d.name] += d.fn()
 		}
 	}
-	return h, s.budget, s.blame, s.meta
+	budget, blame, meta := s.budget, s.blame, s.meta
+	s.mu.Unlock()
+	// The section providers run outside the lock: each locks its own state.
+	if budget != nil {
+		h.Budget = budget(nil)
+	}
+	if blame != nil {
+		h.Blame = blame()
+	}
+	if meta != nil {
+		h.Meta = meta()
+	}
+	return h
 }
 
 // worstLocked returns the max burn state across all SLO-tracked scopes.
 func (s *Set) worstLocked() BurnState {
 	worst := StateOK
-	for _, sc := range s.scopes {
+	for _, sc := range s.sorted {
 		if sc.slo == nil {
 			continue
 		}
@@ -360,16 +365,15 @@ func (s *Set) Handler() http.Handler {
 	})
 }
 
-// healthWriter assembles /health documents. Its buffer and its encoders'
-// indent buffers outlive a scrape, so a warm scrape regrows nothing; a
-// pool of them serves concurrent scrapes.
+// healthWriter assembles /health documents. Its buffer and its section
+// encoder's indent buffer outlive a scrape, so a warm scrape regrows
+// nothing; a pool of them serves concurrent scrapes.
 type healthWriter struct {
 	buf     []byte
-	top     *json.Encoder // the top-level fields, from depth 0
-	section *json.Encoder // one provider section, from depth 1
+	section *json.Encoder // a section that cannot render itself, from depth 1
 }
 
-// Write appends an encoder's output to the document.
+// Write appends the section encoder's output to the document.
 func (hw *healthWriter) Write(p []byte) (int, error) {
 	hw.buf = append(hw.buf, p...)
 	return len(p), nil
@@ -377,30 +381,35 @@ func (hw *healthWriter) Write(p []byte) (int, error) {
 
 var healthWriters = sync.Pool{New: func() any {
 	hw := &healthWriter{}
-	hw.top = json.NewEncoder(hw)
-	hw.top.SetIndent("", Indent)
 	hw.section = json.NewEncoder(hw)
 	hw.section.SetIndent(Indent, Indent)
 	return hw
 }}
 
-// render assembles s's /health document: the top-level fields through
-// encoding/json, then each provider section as the value of its field. The
-// budget provider appends its section already laid out; blame and meta are
-// encoded and indented at their own depth. The result equals a
-// json.Encoder's rendering of Health with SetIndent("", Indent), and is
-// valid until hw's next render.
+// jsonAppender is a /health section value that renders itself: AppendJSON
+// appends to dst the bytes json.MarshalIndent(v, prefix, indent) returns.
+type jsonAppender interface {
+	AppendJSON(dst []byte, prefix, indent string) []byte
+}
+
+// render assembles s's /health document: the top-level fields straight
+// from the set's state, then each provider section as the value of its
+// field. The budget provider appends its section already laid out, a
+// section value with an AppendJSON method renders itself one level deep,
+// and any other (meta) goes through encoding/json. The result equals
+// json.MarshalIndent(s.Health(), "", Indent) plus a newline, and is valid
+// until hw's next render.
 func (hw *healthWriter) render(s *Set) ([]byte, error) {
-	h, budget, blame, meta := s.snapshot()
-	hw.buf = hw.buf[:0]
-	if err := hw.top.Encode(h); err != nil {
+	s.mu.Lock()
+	b, err := s.appendTopLocked(hw.buf[:0])
+	budget, blame, meta := s.budget, s.blame, s.meta
+	s.mu.Unlock()
+	hw.buf = b
+	if err != nil {
 		return nil, err
 	}
-	// The top-level object always has fields, so it ends in "\n}\n":
-	// reopen it for the sections.
-	hw.buf = hw.buf[:len(hw.buf)-len("\n}\n")]
 	if budget != nil {
-		hw.buf = budget(append(hw.buf, ",\n"+Indent+`"budget": `...))
+		hw.buf = budget(append(hw.buf, ","+nl1+`"budget": `...))
 	}
 	for _, sec := range [...]struct {
 		name string
@@ -413,20 +422,173 @@ func (hw *healthWriter) render(s *Set) ([]byte, error) {
 		if v == nil {
 			continue // omitted, like the field's omitempty
 		}
-		hw.buf = append(hw.buf, ",\n"+Indent+`"`...)
+		hw.buf = append(hw.buf, ","+nl1+`"`...)
 		hw.buf = append(append(hw.buf, sec.name...), `": `...)
+		if a, ok := v.(jsonAppender); ok {
+			hw.buf = a.AppendJSON(hw.buf, Indent, Indent)
+			continue
+		}
 		if err := hw.section.Encode(v); err != nil {
 			return nil, fmt.Errorf("%s section: %w", sec.name, err)
 		}
 		hw.buf = hw.buf[:len(hw.buf)-1] // Encode's trailing newline
 	}
-	return append(hw.buf, "\n}\n"...), nil
+	hw.buf = append(hw.buf, "\n}\n"...)
+	return hw.buf, nil
 }
 
-var liveQuantiles = []struct {
+// A newline and the indentation of the document's nesting levels 1 to 4.
+const (
+	nl1 = "\n" + Indent
+	nl2 = nl1 + Indent
+	nl3 = nl2 + Indent
+	nl4 = nl3 + Indent
+)
+
+// appendTopLocked appends the document's opening brace and its top-level
+// fields (status, timebase, sketch_alpha, segments and chains by name,
+// drops) as json.MarshalIndent(s.Health(), "", Indent) lays them out. A
+// float encoding/json rejects fails it with encoding/json's error. Callers
+// hold s.mu.
+func (s *Set) appendTopLocked(b []byte) ([]byte, error) {
+	b = append(b, "{"+nl1+`"status": `...)
+	b = AppendJSONString(b, s.worstLocked().String())
+	if s.timebase != "" {
+		b = AppendJSONString(append(b, ","+nl1+`"timebase": `...), s.timebase)
+	}
+	b, err := AppendJSONFloat(append(b, ","+nl1+`"sketch_alpha": `...), s.alpha)
+	if err != nil {
+		return b, err
+	}
+	// s.sorted holds the chains first, then the segments, each by name.
+	split := 0
+	for split < len(s.sorted) && s.sorted[split].kind == "chain" {
+		split++
+	}
+	if b, err = appendScopes(append(b, ","+nl1+`"segments": `...), s.sorted[split:]); err != nil {
+		return b, err
+	}
+	if b, err = appendScopes(append(b, ","+nl1+`"chains": `...), s.sorted[:split]); err != nil {
+		return b, err
+	}
+	if len(s.drops) > 0 {
+		b = append(b, ","+nl1+`"drops": {`...)
+		for i := 0; i < len(s.drops); {
+			if i > 0 {
+				b = append(b, ',')
+			}
+			name := s.drops[i].name
+			var n uint64
+			for ; i < len(s.drops) && s.drops[i].name == name; i++ {
+				n += s.drops[i].fn()
+			}
+			b = append(AppendJSONString(append(b, nl2...), name), ": "...)
+			b = strconv.AppendUint(b, n, 10)
+		}
+		b = append(b, nl1+"}"...)
+	}
+	return b, nil
+}
+
+// appendScopes appends the name → ScopeHealth object of scopes, sorted by
+// name, as the value of a top-level field.
+func appendScopes(b []byte, scopes []*Scope) ([]byte, error) {
+	if len(scopes) == 0 {
+		return append(b, "{}"...), nil
+	}
+	b = append(b, '{')
+	var err error
+	for i, sc := range scopes {
+		if i > 0 {
+			b = append(b, ',')
+		}
+		b = append(AppendJSONString(append(b, nl2...), sc.name), ": {"+nl3+`"latency": `...)
+		if b, err = appendQuantiles(b, sc.lat); err != nil {
+			return b, err
+		}
+		if sc.drain != nil {
+			if b, err = appendQuantiles(append(b, ","+nl3+`"drain": `...), sc.drain); err != nil {
+				return b, err
+			}
+		}
+		if sc.slo != nil {
+			if b, err = appendSLO(append(b, ","+nl3+`"slo": `...), sc.slo.Snapshot()); err != nil {
+				return b, err
+			}
+		}
+		b = append(b, nl2+"}"...)
+	}
+	return append(b, nl1+"}"...), nil
+}
+
+// appendQuantiles appends a sketch's QuantileSnapshot as the value of a
+// scope's field.
+func appendQuantiles(b []byte, sk *Sketch) ([]byte, error) {
+	qs := snapshotSketch(sk)
+	b = strconv.AppendUint(append(b, "{"+nl4+`"count": `...), qs.Count, 10)
+	b = strconv.AppendInt(append(b, ","+nl4+`"buckets": `...), int64(qs.Buckets), 10)
+	for _, f := range [...]struct {
+		key string
+		v   float64
+	}{
+		{"," + nl4 + `"p50_ns": `, qs.P50NS},
+		{"," + nl4 + `"p95_ns": `, qs.P95NS},
+		{"," + nl4 + `"p99_ns": `, qs.P99NS},
+		{"," + nl4 + `"max_ns": `, qs.MaxNS},
+	} {
+		var err error
+		if b, err = AppendJSONFloat(append(b, f.key...), f.v); err != nil {
+			return b, err
+		}
+	}
+	return append(b, nl3+"}"...), nil
+}
+
+// appendSLO appends an SLOSnapshot as the value of a scope's field.
+func appendSLO(b []byte, ss SLOSnapshot) ([]byte, error) {
+	b = strconv.AppendInt(append(b, "{"+nl4+`"m": `...), int64(ss.M), 10)
+	b = strconv.AppendInt(append(b, ","+nl4+`"k": `...), int64(ss.K), 10)
+	b = strconv.AppendInt(append(b, ","+nl4+`"window_misses": `...), int64(ss.WindowMisses), 10)
+	b = strconv.AppendInt(append(b, ","+nl4+`"budget": `...), int64(ss.Budget), 10)
+	b, err := AppendJSONFloat(append(b, ","+nl4+`"burn_rate": `...), ss.BurnRate)
+	if err != nil {
+		return b, err
+	}
+	b = AppendJSONString(append(b, ","+nl4+`"state": `...), ss.State)
+	b = strconv.AppendUint(append(b, ","+nl4+`"executions": `...), ss.Executions, 10)
+	b = strconv.AppendUint(append(b, ","+nl4+`"total_misses": `...), ss.TotalMisses, 10)
+	b = strconv.AppendUint(append(b, ","+nl4+`"violations": `...), ss.Violations, 10)
+	return append(b, nl3+"}"...), nil
+}
+
+var liveQuantiles = [...]struct {
 	label string
 	q     float64
 }{{"p50", 0.5}, {"p95", 0.95}, {"p99", 0.99}, {"max", 1}}
+
+// scopeGauges are one scope's chainmon_live_* gauges in one registry. Each
+// row is bound by the publish that first creates it; later publishes only
+// Set the bound gauges.
+type scopeGauges struct {
+	reg   *telemetry.Registry
+	lat   *sketchGauges
+	drain *sketchGauges // nil until the scope has a drain sketch
+	slo   *sloGauges    // nil until the scope has an SLO
+}
+
+type sketchGauges struct {
+	q              [len(liveQuantiles)]*telemetry.Gauge
+	count, buckets *telemetry.Gauge
+}
+
+type sloGauges struct {
+	misses, budget, state, burnPPM *telemetry.Gauge
+}
+
+type statusGauge struct {
+	reg *telemetry.Registry
+	g   *telemetry.Gauge
+}
 
 // PublishMetrics mirrors the set into registry gauges, so the live
 // quantiles and SLO burn state ride the existing Prometheus surface
@@ -437,48 +599,103 @@ var liveQuantiles = []struct {
 //
 // Register it on a Sink with AddExportHook so every export — live scrape
 // or end-of-run snapshot — republishes first and the two always agree.
+// The set binds each row's gauge once per registry, so a publish that
+// adds no row allocates nothing.
 func (s *Set) PublishMetrics(reg *telemetry.Registry) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-
-	keys := append([]string(nil), s.names...)
-	sort.Strings(keys)
-	for _, key := range keys {
-		sc := s.scopes[key]
-		labels := telemetry.L("scope", sc.name, "kind", sc.kind)
-		publishSketch(reg, "chainmon_live_latency", "Live streaming-sketch latency quantile for a monitored scope, in nanoseconds.", sc.lat, labels)
+	for _, sc := range s.sorted {
+		g := sc.gaugesFor(reg)
+		g.lat.publish(sc.lat)
 		if sc.drain != nil {
-			publishSketch(reg, "chainmon_live_drain", "Live streaming-sketch event-ring drain latency for a monitored scope, in nanoseconds.", sc.drain, labels)
+			if g.drain == nil {
+				g.drain = bindSketch(reg, "chainmon_live_drain",
+					"Live streaming-sketch event-ring drain latency for a monitored scope, in nanoseconds.", sc.labels())
+			}
+			g.drain.publish(sc.drain)
 		}
 		if sc.slo != nil {
+			if g.slo == nil {
+				g.slo = bindSLO(reg, sc.labels())
+			}
 			snap := sc.slo.Snapshot()
-			reg.Gauge("chainmon_live_slo_window_misses",
-				"Deadline misses in the current (m,k) window.", labels...).Set(int64(snap.WindowMisses))
-			reg.Gauge("chainmon_live_slo_budget",
-				"Misses the current (m,k) window still tolerates.", labels...).Set(int64(snap.Budget))
-			reg.Gauge("chainmon_live_slo_state",
-				"Burn state of the (m,k) SLO: 0=ok 1=warning 2=burning 3=violated.", labels...).Set(int64(sc.slo.State()))
+			g.slo.misses.Set(int64(snap.WindowMisses))
+			g.slo.budget.Set(int64(snap.Budget))
+			g.slo.state.Set(int64(sc.slo.State()))
 			burnPPM := int64(-1)
 			if snap.BurnRate >= 0 {
 				burnPPM = int64(snap.BurnRate * 1e6)
 			}
-			reg.Gauge("chainmon_live_slo_burn_ppm",
-				"Fraction of the (m,k) miss budget consumed by the current window, in ppm (-1: hard constraint violated).", labels...).Set(burnPPM)
+			g.slo.burnPPM.Set(burnPPM)
 		}
 	}
-	reg.Gauge("chainmon_live_status",
-		"Overall health: worst (m,k) burn state across all scopes (0=ok 1=warning 2=burning 3=violated).").Set(int64(s.worstLocked()))
+	s.statusFor(reg).Set(int64(s.worstLocked()))
 }
 
-func publishSketch(reg *telemetry.Registry, prefix, help string, sk *Sketch, labels []telemetry.Label) {
-	for _, lq := range liveQuantiles {
+// gaugesFor returns the scope's gauges in reg, binding its latency rows on
+// first use; callers hold the set's lock.
+func (sc *Scope) gaugesFor(reg *telemetry.Registry) *scopeGauges {
+	for _, g := range sc.gauges {
+		if g.reg == reg {
+			return g
+		}
+	}
+	g := &scopeGauges{reg: reg, lat: bindSketch(reg, "chainmon_live_latency",
+		"Live streaming-sketch latency quantile for a monitored scope, in nanoseconds.", sc.labels())}
+	sc.gauges = append(sc.gauges, g)
+	return g
+}
+
+// statusFor returns the set's chainmon_live_status gauge in reg, binding
+// it on first use; callers hold the set's lock.
+func (s *Set) statusFor(reg *telemetry.Registry) *telemetry.Gauge {
+	for _, st := range s.status {
+		if st.reg == reg {
+			return st.g
+		}
+	}
+	g := reg.Gauge("chainmon_live_status",
+		"Overall health: worst (m,k) burn state across all scopes (0=ok 1=warning 2=burning 3=violated).")
+	s.status = append(s.status, statusGauge{reg, g})
+	return g
+}
+
+func (sc *Scope) labels() []telemetry.Label {
+	return telemetry.L("scope", sc.name, "kind", sc.kind)
+}
+
+func bindSketch(reg *telemetry.Registry, prefix, help string, labels []telemetry.Label) *sketchGauges {
+	g := &sketchGauges{}
+	for i, lq := range liveQuantiles {
+		ql := append(append([]telemetry.Label(nil), labels...), telemetry.Label{Name: "q", Value: lq.label})
+		g.q[i] = reg.Gauge(prefix+"_ns", help, ql...)
+	}
+	g.count = reg.Gauge(prefix+"_count", "Observations folded into the live sketch.", labels...)
+	g.buckets = reg.Gauge(prefix+"_sketch_buckets", "Live buckets in the sketch (memory footprint).", labels...)
+	return g
+}
+
+func (g *sketchGauges) publish(sk *Sketch) {
+	for i, lq := range liveQuantiles {
 		v := sk.Quantile(lq.q)
 		if math.IsNaN(v) {
 			v = 0
 		}
-		ql := append(append([]telemetry.Label(nil), labels...), telemetry.Label{Name: "q", Value: lq.label})
-		reg.Gauge(prefix+"_ns", help, ql...).Set(int64(v))
+		g.q[i].Set(int64(v))
 	}
-	reg.Gauge(prefix+"_count", "Observations folded into the live sketch.", labels...).Set(int64(sk.Count()))
-	reg.Gauge(prefix+"_sketch_buckets", "Live buckets in the sketch (memory footprint).", labels...).Set(int64(sk.Buckets()))
+	g.count.Set(int64(sk.Count()))
+	g.buckets.Set(int64(sk.Buckets()))
+}
+
+func bindSLO(reg *telemetry.Registry, labels []telemetry.Label) *sloGauges {
+	return &sloGauges{
+		misses: reg.Gauge("chainmon_live_slo_window_misses",
+			"Deadline misses in the current (m,k) window.", labels...),
+		budget: reg.Gauge("chainmon_live_slo_budget",
+			"Misses the current (m,k) window still tolerates.", labels...),
+		state: reg.Gauge("chainmon_live_slo_state",
+			"Burn state of the (m,k) SLO: 0=ok 1=warning 2=burning 3=violated.", labels...),
+		burnPPM: reg.Gauge("chainmon_live_slo_burn_ppm",
+			"Fraction of the (m,k) miss budget consumed by the current window, in ppm (-1: hard constraint violated).", labels...),
+	}
 }

@@ -3,6 +3,7 @@ package livestats
 import (
 	"encoding/json"
 	"errors"
+	"fmt"
 	"math"
 	"net/http"
 	"net/http/httptest"
@@ -225,5 +226,120 @@ func TestSetScopeReuse(t *testing.T) {
 	a.Observe(1, true)
 	if a.State() != StateBurning {
 		t.Errorf("upgraded scope did not track the SLO: %v", a.State())
+	}
+}
+
+// selfRendered is a section value with an AppendJSON method, as blame.Doc
+// has: the handler must splice what it appends one level deep.
+type selfRendered struct {
+	Name  string         `json:"name"`
+	Share float64        `json:"share"`
+	Hops  []int          `json:"hops"`
+	Empty map[string]int `json:"empty"`
+}
+
+func (v selfRendered) AppendJSON(dst []byte, prefix, indent string) []byte {
+	b, err := json.MarshalIndent(v, prefix, indent)
+	if err != nil {
+		panic(err)
+	}
+	return append(dst, b...)
+}
+
+// TestHandlerBytesEqualEncodingJSON pins the /health handler's document to
+// encoding/json's rendering of the same state,
+// json.MarshalIndent(set.Health(), "", "  ") plus a newline, across the
+// document's shapes: no scopes, chains only, drain sketches, no drop
+// sources, repeated drop names, names that need escaping, and each section
+// provider present or absent.
+func TestHandlerBytesEqualEncodingJSON(t *testing.T) {
+	sets := map[string]func() *Set{
+		"no scopes": func() *Set { return NewSet(0) },
+		"chains only": func() *Set {
+			set := NewSet(0.02)
+			set.SetTimebase("wall")
+			set.Chain("b", weaklyhard.Constraint{M: 0, K: 1}).Observe(3e6, true)
+			set.Chain("a", weaklyhard.Constraint{M: 2, K: 10}).Observe(1.5e-3, false)
+			set.AddDropSource("trace-stream", func() uint64 { return 1 })
+			return set
+		},
+		"segments with drain sketches, no drop sources": func() *Set {
+			set := NewSet(0)
+			set.SetTimebase("sim")
+			for i, name := range []string{"z/objects", "a/ground", "m/fusion"} {
+				sc := set.Segment(name, weaklyhard.Constraint{M: 1, K: 4})
+				for j := 0; j < 50*(i+1); j++ {
+					sc.Observe(float64(1e6+j*7919), j%9 == 0)
+					sc.ObserveDrain(float64(200 + j))
+				}
+			}
+			set.Segment("unconstrained", weaklyhard.Constraint{}).Observe(42, false)
+			return set
+		},
+		"escaped names, repeated drop names": func() *Set {
+			set := NewSet(0)
+			set.SetTimebase(`t"<&>`)
+			set.Segment(`seg "<&>"`, weaklyhard.Constraint{M: 1, K: 2}).Observe(1e6, false)
+			set.Segment("a→b"+string(rune(0x2028)), weaklyhard.Constraint{}).Observe(2e6, false)
+			set.Chain("\x01chain\xff", weaklyhard.Constraint{M: 1, K: 2}).Record(true)
+			set.AddDropSource("z", func() uint64 { return 5 })
+			set.AddDropSource("b<", func() uint64 { return 2 })
+			set.AddDropSource("z", func() uint64 { return 7 })
+			set.AddDropSource("a", func() uint64 { return 0 })
+			return set
+		},
+	}
+	for name, build := range sets {
+		for mask := 0; mask < 8; mask++ {
+			withBudget, withBlame, withMeta := mask&1 != 0, mask&2 != 0, mask&4 != 0
+			t.Run(fmt.Sprintf("%s/budget=%v/blame=%v/meta=%v", name, withBudget, withBlame, withMeta), func(t *testing.T) {
+				set := build()
+				if withBudget {
+					set.SetBudgetProvider(func(dst []byte) []byte {
+						return append(dst, "{\n    \"epoch\": 3,\n    \"none\": []\n  }"...)
+					})
+				}
+				if withBlame {
+					set.SetBlameProvider(func() any {
+						return selfRendered{Name: `s<1>&"`, Share: 0.25, Hops: []int{1, 2}, Empty: map[string]int{}}
+					})
+				}
+				if withMeta {
+					set.SetMetaProvider(func() any { return map[string]any{"scenario": "unit", "uptime_ns": 12.5} })
+				}
+				h := set.Handler()
+				for scrape := 0; scrape < 2; scrape++ { // a fresh pooled writer, then a warm one
+					rec := httptest.NewRecorder()
+					h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/health", nil))
+					want, err := json.MarshalIndent(set.Health(), "", "  ")
+					if err != nil {
+						t.Fatal(err)
+					}
+					if got := rec.Body.String(); rec.Code != http.StatusOK || got != string(want)+"\n" {
+						t.Fatalf("scrape %d answered %d:\n%s\nwant encoding/json's\n%s", scrape, rec.Code, got, want)
+					}
+				}
+			})
+		}
+	}
+}
+
+// TestPublishMetricsAllocFree is the CI allocation gate on the live set's
+// /metrics export hook: once a registry's rows are bound, republishing
+// them sets each bound gauge and allocates nothing.
+func TestPublishMetricsAllocFree(t *testing.T) {
+	set := NewSet(0)
+	for _, name := range []string{"objects", "ground"} {
+		sc := set.Segment(name, weaklyhard.Constraint{M: 1, K: 10})
+		for i := 0; i < 1000; i++ {
+			sc.Observe(float64(5_000_000+i*1000), i%50 == 0)
+			sc.ObserveDrain(float64(1000 + i))
+		}
+	}
+	set.Chain("e2e", weaklyhard.Constraint{M: 0, K: 1}).Observe(9e6, true)
+	reg := telemetry.NewRegistry()
+	set.PublishMetrics(reg) // binds every row
+	if allocs := testing.AllocsPerRun(100, func() { set.PublishMetrics(reg) }); allocs != 0 {
+		t.Fatalf("a publish that adds no row allocates %.0f, want 0", allocs)
 	}
 }

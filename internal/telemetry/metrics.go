@@ -60,15 +60,22 @@ func compareLabelNames(a, b Label) int { return strings.Compare(a.Name, b.Name) 
 type Registry struct {
 	mu   sync.Mutex
 	fams map[string]*family
-	// names keeps family creation order out of the lock-free path; export
-	// sorts by name anyway, this only bounds allocation.
-	names []string
+	// sorted lists the families by name for export. Adding a family
+	// clears it, and the next export sorts a new list: a list once handed
+	// out is never written again, so an export walks it without the lock.
+	sorted []*family
 }
 
 type family struct {
 	name, help, typ string
 	rows            map[string]any // labelString → *Counter/*Gauge/*Histogram
-	order           []string
+	sorted          []metricRow    // by label string; rebuilt like Registry.sorted
+}
+
+// metricRow is one exported row of a family.
+type metricRow struct {
+	key string // labelString of the row's labels
+	m   any    // *Counter, *Gauge or *Histogram
 }
 
 // NewRegistry creates an empty registry.
@@ -83,7 +90,7 @@ func (r *Registry) row(name, help, typ, key string, make func() any) any {
 	if !ok {
 		f = &family{name: name, help: help, typ: typ, rows: map[string]any{}}
 		r.fams[name] = f
-		r.names = append(r.names, name)
+		r.sorted = nil
 	}
 	if f.typ != typ {
 		panic(fmt.Sprintf("telemetry: metric %q registered as %s and %s", name, f.typ, typ))
@@ -92,9 +99,39 @@ func (r *Registry) row(name, help, typ, key string, make func() any) any {
 	if !ok {
 		m = make()
 		f.rows[key] = m
-		f.order = append(f.order, key)
+		f.sorted = nil
 	}
 	return m
+}
+
+// families returns the families sorted by name, sorting only after a
+// family was added.
+func (r *Registry) families() []*family {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if r.sorted == nil {
+		r.sorted = make([]*family, 0, len(r.fams))
+		for _, f := range r.fams {
+			r.sorted = append(r.sorted, f)
+		}
+		slices.SortFunc(r.sorted, func(a, b *family) int { return strings.Compare(a.name, b.name) })
+	}
+	return r.sorted
+}
+
+// rowsOf returns f's rows sorted by label string, sorting only after a row
+// was added.
+func (r *Registry) rowsOf(f *family) []metricRow {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if f.sorted == nil {
+		f.sorted = make([]metricRow, 0, len(f.rows))
+		for key, m := range f.rows {
+			f.sorted = append(f.sorted, metricRow{key, m})
+		}
+		slices.SortFunc(f.sorted, func(a, b metricRow) int { return strings.Compare(a.key, b.key) })
+	}
+	return f.sorted
 }
 
 // Counter returns (creating on first use) a monotonically increasing

@@ -4,7 +4,6 @@ import (
 	"bufio"
 	"io"
 	"net/http"
-	"sort"
 	"strconv"
 )
 
@@ -16,36 +15,22 @@ func (s *Sink) WriteMetrics(w io.Writer) error {
 	s.runExportHooks()
 	s.syncRecorderMetrics()
 	bw := bufio.NewWriter(w)
-	var num [20]byte // sample value scratch
+	var num [20]byte // histogram value scratch
 	r := s.Reg
-	r.mu.Lock()
-	names := append([]string(nil), r.names...)
-	r.mu.Unlock()
-	sort.Strings(names)
-
-	for _, name := range names {
-		r.mu.Lock()
-		f := r.fams[name]
-		keys := append([]string(nil), f.order...)
-		r.mu.Unlock()
-		sort.Strings(keys)
-
+	for _, f := range r.families() {
 		writeLine(bw, "# HELP ", f.name, " ", f.help)
 		writeLine(bw, "# TYPE ", f.name, " ", f.typ)
-		for _, key := range keys {
-			r.mu.Lock()
-			m := f.rows[key]
-			r.mu.Unlock()
-			switch v := m.(type) {
+		for _, row := range r.rowsOf(f) {
+			switch v := row.m.(type) {
 			case *Counter:
-				writeLine(bw, f.name, key, " ", string(strconv.AppendUint(num[:0], v.Value(), 10)))
+				bw.Write(append(strconv.AppendUint(sample(bw, f.name, row.key), v.Value(), 10), '\n'))
 			case *Gauge:
-				writeLine(bw, f.name, key, " ", string(strconv.AppendInt(num[:0], v.Value(), 10)))
+				bw.Write(append(strconv.AppendInt(sample(bw, f.name, row.key), v.Value(), 10), '\n'))
 			case *Histogram:
 				// Bucket rows add le="bound" to the row's own labels.
 				open, sep := "{", ""
-				if key != "" {
-					open, sep = key[:len(key)-1], ","
+				if row.key != "" {
+					open, sep = row.key[:len(row.key)-1], ","
 				}
 				var cum uint64
 				for i, le := range v.leLabels() {
@@ -53,12 +38,18 @@ func (s *Sink) WriteMetrics(w io.Writer) error {
 					writeLine(bw, f.name, "_bucket", open, sep, le, "} ",
 						string(strconv.AppendUint(num[:0], cum, 10)))
 				}
-				writeLine(bw, f.name, "_sum", key, " ", formatSeconds(v.Sum()))
-				writeLine(bw, f.name, "_count", key, " ", string(strconv.AppendUint(num[:0], v.Count(), 10)))
+				writeLine(bw, f.name, "_sum", row.key, " ", formatSeconds(v.Sum()))
+				writeLine(bw, f.name, "_count", row.key, " ", string(strconv.AppendUint(num[:0], v.Count(), 10)))
 			}
 		}
 	}
 	return bw.Flush()
+}
+
+// sample returns the writer's free buffer holding a sample row's name,
+// labels and the space before its value, for the value to be appended to.
+func sample(bw *bufio.Writer, name, key string) []byte {
+	return append(append(append(bw.AvailableBuffer(), name...), key...), ' ')
 }
 
 // writeLine writes the concatenated parts and a newline. The parts are
@@ -75,15 +66,22 @@ func writeLine(bw *bufio.Writer, parts ...string) {
 // counters into the registry before every export, so silent event loss
 // during long runs is visible on /metrics alongside the streaming sink's
 // chainmon_stream_* counters. Reading a track's counter is an atomic load,
-// safe while producers are still appending.
+// safe while producers are still appending. Each track's gauge is bound by
+// the first export that sees the track.
 func (s *Sink) syncRecorderMetrics() {
 	if s.Rec == nil {
 		return
 	}
-	for _, t := range s.Rec.Tracks() {
-		s.Reg.Gauge("chainmon_flight_recorder_dropped_events",
+	tracks := s.Rec.trackList()
+	s.dropMu.Lock()
+	defer s.dropMu.Unlock()
+	for len(s.drops) < len(tracks) {
+		s.drops = append(s.drops, s.Reg.Gauge("chainmon_flight_recorder_dropped_events",
 			"Events overwritten (dropped-oldest) in a flight-recorder track ring.",
-			Label{Name: "track", Value: t.Name()}).Set(int64(t.Dropped()))
+			Label{Name: "track", Value: tracks[len(s.drops)].Name()}))
+	}
+	for i, g := range s.drops {
+		g.Set(int64(tracks[i].Dropped()))
 	}
 }
 

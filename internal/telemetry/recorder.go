@@ -232,6 +232,14 @@ func (r *Recorder) Tracks() []*Track {
 	return append([]*Track(nil), r.tracks...)
 }
 
+// trackList returns the tracks in id order without copying them: the list
+// is append-only, so the returned prefix never changes.
+func (r *Recorder) trackList() []*Track {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.tracks
+}
+
 // TrackName resolves a track id to its name ("" when undefined), without
 // copying the track list.
 func (r *Recorder) TrackName(id uint16) string {

@@ -193,6 +193,9 @@ type Sink struct {
 
 	hookMu sync.Mutex
 	hooks  []func()
+
+	dropMu sync.Mutex
+	drops  []*Gauge // the dropped-events gauge of each recorder track, by track id
 }
 
 // AddExportHook registers fn to run at the start of every metrics export
@@ -208,10 +211,11 @@ func (s *Sink) AddExportHook(fn func()) {
 }
 
 // runExportHooks invokes the registered hooks outside the hook lock, so a
-// hook may itself touch the sink.
+// hook may itself touch the sink. The hook list is append-only, so the
+// registered prefix read under the lock never changes.
 func (s *Sink) runExportHooks() {
 	s.hookMu.Lock()
-	hooks := append([]func(){}, s.hooks...)
+	hooks := s.hooks
 	s.hookMu.Unlock()
 	for _, fn := range hooks {
 		fn()

@@ -203,6 +203,44 @@ chainmon_test_total{seg="s1"} 3
 	}
 }
 
+// TestWriteMetricsFollowsAddedRows: an export after rows, families and
+// recorder tracks were added lists them in sorted position, and each
+// track's drop gauge follows the track's current count.
+func TestWriteMetricsFollowsAddedRows(t *testing.T) {
+	s := NewSink(4)
+	b := s.Rec.Track("b-track")
+	s.Reg.Gauge("chainmon_g", "g", Label{"k", "b"}).Set(1)
+	export := func() string {
+		var buf bytes.Buffer
+		if err := s.WriteMetrics(&buf); err != nil {
+			t.Fatal(err)
+		}
+		return buf.String()
+	}
+	export()
+	for i := 0; i < 6; i++ {
+		b.Append(Event{TS: int64(i)})
+	}
+	s.Rec.Track("a-track")
+	s.Reg.Gauge("chainmon_g", "g", Label{"k", "a"}).Set(2)
+	s.Reg.Gauge("chainmon_a", "a").Set(3)
+	want := `# HELP chainmon_a a
+# TYPE chainmon_a gauge
+chainmon_a 3
+# HELP chainmon_flight_recorder_dropped_events Events overwritten (dropped-oldest) in a flight-recorder track ring.
+# TYPE chainmon_flight_recorder_dropped_events gauge
+chainmon_flight_recorder_dropped_events{track="a-track"} 0
+chainmon_flight_recorder_dropped_events{track="b-track"} 2
+# HELP chainmon_g g
+# TYPE chainmon_g gauge
+chainmon_g{k="a"} 2
+chainmon_g{k="b"} 1
+`
+	if got := export(); got != want {
+		t.Fatalf("export after added rows:\n--- got ---\n%s--- want ---\n%s", got, want)
+	}
+}
+
 // TestLabelRenderingMatchesFmtQuoting pins label rendering to the
 // fmt-based form it replaced (name=%q pairs sorted by name), on sorted and
 // unsorted label lists with values that need escaping.
