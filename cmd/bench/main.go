@@ -193,12 +193,14 @@ func main() {
 			}
 		}
 	})
-	// budget_swap is the deadline hot-swap path of the adaptive budget loop:
-	// one op arms 64 pending timeouts, shrinks the segment deadline with
-	// retime (64 lazy heap re-arms), grows it back, then resolves the batch
-	// and prunes the stale heap entries. TestSwapAllocFree in
-	// internal/runtime pins this cycle at 0 allocs/op; the row tracks its
-	// wall cost alongside the other hot-path cuts.
+	// budget_swap is the deadline hot-swap cycle of the adaptive budget
+	// loop, swapped the way monitor.BudgetTable applies a version: one op
+	// arms 64 pending timeouts, shrinks the segment deadline and grows it
+	// back on the scan thread (a barrier: the armed timeouts keep their
+	// deadlines), then resolves the batch and prunes the stale heap
+	// entries. TestSwapAllocFree in internal/runtime pins this cycle at 0
+	// allocs/op; the row tracks its wall cost alongside the other hot-path
+	// cuts.
 	run("budget_swap", func(b *testing.B) {
 		b.ReportAllocs()
 		c := rt.NewCore()
@@ -211,8 +213,8 @@ func main() {
 				s.StartRing().Post(rt.Event{Act: act, TS: now})
 			}
 			c.Scan(now)
-			c.SetDeadline(s, 2*time.Millisecond, now, true)
-			c.SetDeadline(s, 10*time.Millisecond, now, true)
+			c.SetDeadline(s, 2*time.Millisecond)
+			c.SetDeadline(s, 10*time.Millisecond)
 			for a := act - 63; a <= act; a++ {
 				s.EndRing().Post(rt.Event{Act: a, TS: now.Add(time.Millisecond)})
 			}

@@ -473,26 +473,6 @@ func PRMatrix() []Combo {
 	return combos
 }
 
-// GrownNightlyMatrix is the ~1200-combo sweep the parallel engine makes
-// affordable: all twelve campaigns (including ptp-asym, executor-starvation
-// and gm-failover) × ninety-nine seeds plus ten dds-context runs drawn from
-// the campaigns that leave the middleware thread schedulable.
-func GrownNightlyMatrix() []Combo {
-	combos := cross(AllCampaigns(), seedSeq(99), monitor.VariantMonitorThread)
-	ddsSafe := []MatrixEntry{ReorderEntry(), DuplicateEntry(), ChaosCampaigns()[0], ChaosCampaigns()[1]}
-	for _, seed := range seedSeq(2) {
-		for _, e := range ddsSafe {
-			combos = append(combos, Combo{Campaign: e.Campaign, Seed: seed, Variant: monitor.VariantDDSContext})
-		}
-	}
-	// 12×99 + 2×4 = 1196; top up with the historical dds-context pair.
-	combos = append(combos,
-		Combo{Campaign: ReorderEntry().Campaign, Seed: 33, Variant: monitor.VariantDDSContext},
-		Combo{Campaign: DuplicateEntry().Campaign, Seed: 33, Variant: monitor.VariantDDSContext},
-	)
-	return combos
-}
-
 // Matrix10K is the 10000-combo nightly sweep the zero-alloc hot path makes
 // affordable: all twelve campaigns × 830 seeds (9960 monitor-thread combos)
 // plus the four dds-context-safe campaigns × ten seeds. At ~8 ms per combo

@@ -11,16 +11,8 @@ func TestMatrixSizes(t *testing.T) {
 	if n := len(PRMatrix()); n != 23 {
 		t.Errorf("PRMatrix has %d combos", n)
 	}
-	if n := len(GrownNightlyMatrix()); n != 1198 {
-		t.Errorf("GrownNightlyMatrix has %d combos", n)
-	}
 	if n := len(Matrix10K()); n != 10000 {
 		t.Errorf("Matrix10K has %d combos", n)
-	}
-	for _, c := range GrownNightlyMatrix() {
-		if err := c.Campaign.Validate(); err != nil {
-			t.Fatalf("%s: %v", c, err)
-		}
 	}
 	for _, c := range Matrix10K() {
 		if err := c.Campaign.Validate(); err != nil {

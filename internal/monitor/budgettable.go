@@ -138,7 +138,7 @@ type budgetBinding struct {
 // deadlines are applied at the top of scan passes — on the scan thread,
 // amortized, before the core drains — so every activation drained
 // afterwards is armed under the new deadline while in-flight ones keep
-// theirs (runtime.Core.SetDeadline with retime=false). A monitor can serve
+// theirs (the barrier of runtime.Core.SetDeadline). A monitor can serve
 // several chains and therefore several tables.
 func (m *LocalMonitor) AttachBudget(t *BudgetTable) {
 	if t == nil {
@@ -167,7 +167,7 @@ func (m *LocalMonitor) applyBudgets(now rt.Time) {
 			for _, s := range m.segments {
 				if s.cfg.Name == u.Segment && s.cfg.DMon != u.DMon {
 					s.cfg.DMon = u.DMon
-					m.core.SetDeadline(s.core, rt.Duration(u.DMon), now, false)
+					m.core.SetDeadline(s.core, rt.Duration(u.DMon))
 					// Record the swap on the monitor track so offline
 					// consumers (the blame engine's epoch accounting) see
 					// deadline changes in order with the arms they retime,

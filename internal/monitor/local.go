@@ -220,7 +220,8 @@ type LocalSegment struct {
 	// event; used for recovery publication and skip-next propagation.
 	// Nil when the segment ends at a reception.
 	endPub *dds.Publisher
-	tel    *segTel // nil when uninstrumented
+	tel    *segTel          // nil when uninstrumented
+	live   *livestats.Scope // nil when no live health surface is attached
 	// excLabel names the segment's exception-handler work ("exc/<name>"),
 	// built once so raising an exception does not concatenate it.
 	excLabel string
@@ -265,6 +266,9 @@ func (m *LocalMonitor) AddSegment(cfg SegmentConfig) *LocalSegment {
 	s.core = m.core.AddSegment(cfg.Name, cfg.DMon, m.newRing(), m.newRing(), rt.SegmentHooks{
 		DrainLatency: func(lat rt.Duration) {
 			m.overheads.MonLatency.AddDuration(lat)
+			if s.live != nil {
+				s.live.ObserveDrain(float64(lat))
+			}
 		},
 		SkipArm: func(act uint64) bool {
 			return s.resolved[act] || s.excepted[act]

@@ -90,11 +90,14 @@ func TestLiveAgreementWallClock(t *testing.T) {
 		t.Errorf("chain total misses = %d, want %d", got, ground.Missed)
 	}
 
-	// The drain sketch is fed through the runtime SegmentHooks chain: every
-	// start event that reached the monitor contributes one drain latency.
-	drain := h.Segments[SegObjects].Drain
-	if drain == nil || drain.Count == 0 {
-		t.Error("no drain latencies flowed through the chained runtime hook")
+	// The drain sketch is fed by each segment's runtime DrainLatency hook:
+	// every start event contributes one drain latency, and Stop's final
+	// pass drains every start the producer posted.
+	for _, name := range []string{SegObjects, SegGround} {
+		drain := h.Segments[name].Drain
+		if drain == nil || drain.Count != uint64(cfg.Frames) {
+			t.Errorf("%s: drain sketch %+v, want %d drain latencies", name, drain, cfg.Frames)
+		}
 	}
 }
 

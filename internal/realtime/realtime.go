@@ -333,11 +333,8 @@ func Run(cfg Config, sink *telemetry.Sink) (Result, error) {
 		time.Sleep(time.Until(lateDue))
 		ground.EndInjected(uint64(lateGround))
 	}
-	// Let the last deadlines expire and the final ends drain, then wake the
-	// loop once more so the drain happens before Stop.
+	// Let the last deadlines expire; Stop's final pass drains the last ends.
 	time.Sleep(cfg.Deadline + 20*time.Millisecond)
-	sem.Wake()
-	time.Sleep(10 * time.Millisecond)
 	loop.Stop()
 
 	return Result{

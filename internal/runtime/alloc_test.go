@@ -61,7 +61,7 @@ func TestScanHeapStaysBounded(t *testing.T) {
 	}
 }
 
-// TestSliceRingPopBatchEquivalence pins the BatchPopper contract on the
+// TestSliceRingPopBatchEquivalence pins the PopBatch contract on the
 // SliceRing: PopBatch returns exactly what repeated Pop would, in order,
 // across partial batches and interleaved posts.
 func TestSliceRingPopBatchEquivalence(t *testing.T) {
@@ -118,54 +118,6 @@ func TestScanBatchedDrainPreservesOrder(t *testing.T) {
 	for i, act := range armed {
 		if act != uint64(i) {
 			t.Fatalf("arm order broken at %d: got act %d", i, act)
-		}
-	}
-}
-
-// fallbackRing hides SliceRing's PopBatch, forcing the Core onto the
-// one-event-at-a-time fallback so both drain flavours stay covered.
-type fallbackRing struct{ r SliceRing }
-
-func (f *fallbackRing) Post(ev Event) bool { return f.r.Post(ev) }
-func (f *fallbackRing) Pop() (Event, bool) { return f.r.Pop() }
-func (f *fallbackRing) Len() int           { return f.r.Len() }
-
-// TestScanFallbackDrainMatchesBatched runs the same event sequence through
-// a batch-capable and a Pop-only ring and requires identical hook traces.
-func TestScanFallbackDrainMatchesBatched(t *testing.T) {
-	run := func(mk func() EventRing) (oks, expired []uint64) {
-		c := NewCore()
-		s := c.AddSegment("s", 10*time.Millisecond, mk(), mk(), SegmentHooks{
-			OK:     func(start Event, _ Time) { oks = append(oks, start.Act) },
-			Expire: func(start Event, _, _ Time) { expired = append(expired, start.Act) },
-		})
-		now := Time(0)
-		for i := 1; i <= 400; i++ {
-			s.StartRing().Post(Event{Act: uint64(i), TS: now})
-			if i%3 != 0 {
-				s.EndRing().Post(Event{Act: uint64(i), TS: now.Add(time.Millisecond)})
-			}
-			if i%50 == 0 {
-				now = now.Add(20 * time.Millisecond)
-				c.Scan(now)
-			}
-		}
-		c.Scan(now.Add(time.Second))
-		return oks, expired
-	}
-	oksA, expA := run(func() EventRing { return &SliceRing{} })
-	oksB, expB := run(func() EventRing { return &fallbackRing{} })
-	if len(oksA) != len(oksB) || len(expA) != len(expB) {
-		t.Fatalf("trace lengths differ: ok %d/%d expired %d/%d", len(oksA), len(oksB), len(expA), len(expB))
-	}
-	for i := range oksA {
-		if oksA[i] != oksB[i] {
-			t.Fatalf("ok[%d]: batched %d, fallback %d", i, oksA[i], oksB[i])
-		}
-	}
-	for i := range expA {
-		if expA[i] != expB[i] {
-			t.Fatalf("expired[%d]: batched %d, fallback %d", i, expA[i], expB[i])
 		}
 	}
 }

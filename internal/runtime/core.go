@@ -32,64 +32,6 @@ type SegmentHooks struct {
 	Expire func(start Event, deadline, now Time)
 }
 
-// Chain composes hooks: h runs first, then next. Observer hooks
-// (DrainLatency, OK, Expire) both run; SkipArm vetoes when either side
-// vetoes (next still runs, so observers see every event); Arm runs both and
-// keeps the first non-nil timer. This is how an observability layer rides
-// an already-configured segment without disturbing its verdict logic.
-func (h SegmentHooks) Chain(next SegmentHooks) SegmentHooks {
-	out := h
-	if next.DrainLatency != nil {
-		if prev := h.DrainLatency; prev != nil {
-			out.DrainLatency = func(lat Duration) { prev(lat); next.DrainLatency(lat) }
-		} else {
-			out.DrainLatency = next.DrainLatency
-		}
-	}
-	if next.SkipArm != nil {
-		if prev := h.SkipArm; prev != nil {
-			out.SkipArm = func(act uint64) bool {
-				a := prev(act)
-				b := next.SkipArm(act)
-				return a || b
-			}
-		} else {
-			out.SkipArm = next.SkipArm
-		}
-	}
-	if next.Arm != nil {
-		if prev := h.Arm; prev != nil {
-			out.Arm = func(start Event, deadline, now Time) Timer {
-				t := prev(start, deadline, now)
-				if t2 := next.Arm(start, deadline, now); t == nil {
-					t = t2
-				}
-				return t
-			}
-		} else {
-			out.Arm = next.Arm
-		}
-	}
-	if next.OK != nil {
-		if prev := h.OK; prev != nil {
-			out.OK = func(start Event, end Time) { prev(start, end); next.OK(start, end) }
-		} else {
-			out.OK = next.OK
-		}
-	}
-	if next.Expire != nil {
-		if prev := h.Expire; prev != nil {
-			out.Expire = func(start Event, deadline, now Time) {
-				prev(start, deadline, now)
-				next.Expire(start, deadline, now)
-			}
-		} else {
-			out.Expire = next.Expire
-		}
-	}
-	return out
-}
-
 // pendingTimeout is one armed activation of a segment. start retains the
 // full start event so the expiry/completion hooks see its flow identity.
 // Resolved timeouts are recycled through a Core-level freelist (next), so
@@ -112,11 +54,6 @@ type Segment struct {
 	end     EventRing
 	hooks   SegmentHooks
 	pending map[uint64]*pendingTimeout
-
-	// startBatch/endBatch cache the rings' optional BatchPopper so the
-	// per-drain type assertion happens once, at registration.
-	startBatch BatchPopper
-	endBatch   BatchPopper
 }
 
 // StartRing returns the ring the instrumented subscriber posts into.
@@ -127,11 +64,6 @@ func (s *Segment) EndRing() EventRing { return s.end }
 
 // Pending returns the number of armed timeouts of this segment.
 func (s *Segment) Pending() int { return len(s.pending) }
-
-// AppendHooks chains additional hooks after the segment's existing ones
-// (see SegmentHooks.Chain). Call it before events flow; hooks run on the
-// monitor's execution context.
-func (s *Segment) AppendHooks(h SegmentHooks) { s.hooks = s.hooks.Chain(h) }
 
 // Core is the timebase-independent monitor algorithm of the paper (Fig. 4):
 // per-segment start/end rings drained in fixed registration order, a
@@ -204,8 +136,6 @@ func (c *Core) AddSegment(name string, dMon Duration, start, end EventRing, hook
 		hooks:   hooks,
 		pending: make(map[uint64]*pendingTimeout),
 	}
-	s.startBatch, _ = start.(BatchPopper)
-	s.endBatch, _ = end.(BatchPopper)
 	c.segments = append(c.segments, s)
 	return s
 }
@@ -244,25 +174,6 @@ func (c *Core) Scan(now Time) {
 	}
 }
 
-// popBatch fills buf from the ring, preferring the batch interface. The
-// fallback loop gives any EventRing identical batch semantics: same events,
-// same order, just one interface call per event.
-func popBatch(r EventRing, bp BatchPopper, buf []Event) int {
-	if bp != nil {
-		return bp.PopBatch(buf)
-	}
-	n := 0
-	for n < len(buf) {
-		ev, ok := r.Pop()
-		if !ok {
-			break
-		}
-		buf[n] = ev
-		n++
-	}
-	return n
-}
-
 // drain empties the segment's start ring, then takes the end events that
 // were already posted when the drain began. Every one of those ends has
 // its start posted before it, so the start drain has armed it. An end
@@ -277,7 +188,7 @@ func (c *Core) drain(s *Segment, now Time) {
 	}
 	ends := s.end.Len()
 	for {
-		n := popBatch(s.start, s.startBatch, c.batch)
+		n := s.start.PopBatch(c.batch)
 		if n == 0 {
 			break
 		}
@@ -300,7 +211,7 @@ func (c *Core) drain(s *Segment, now Time) {
 		}
 	}
 	for ends > 0 {
-		n := popBatch(s.end, s.endBatch, c.batch[:min(ends, len(c.batch))])
+		n := s.end.PopBatch(c.batch[:min(ends, len(c.batch))])
 		if n == 0 {
 			break
 		}
@@ -327,8 +238,8 @@ func (c *Core) drain(s *Segment, now Time) {
 // fireDue raises temporal exceptions for all armed activations whose
 // monitored deadline has passed without an end event. Every armed deadline
 // has a heap entry, so popping the due entries finds them all in
-// O(due · log pending), skipping stale ones (activations that completed or
-// were re-timed). They fire in fixed segment order, by activation within a
+// O(due · log pending), skipping stale ones (activations that completed in
+// time). They fire in fixed segment order, by activation within a
 // segment. Their scan timers are left to expire: a stale ForceWake causes
 // one extra empty pass, which is harmless and mirrors the paper's semaphore
 // semantics.
@@ -376,49 +287,9 @@ func sortDue(due []deadlineEntry) {
 // the scan thread (the same execution context that calls Scan), which is
 // what makes it lock-free: subsequent drains latch the new deadline into
 // their pending timeouts, so the swap is a natural barrier — in-flight
-// activations keep the deadline they were armed with.
-//
-// With retime=false (the swap-barrier mode monitors use) that barrier is
-// the whole story: on shrink, armed activations still finish under their
-// old, longer deadline; on growth, their heap entries simply fire later
-// than strictly necessary and the lazy-deletion heap tolerates them.
-//
-// With retime=true a shrink additionally re-arms every pending timeout
-// whose deadline would move earlier: the old heap entry goes stale (pruned
-// lazily), a new one is pushed, and the Arm hook runs again so the host
-// can program a tighter timer. Re-timing can only raise exceptions earlier
-// — it can never turn a would-be exception into an OK — so it preserves
-// the zero-false-negative contract. Growth never re-times. The walk reuses
-// the Core's due scratch and orders re-arms by activation, keeping the
-// operation deterministic and allocation-free after warmup.
-func (c *Core) SetDeadline(s *Segment, d Duration, now Time, retime bool) {
-	s.DMon = d
-	if !retime {
-		return
-	}
-	due := c.due[:0]
-	for act, p := range s.pending {
-		if p.start.TS.Add(d) < p.deadline {
-			due = append(due, deadlineEntry{seg: s, act: act})
-		}
-	}
-	sortDue(due)
-	for _, e := range due {
-		p := s.pending[e.act]
-		if p.timer != nil {
-			p.timer.Cancel()
-			p.timer = nil
-		}
-		p.deadline = p.start.TS.Add(d)
-		c.deadline.push(deadlineEntry{at: p.deadline, seg: s, act: p.start.Act})
-		if s.hooks.Arm != nil {
-			p.timer = s.hooks.Arm(p.start, p.deadline, now)
-		}
-	}
-	c.due = due[:0]
-	// Deadlines that moved into the past fire on the host's next Scan pass
-	// (monitors swap at the top of a scan, so that pass is imminent).
-}
+// activations keep the deadline they were armed with, on shrink and growth
+// alike, so neither the pending timeouts nor the deadline heap change.
+func (c *Core) SetDeadline(s *Segment, d Duration) { s.DMon = d }
 
 // NextDeadline returns the earliest armed deadline, dropping stale heap
 // entries of activations that completed or already fired. The walltime

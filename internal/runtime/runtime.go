@@ -48,22 +48,14 @@ type Event struct {
 
 // EventRing is the transport between the instrumented producer and the
 // monitor. Post is called by a single producer and must never block; it
-// returns false when the ring is full (a monitoring overload fault). Pop is
-// called only by the monitor.
+// returns false when the ring is full (a monitoring overload fault).
+// PopBatch is called only by the monitor: it moves up to len(buf) events
+// into buf in posting order and returns the count, so one scan pass drains
+// a whole burst with one call per ring.
 type EventRing interface {
 	Post(Event) bool
-	Pop() (Event, bool)
-	Len() int
-}
-
-// BatchPopper is an optional EventRing extension: PopBatch moves up to
-// len(buf) events into buf in posting order and returns the count. The Core
-// prefers it over Pop so one waker invocation drains a whole burst with a
-// single call per ring instead of one interface call per event. A correct
-// implementation is observationally equivalent to calling Pop len(buf)
-// times — same events, same order.
-type BatchPopper interface {
 	PopBatch(buf []Event) int
+	Len() int
 }
 
 // Timer is an armed one-shot timer handle. Cancel is idempotent and may be
@@ -72,12 +64,9 @@ type Timer interface {
 	Cancel()
 }
 
-// TimerHost arms one-shot timers. At schedules at an absolute time with a
-// scheduling priority (simtime runs timer callbacks at that processor
-// priority; walltime ignores it). After schedules relative to now.
+// TimerHost arms one-shot timers relative to now.
 type TimerHost interface {
 	After(d Duration, fn func()) Timer
-	At(t Time, priority int, fn func()) Timer
 }
 
 // Clock reads the current time of the timebase.
@@ -127,7 +116,8 @@ func (r *SliceRing) Post(ev Event) bool {
 }
 
 // Pop removes the oldest event; the backing storage is reused after the
-// ring runs empty.
+// ring runs empty. The monitor drains with PopBatch; Pop is the
+// one-at-a-time reference the PopBatch tests compare against.
 func (r *SliceRing) Pop() (Event, bool) {
 	if r.head >= len(r.buf) {
 		r.buf = r.buf[:0]

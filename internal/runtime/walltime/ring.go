@@ -1,107 +1,20 @@
 package walltime
 
 import (
-	"fmt"
-	"sync/atomic"
-
 	rt "chainmon/internal/runtime"
+	"chainmon/internal/spsc"
 )
 
-type slot struct {
-	seq atomic.Uint64
-	ev  rt.Event
-}
-
-// Ring is a wait-free single-producer/single-consumer ring buffer of
-// events — the paper's shared-memory transport between the instrumented
-// middleware and the monitor thread. The zero value is not usable; create
-// rings with NewRing.
-//
-// The implementation uses per-slot sequence numbers (à la Vyukov) so that
-// the producer never waits for the consumer: Post returns false when the
-// ring is full, which the caller must treat as a monitoring overload fault.
+// Ring is the wait-free single-producer/single-consumer event ring — the
+// paper's shared-memory transport between the instrumented middleware and
+// the monitor thread. Post returns false when the ring is full, which the
+// caller must treat as a monitoring overload fault.
 //
 // In the paper, the rings live in POSIX shared memory between processes;
 // here producer and consumer are goroutines in one address space, which
 // exercises the same algorithm with the same memory ordering concerns.
-type Ring struct {
-	_    [8]uint64 // keep hot fields off the same cache line as callers
-	head atomic.Uint64
-	_    [7]uint64
-	tail atomic.Uint64
-	_    [7]uint64
-	mask uint64
-	buf  []slot
-}
+type Ring = spsc.Ring[rt.Event]
 
 // NewRing creates a ring with the given capacity, which must be a power of
-// two.
-func NewRing(capacity int) *Ring {
-	if capacity <= 0 || capacity&(capacity-1) != 0 {
-		panic(fmt.Sprintf("walltime: capacity %d is not a power of two", capacity))
-	}
-	r := &Ring{mask: uint64(capacity - 1), buf: make([]slot, capacity)}
-	for i := range r.buf {
-		r.buf[i].seq.Store(uint64(i))
-	}
-	return r
-}
-
-// Cap returns the ring capacity.
-func (r *Ring) Cap() int { return len(r.buf) }
-
-// Post appends an event. It must be called by a single producer. It returns
-// false when the ring is full (the event is dropped).
-func (r *Ring) Post(ev rt.Event) bool {
-	tail := r.tail.Load()
-	s := &r.buf[tail&r.mask]
-	if s.seq.Load() != tail {
-		return false // slot not yet consumed: ring full
-	}
-	s.ev = ev
-	s.seq.Store(tail + 1) // release: publish the event
-	r.tail.Store(tail + 1)
-	return true
-}
-
-// Pop removes the oldest event. It must be called by a single consumer.
-func (r *Ring) Pop() (rt.Event, bool) {
-	head := r.head.Load()
-	s := &r.buf[head&r.mask]
-	if s.seq.Load() != head+1 {
-		return rt.Event{}, false // empty
-	}
-	ev := s.ev
-	s.seq.Store(head + uint64(len(r.buf))) // mark consumed for the producer
-	r.head.Store(head + 1)
-	return ev, true
-}
-
-// PopBatch removes up to len(buf) oldest events into buf, in posting order.
-// It must be called by a single consumer. Each slot is marked consumed as it
-// is copied out (the producer reuses slots as soon as their seq advances);
-// head is published once at the end, which the single consumer never
-// observes mid-batch.
-func (r *Ring) PopBatch(buf []rt.Event) int {
-	head := r.head.Load()
-	n := 0
-	for n < len(buf) {
-		s := &r.buf[(head+uint64(n))&r.mask]
-		if s.seq.Load() != head+uint64(n)+1 {
-			break // empty
-		}
-		buf[n] = s.ev
-		s.seq.Store(head + uint64(n) + uint64(len(r.buf)))
-		n++
-	}
-	if n > 0 {
-		r.head.Store(head + uint64(n))
-	}
-	return n
-}
-
-// Len returns the approximate number of buffered events (exact when called
-// from either the producer or the consumer).
-func (r *Ring) Len() int {
-	return int(r.tail.Load() - r.head.Load())
-}
+// two. The ring is an rt.EventRing.
+func NewRing(capacity int) *Ring { return spsc.New[rt.Event](capacity) }

@@ -59,8 +59,9 @@ func (s *Sem) C() <-chan struct{} { return s.ch }
 type Loop struct {
 	Clock *Clock
 	Sem   *Sem
-	// Scan runs one monitor pass; it is only ever called from the loop
-	// goroutine.
+	// Scan runs one monitor pass. The loop goroutine calls it, and Stop
+	// calls it once more after that goroutine has exited, so passes never
+	// overlap.
 	Scan func()
 	// Next returns the earliest armed deadline, if any.
 	Next func() (rt.Time, bool)
@@ -89,10 +90,15 @@ func (l *Loop) Start() {
 	go l.run()
 }
 
-// Stop terminates the monitor goroutine and waits for it to exit.
+// Stop terminates the monitor goroutine, waits for it to exit, then runs
+// one last Scan on the calling goroutine. The loop picks at random between
+// a stop and a wake that are both ready, so a wake raised just before Stop
+// may get no pass from the loop; the final pass drains every event posted
+// before Stop and fires every deadline already due.
 func (l *Loop) Stop() {
 	close(l.stop)
 	<-l.done
+	l.Scan()
 }
 
 func (l *Loop) run() {

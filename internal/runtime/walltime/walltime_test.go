@@ -88,3 +88,39 @@ func TestLoopStartTwicePanics(t *testing.T) {
 	}()
 	loop.Start()
 }
+
+// TestLoopStopRunsPendingWake raises a wake while the loop's first pass is
+// held, then stops the loop before releasing the pass. The loop then finds
+// the stop and the wake both ready and may take either, so only Stop's own
+// final pass guarantees that the wake gets a pass of its own.
+func TestLoopStopRunsPendingWake(t *testing.T) {
+	for i := 0; i < 20; i++ {
+		sem := NewSem()
+		loop := NewLoop(NewClock(), sem)
+		entered, release := make(chan struct{}), make(chan struct{})
+		passes := 0 // loop goroutine, then the Stop caller; read after Stop
+		loop.Scan = func() {
+			passes++
+			if passes == 1 {
+				close(entered)
+				<-release
+			}
+		}
+		loop.Next = func() (rt.Time, bool) { return 0, false }
+		loop.Start()
+		sem.Wake()
+		<-entered
+		sem.Wake()
+		stopped := make(chan struct{})
+		go func() {
+			loop.Stop()
+			close(stopped)
+		}()
+		<-loop.stop // Stop has signalled the loop
+		close(release)
+		<-stopped
+		if passes < 2 {
+			t.Fatalf("iteration %d: %d pass(es), want a second pass for the wake raised before Stop", i, passes)
+		}
+	}
+}

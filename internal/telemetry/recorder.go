@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"sync"
 	"sync/atomic"
+
+	"chainmon/internal/spsc"
 )
 
 // DefaultTrackCap is the per-track event capacity used when NewRecorder is
@@ -278,11 +280,14 @@ type Track struct {
 	n atomic.Uint64
 	// sw tees appends to the attached stream writer (nil when not
 	// streaming); ring is the per-track staging ring of a background
-	// writer (nil in direct mode). obs is the recorder-level observer
-	// captured at track creation (nil when none).
-	sw   *StreamWriter
-	ring *streamRing
-	obs  func(track uint16, ev Event)
+	// writer (nil in direct mode), and streamDrops and streamDropC count
+	// the events a full staging ring rejected. obs is the recorder-level
+	// observer captured at track creation (nil when none).
+	sw          *StreamWriter
+	ring        *spsc.Ring[Event]
+	streamDrops atomic.Uint64
+	streamDropC *Counter
+	obs         func(track uint16, ev Event)
 }
 
 // Name returns the track name.

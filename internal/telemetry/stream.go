@@ -4,9 +4,12 @@ import (
 	"bufio"
 	"encoding/binary"
 	"io"
+	"math/bits"
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"chainmon/internal/spsc"
 )
 
 // On-disk event-log format (see docs/telemetry.md):
@@ -148,6 +151,7 @@ func newStreamWriterCore(w io.Writer, timebase string, opts StreamOptions) *Stre
 	if sw.ringCap <= 0 {
 		sw.ringCap = 8192
 	}
+	sw.ringCap = 1 << bits.Len(uint(sw.ringCap-1)) // staging rings need a power of two
 	if sw.flushEvery <= 0 {
 		sw.flushEvery = 100 * time.Millisecond
 	}
@@ -194,9 +198,9 @@ func (sw *StreamWriter) register(t *Track) {
 	sw.retainDefLocked(recTrackDef, payload)
 	sw.writeRecordLocked(recTrackDef, payload)
 	if sw.background {
-		t.ring = newStreamRing(sw.ringCap)
+		t.ring = spsc.New[Event](sw.ringCap)
 		if sw.reg != nil {
-			t.ring.dropC = sw.reg.Counter("chainmon_stream_dropped_total",
+			t.streamDropC = sw.reg.Counter("chainmon_stream_dropped_total",
 				"Events dropped from the streaming trace sink because a staging ring was full.",
 				Label{Name: "track", Value: t.name})
 		}
@@ -231,10 +235,10 @@ func (sw *StreamWriter) defineScope(id uint8, name string) {
 // in background mode (wait-free; a full ring drops the event and counts it).
 func (sw *StreamWriter) tee(t *Track, ev Event) {
 	if t.ring != nil {
-		if !t.ring.push(ev) {
-			t.ring.drops.Add(1)
-			if t.ring.dropC != nil {
-				t.ring.dropC.Inc()
+		if !t.ring.Post(ev) {
+			t.streamDrops.Add(1)
+			if t.streamDropC != nil {
+				t.streamDropC.Inc()
 			}
 		}
 		return
@@ -344,7 +348,7 @@ func (sw *StreamWriter) drainOnce() {
 	defer sw.mu.Unlock()
 	for _, t := range sw.tracks {
 		for {
-			ev, ok := t.ring.pop()
+			ev, ok := t.ring.Pop()
 			if !ok {
 				break
 			}
@@ -437,64 +441,7 @@ func (sw *StreamWriter) Dropped() uint64 {
 	sw.mu.Unlock()
 	var total uint64
 	for _, t := range tracks {
-		total += t.ring.drops.Load()
+		total += t.streamDrops.Load()
 	}
 	return total
-}
-
-// streamRing is the wait-free single-producer/single-consumer staging ring
-// between a track's owning goroutine and the background drainer, using the
-// usual sequence-slot scheme: slot i's seq is pos before the write and
-// pos+1 after, so producer and consumer synchronize on the slot itself.
-type streamRing struct {
-	mask  uint64
-	slots []streamSlot
-	head  atomic.Uint64 // consumer position
-	tail  atomic.Uint64 // producer position
-	drops atomic.Uint64
-	dropC *Counter
-}
-
-type streamSlot struct {
-	seq atomic.Uint64
-	ev  Event
-}
-
-func newStreamRing(capacity int) *streamRing {
-	c := 1
-	for c < capacity {
-		c <<= 1
-	}
-	r := &streamRing{mask: uint64(c - 1), slots: make([]streamSlot, c)}
-	for i := range r.slots {
-		r.slots[i].seq.Store(uint64(i))
-	}
-	return r
-}
-
-// push stores the event; it returns false (drop-newest) when the ring is
-// full. Single producer.
-func (r *streamRing) push(ev Event) bool {
-	pos := r.tail.Load()
-	slot := &r.slots[pos&r.mask]
-	if slot.seq.Load() != pos {
-		return false // consumer has not freed this slot yet
-	}
-	slot.ev = ev
-	slot.seq.Store(pos + 1)
-	r.tail.Store(pos + 1)
-	return true
-}
-
-// pop removes the oldest event. Single consumer.
-func (r *streamRing) pop() (Event, bool) {
-	pos := r.head.Load()
-	slot := &r.slots[pos&r.mask]
-	if slot.seq.Load() != pos+1 {
-		return Event{}, false
-	}
-	ev := slot.ev
-	slot.seq.Store(pos + uint64(len(r.slots)))
-	r.head.Store(pos + 1)
-	return ev, true
 }

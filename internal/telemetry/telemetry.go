@@ -4,9 +4,10 @@
 // trace-event JSON format (loadable in Perfetto), the Prometheus text
 // exposition format, and CSV.
 //
-// The package deliberately imports no other internal package: timestamps
-// are plain int64 nanoseconds (virtual time for the simulation, monotonic
-// wall time for the wall-clock monitor), so every runtime package — including
+// The package deliberately imports no other internal package except the
+// leaf ring package internal/spsc, which imports none: timestamps are plain
+// int64 nanoseconds (virtual time for the simulation, monotonic wall time
+// for the wall-clock monitor), so every runtime package — including
 // internal/sim itself — can emit into it without import cycles.
 //
 // Instrumented objects hold a nil pointer to a small pre-resolved probe
