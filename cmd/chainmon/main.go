@@ -90,8 +90,8 @@ import (
 	"chainmon/internal/blame"
 	"chainmon/internal/faultinject"
 	"chainmon/internal/fleet"
-	"chainmon/internal/livestats"
 	"chainmon/internal/monitor"
+	"chainmon/internal/online"
 	"chainmon/internal/parallel"
 	"chainmon/internal/perception"
 	"chainmon/internal/realtime"
@@ -131,20 +131,14 @@ func main() {
 func runSim(rc *runConfig) {
 	// The control loop reads live quantiles, so -adaptive implies the live
 	// health layer even when no exporter was asked for.
-	var st *stack
+	var st *online.Stack
 	if rc.telTrace != "" || rc.metricsOut != "" || rc.telCSV != "" || rc.metricsAddr != "" ||
 		rc.traceStream != "" || rc.adaptive {
 		st = rc.newStack("sim")
 	}
 	sound := rc.runOne(rc.sim, st, os.Stdout)
 	if st != nil {
-		// The sim writes the stream inline, so the engine has seen every
-		// event: settle it, then log its exemplar admissions, then close.
-		if st.blame != nil {
-			st.blame.Flush()
-			st.blame.FlushExemplars(st.sink.Rec.Track("blame-exemplar"))
-		}
-		st.closeStream(rc.traceStream)
+		rc.closeStack(st)
 	}
 	if !sound {
 		os.Exit(1)
@@ -155,11 +149,11 @@ func runSim(rc *runConfig) {
 	if st == nil {
 		return
 	}
-	export(rc.telTrace, "telemetry trace", st.sink.WritePerfetto)
-	export(rc.metricsOut, "metrics", st.sink.WriteMetrics)
-	export(rc.telCSV, "telemetry CSV", st.sink.WriteEventsCSV)
+	export(rc.telTrace, "telemetry trace", st.Sink.WritePerfetto)
+	export(rc.metricsOut, "metrics", st.Sink.WriteMetrics)
+	export(rc.telCSV, "telemetry CSV", st.Sink.WriteEventsCSV)
 	if rc.metricsAddr != "" {
-		ln := st.listen(rc.metricsAddr)
+		ln := listen(st, rc.metricsAddr)
 		fmt.Printf("serving metrics on http://%s/metrics (+ /health, /debug/pprof/)\n", ln.Addr())
 		log.Fatal(http.Serve(ln, nil))
 	}
@@ -247,68 +241,20 @@ func runFleet(rc *runConfig) {
 	}
 }
 
-// stack is a monitored run's telemetry: the sink, the optional stream log,
-// the live health set and the blame engine (nil without a flight recorder).
-type stack struct {
-	sink   *telemetry.Sink
-	stream *telemetry.StreamWriter
-	live   *livestats.Set
-	blame  *blame.Engine
-}
-
-// newStack builds the telemetry stack of one run on either timebase, before
-// the system is built: SetStream has to precede the first track so every
-// event reaches the log. The single-threaded sim writes the stream inline
-// (byte-identical across same-seed runs); the wall clock's concurrent
-// producers stage events for a background drainer, and without a stream its
-// sink is registry-only and blame stays detached. Live gauges are
-// republished on every metrics export, so a scrape and -metrics-out agree.
-// Blame observes the stream writer when there is one, so it sees exactly
-// the events that reach the log (the byte-identity contract with "trace
-// report -blame").
-func (rc *runConfig) newStack(timebase string) *stack {
-	wall := timebase == "wall"
-	st := &stack{live: livestats.NewSet(0)}
-	if wall && rc.traceStream == "" {
-		st.sink = &telemetry.Sink{Reg: telemetry.NewRegistry()}
-	} else {
-		st.sink = telemetry.NewSink(telemetry.DefaultTrackCap)
-	}
+// newStack builds the online stack of one run on either timebase, with
+// the -trace-stream log when one was asked for.
+func (rc *runConfig) newStack(timebase string) *online.Stack {
+	var openLog online.Opener
 	if rc.traceStream != "" {
-		var err error
-		st.stream, err = telemetry.NewStreamFile(rc.traceStream, timebase, telemetry.StreamOptions{
-			Background:  wall,
-			Metrics:     st.sink.Reg,
-			RotateBytes: rc.traceRotate,
-		})
-		if err != nil {
-			log.Fatalf("starting trace stream: %v", err)
+		openLog = func(timebase string, opt telemetry.StreamOptions) (*telemetry.StreamWriter, error) {
+			opt.RotateBytes = rc.traceRotate
+			return telemetry.NewStreamFile(rc.traceStream, timebase, opt)
 		}
-		st.sink.Rec.SetStream(st.stream)
 	}
-	st.sink.AddExportHook(func() { st.live.PublishMetrics(st.sink.Reg) })
-	rec := st.sink.Rec
-	if rec == nil {
-		return st
+	st, err := online.New(timebase, openLog, metaProvider(rc.scenario))
+	if err != nil {
+		log.Fatalf("starting trace stream: %v", err)
 	}
-	st.live.AddDropSource("flight-recorder", rec.Dropped)
-	if st.stream != nil {
-		st.live.AddDropSource("trace-stream", st.stream.Dropped)
-	}
-	st.blame = blame.New(blame.Options{})
-	st.blame.SetTimebase(timebase)
-	if st.stream != nil {
-		st.stream.SetObserver(st.blame.Feed)
-	} else {
-		rec.SetObserver(st.blame.Feed)
-	}
-	st.sink.AddExportHook(func() {
-		st.blame.PublishMetrics(st.sink.Reg, blame.RecorderResolvers(rec))
-	})
-	st.live.SetBlameProvider(func() any {
-		return st.blame.Snapshot(blame.RecorderResolvers(rec))
-	})
-	st.live.SetMetaProvider(metaProvider(rc.scenario, st.blame))
 	return st
 }
 
@@ -316,7 +262,7 @@ func (rc *runConfig) newStack(timebase string) *stack {
 // binary itself, the scenario name, uptime, and the budget epoch currently
 // in force (as observed by the blame engine). Consumers that don't know the
 // section (cmd/budgetsolve -from-health) ignore it.
-func metaProvider(scenario string, eng *blame.Engine) func() any {
+func metaProvider(scenario string) func(budgetEpoch uint64) any {
 	type runMeta struct {
 		Version     string `json:"version"`
 		GoVersion   string `json:"go_version"`
@@ -332,64 +278,42 @@ func metaProvider(scenario string, eng *blame.Engine) func() any {
 		}
 	}
 	start := time.Now()
-	return func() any {
+	return func(budgetEpoch uint64) any {
 		m := meta
-		m.UptimeNS, m.BudgetEpoch = time.Since(start).Nanoseconds(), eng.Epoch()
+		m.UptimeNS, m.BudgetEpoch = time.Since(start).Nanoseconds(), budgetEpoch
 		return m
 	}
 }
 
-// closeStream flushes and closes the streaming trace before any metrics
-// snapshot is taken, so chainmon_stream_* in -metrics-out reflect the final
-// counts (snapshot and live /metrics must agree at run end).
-func (st *stack) closeStream(path string) {
-	if st.stream == nil {
-		return
-	}
-	if err := st.stream.Close(); err != nil {
+// closeStack finishes the run's stack before any metrics snapshot is taken,
+// so chainmon_stream_* in -metrics-out reflect the final counts (snapshot
+// and live /metrics must agree at run end), and reports the stream log.
+func (rc *runConfig) closeStack(st *online.Stack) {
+	if err := st.Close(); err != nil {
 		log.Fatalf("closing trace stream: %v", err)
 	}
+	if st.Stream == nil {
+		return
+	}
 	rotated := ""
-	if n := st.stream.Rotations(); n > 0 {
+	if n := st.Stream.Rotations(); n > 0 {
 		rotated = fmt.Sprintf(", %d rotations", n)
 	}
 	fmt.Printf("trace stream written to %s (%d events, %d bytes, %d dropped%s)\n",
-		path, st.stream.EventsWritten(), st.stream.BytesWritten(), st.stream.Dropped(), rotated)
+		rc.traceStream, st.Stream.EventsWritten(), st.Stream.BytesWritten(), st.Stream.Dropped(), rotated)
 }
 
 // listen binds the -metrics-addr listener and mounts the stack's /metrics
 // and /health on the default mux, which the net/http/pprof import already
 // serves /debug/pprof/ on.
-func (st *stack) listen(addr string) net.Listener {
+func listen(st *online.Stack, addr string) net.Listener {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		log.Fatalf("binding metrics listener: %v", err)
 	}
-	http.Handle("/metrics", st.sink.Handler())
-	http.Handle("/health", st.live.Handler())
+	http.Handle("/metrics", st.Metrics)
+	http.Handle("/health", st.Health)
 	return ln
-}
-
-// newController builds the -adaptive budget control loop of either
-// timebase: it re-solves the deadlines of two evaluation segments, each
-// starting at initial and clamped to [lo, hi], from the stack's live
-// quantiles and hot-swaps them through table.
-func (rc *runConfig) newController(st *stack, table *monitor.BudgetTable, chain string, segs [2]string,
-	initial, lo, hi, be2e sim.Duration, c weaklyhard.Constraint) *adaptive.Controller {
-	specs := make([]adaptive.SegmentSpec, len(segs))
-	for i, name := range segs {
-		specs[i] = adaptive.SegmentSpec{Name: name, Propagation: 1, Initial: initial, Min: lo, Max: hi}
-	}
-	ctrl, err := adaptive.New(adaptive.Config{
-		Set: st.live, Table: table, Chain: chain, Segments: specs,
-		DEx: sim.Millisecond, Be2e: be2e, Constraint: c,
-		Guard: adaptive.Guardrails{Hysteresis: rc.adaptGuard},
-		Sink:  st.sink,
-	})
-	if err != nil {
-		log.Fatalf("building adaptive controller: %v", err)
-	}
-	return ctrl
 }
 
 // runTraceCmd implements the offline "chainmon trace" subcommands operating
@@ -502,30 +426,19 @@ func printActuations(w io.Writer, hist []adaptive.Actuation, baseNS int64) {
 // full report to w. A non-nil stack is wired into the system (single run
 // only). The returned flag is false when a fault-campaign oracle
 // cross-check failed.
-func (rc *runConfig) runOne(cfg perception.Config, st *stack, w io.Writer) bool {
+func (rc *runConfig) runOne(cfg perception.Config, st *online.Stack, w io.Writer) bool {
 	s := perception.Build(cfg)
 	var sink *telemetry.Sink
 	var ctrl *adaptive.Controller
 	if st != nil {
-		sink = st.sink
+		sink = st.Sink
 		perception.AttachTelemetry(s, sink)
-		perception.AttachLive(s, st.live)
-		if rc.adaptive && s.MonECU2 != nil {
-			table := monitor.NewBudgetTable()
-			s.MonECU2.AttachBudget(table)
-			chain := ""
-			if cfg.FullChain {
-				// The front chain ends in the objects segment; its burn
-				// state gates rollback for the controlled pair.
-				chain = s.ChainFront.Name
+		perception.AttachLive(s, st.Live)
+		if rc.adaptive {
+			var err error
+			if ctrl, err = st.ControlECU2(s, rc.adaptGuard, rc.adaptInterval); err != nil {
+				log.Fatal(err)
 			}
-			d := cfg.LocalDeadline
-			// Both segments at their Max plus 10% headroom: the budget cap
-			// is a sanity bound here, not the binding constraint — Min/Max
-			// clamps are.
-			ctrl = rc.newController(st, table, chain, [2]string{perception.SegObjectsLocal, perception.SegGroundLocal},
-				d, d/20, d, 2*(d+sim.Millisecond)+d/5, cfg.Constraint)
-			ctrl.ScheduleSim(s.K, rc.adaptInterval, sim.Time(cfg.Frames)*sim.Time(cfg.Period))
 		}
 	}
 	var sup *monitor.Supervisor
@@ -649,19 +562,32 @@ func writeTrace(path string, cfg perception.Config) {
 func runRealtime(rc *runConfig) {
 	st := rc.newStack("wall")
 	cfg := rc.rt
-	cfg.Live = st.live
+	cfg.Live = st.Live
 
 	var ctrl *adaptive.Controller
 	if rc.adaptive {
+		// Both segments start at the deadline and are clamped to
+		// [1 ms, period − 1 ms]; the (m,k) constraint matches the budget
+		// realtime.Run installs on its segments.
 		cfg.Budget = monitor.NewBudgetTable()
-		// The (m,k) constraint matches the budget realtime.Run installs on
-		// its segments.
-		ctrl = rc.newController(st, cfg.Budget, "rt", [2]string{realtime.SegObjects, realtime.SegGround},
-			cfg.Deadline, time.Millisecond, cfg.Period-time.Millisecond, 2*cfg.Period, weaklyhard.Constraint{M: 1, K: 5})
+		var specs []adaptive.SegmentSpec
+		for _, name := range []string{realtime.SegObjects, realtime.SegGround} {
+			specs = append(specs, adaptive.SegmentSpec{Name: name, Propagation: 1,
+				Initial: cfg.Deadline, Min: time.Millisecond, Max: cfg.Period - time.Millisecond})
+		}
+		var err error
+		ctrl, err = adaptive.New(adaptive.Config{
+			Set: st.Live, Table: cfg.Budget, Chain: "rt", Segments: specs,
+			DEx: time.Millisecond, Be2e: 2 * cfg.Period, Constraint: weaklyhard.Constraint{M: 1, K: 5},
+			Guard: adaptive.Guardrails{Hysteresis: rc.adaptGuard}, Sink: st.Sink,
+		})
+		if err != nil {
+			log.Fatalf("building adaptive controller: %v", err)
+		}
 	}
 
 	if rc.metricsAddr != "" {
-		ln := st.listen(rc.metricsAddr)
+		ln := listen(st, rc.metricsAddr)
 		go func() {
 			if err := http.Serve(ln, nil); err != nil {
 				log.Printf("metrics server stopped: %v", err)
@@ -675,25 +601,15 @@ func runRealtime(rc *runConfig) {
 	if ctrl != nil {
 		stopCtrl = ctrl.StartWall(rc.adaptInterval)
 	}
-	res, err := realtime.Run(cfg, st.sink)
+	res, err := realtime.Run(cfg, st.Sink)
 	stopCtrl()
 	if err != nil {
 		log.Fatalf("wall-clock run failed: %v", err)
 	}
-	// Exemplar admissions observed so far go to the log through the still-
-	// running drainer; the engine itself is flushed only after the stream
-	// closed, once the observer has seen every drained event — the same
-	// feed-everything-then-flush order an offline replay of the log uses.
-	if st.blame != nil {
-		st.blame.FlushExemplars(st.sink.Rec.Track("blame-exemplar"))
-	}
-	st.closeStream(rc.traceStream)
-	if st.blame != nil {
-		st.blame.Flush()
-	}
+	rc.closeStack(st)
 	res.Summary(os.Stdout)
 	if ctrl != nil {
 		printActuations(os.Stdout, ctrl.History(), startNS)
 	}
-	export(rc.metricsOut, "metrics", st.sink.WriteMetrics)
+	export(rc.metricsOut, "metrics", st.Sink.WriteMetrics)
 }

@@ -14,8 +14,8 @@ import (
 	"chainmon/internal/adaptive"
 	"chainmon/internal/blame"
 	"chainmon/internal/lidar"
-	"chainmon/internal/livestats"
 	"chainmon/internal/monitor"
+	"chainmon/internal/online"
 	"chainmon/internal/perception"
 	"chainmon/internal/sim"
 	"chainmon/internal/telemetry"
@@ -48,9 +48,10 @@ func heldOver(act uint64) lidar.FrameMeta {
 }
 
 // blamedRun executes the lossy scenario with a direct sim stream writer and
-// an online blame engine observing it — exactly the wiring the chainmon
-// binary uses for -trace-stream runs — and returns the online snapshot, the
-// engine's blame-exemplar flight-recorder records and the raw log bytes.
+// an online blame engine observing it — the wiring online.New gives
+// -trace-stream runs, built by hand because opt may differ from the
+// defaults — and returns the online snapshot, the engine's blame-exemplar
+// flight-recorder records and the raw log bytes.
 // The engine sees precisely the events, in precisely the order, that reach
 // the log: that is the byte-identity contract.
 func blamedRun(t *testing.T, seed int64, opt blame.Options) (blame.Doc, []telemetry.Event, []byte) {
@@ -156,8 +157,8 @@ func TestPressureGolden(t *testing.T) {
 
 // scrapedRun executes a seeded full-chain run with every online layer
 // attached the way `chainmon -full -recover -adaptive -trace-stream` wires
-// them — sink, in-memory stream, live set, blame on the stream observer,
-// adaptive controller, supervisor — and scrapes /health and /metrics
+// them — the online stack over an in-memory stream, the ECU2 pair's
+// adaptive controller, the supervisor — and scrapes /health and /metrics
 // through their HTTP handlers half way through and after the run. The meta
 // section carries only deterministic fields; the binary's also carries the
 // build version and uptime.
@@ -172,72 +173,38 @@ func scrapedRun(t *testing.T, seed int64, frames int) (health, metrics string) {
 		perception.SegRearRemote:  perception.HoldOver,
 	}
 
-	sink := telemetry.NewSink(telemetry.DefaultTrackCap)
-	var logBuf bytes.Buffer
-	sw, err := telemetry.NewStreamWriter(&logBuf, "sim", telemetry.StreamOptions{Metrics: sink.Reg})
+	st, err := online.New("sim", online.Writer(&bytes.Buffer{}), func(epoch uint64) any {
+		return map[string]any{"scenario": "perception", "budget_epoch": epoch}
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	sink.Rec.SetStream(sw)
-	live := livestats.NewSet(0)
-	sink.AddExportHook(func() { live.PublishMetrics(sink.Reg) })
-	live.AddDropSource("flight-recorder", sink.Rec.Dropped)
-	live.AddDropSource("trace-stream", sw.Dropped)
-	eng := blame.New(blame.Options{})
-	eng.SetTimebase("sim")
-	sw.SetObserver(eng.Feed)
-	sink.AddExportHook(func() { eng.PublishMetrics(sink.Reg, blame.RecorderResolvers(sink.Rec)) })
-	live.SetBlameProvider(func() any { return eng.Snapshot(blame.RecorderResolvers(sink.Rec)) })
-	live.SetMetaProvider(func() any {
-		return map[string]any{"scenario": "perception", "budget_epoch": eng.Epoch()}
-	})
-
 	s := perception.Build(cfg)
-	perception.AttachTelemetry(s, sink)
-	perception.AttachLive(s, live)
-	table := monitor.NewBudgetTable()
-	s.MonECU2.AttachBudget(table)
-	ctrl, err := adaptive.New(adaptive.Config{
-		Set: live, Table: table, Chain: s.ChainFront.Name,
-		Segments: []adaptive.SegmentSpec{
-			{Name: perception.SegObjectsLocal, Propagation: 1,
-				Initial: cfg.LocalDeadline, Min: cfg.LocalDeadline / 20, Max: cfg.LocalDeadline},
-			{Name: perception.SegGroundLocal, Propagation: 1,
-				Initial: cfg.LocalDeadline, Min: cfg.LocalDeadline / 20, Max: cfg.LocalDeadline},
-		},
-		DEx:        sim.Millisecond,
-		Be2e:       2*(cfg.LocalDeadline+sim.Millisecond) + cfg.LocalDeadline/5,
-		Constraint: cfg.Constraint,
-		Guard:      adaptive.Guardrails{Hysteresis: adaptive.DefaultHysteresis},
-		Sink:       sink,
-	})
-	if err != nil {
+	perception.AttachTelemetry(s, st.Sink)
+	perception.AttachLive(s, st.Live)
+	if _, err := st.ControlECU2(s, adaptive.DefaultHysteresis, sim.Second); err != nil {
 		t.Fatal(err)
 	}
-	horizon := sim.Time(cfg.Frames) * sim.Time(cfg.Period)
-	ctrl.ScheduleSim(s.K, sim.Second, horizon)
 	sup := monitor.NewSupervisor(s.K, 5)
 	sup.Watch(s.ChainFront)
 	sup.Watch(s.ChainRear)
-	sup.AttachTelemetry(sink)
+	sup.AttachTelemetry(st.Sink)
 
 	var hb, mb strings.Builder
 	scrape := func(when string) {
 		for _, ep := range []struct {
 			h   http.Handler
 			out *strings.Builder
-		}{{live.Handler(), &hb}, {sink.Handler(), &mb}} {
+		}{{st.Health, &hb}, {st.Metrics, &mb}} {
 			rec := httptest.NewRecorder()
 			ep.h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/", nil))
 			ep.out.WriteString("== " + when + " ==\n")
 			ep.out.Write(rec.Body.Bytes())
 		}
 	}
-	s.K.At(horizon/2, func() { scrape("mid-run") })
+	s.K.At(sim.Time(frames)*sim.Time(cfg.Period)/2, func() { scrape("mid-run") })
 	s.Run()
-	eng.Flush()
-	eng.FlushExemplars(sink.Rec.Track("blame-exemplar"))
-	if err := sw.Close(); err != nil {
+	if err := st.Close(); err != nil {
 		t.Fatal(err)
 	}
 	scrape("end of run")

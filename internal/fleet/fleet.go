@@ -26,10 +26,10 @@ import (
 	"chainmon/internal/lidar"
 	"chainmon/internal/monitor"
 	"chainmon/internal/netsim"
+	"chainmon/internal/online"
 	"chainmon/internal/parallel"
 	"chainmon/internal/perception"
 	"chainmon/internal/sim"
-	"chainmon/internal/telemetry"
 )
 
 // JitterSpec declares the relative jitter bound of every per-vehicle
@@ -277,19 +277,15 @@ func (a *VehicleArena) runVehicle(base perception.Config, p VehicleParams, camp 
 	cfg := p.Apply(base)
 	sys := perception.Build(cfg)
 
-	// Per-vehicle blame: a private sink feeds a private engine through the
-	// flight-recorder observer; the vehicle retains only the compact
-	// Summary, so fleet memory stays flat in vehicle count. The summary is
-	// a pure function of the vehicle seed, so the fleet rollup is
-	// byte-identical between serial and parallel runs.
-	var eng *blame.Engine
-	var sink *telemetry.Sink
+	// Per-vehicle blame: a private online stack without a log feeds its
+	// engine through the flight-recorder observer; the vehicle retains only
+	// the compact Summary, so fleet memory stays flat in vehicle count. The
+	// summary is a pure function of the vehicle seed, so the fleet rollup
+	// is byte-identical between serial and parallel runs.
+	var st *online.Stack
 	if withBlame {
-		sink = telemetry.NewSink(telemetry.DefaultTrackCap)
-		eng = blame.New(blame.Options{})
-		eng.SetTimebase("sim")
-		sink.Rec.SetObserver(eng.Feed)
-		perception.AttachTelemetry(sys, sink)
+		st, _ = online.New("sim", nil, nil) // only opening a log can fail
+		perception.AttachTelemetry(sys, st.Sink)
 	}
 
 	var orc *faultinject.Oracle
@@ -319,9 +315,11 @@ func (a *VehicleArena) runVehicle(base perception.Config, p VehicleParams, camp 
 	if res.Activations > 0 {
 		res.MissRate = float64(res.Exceptions()) / float64(res.Activations)
 	}
-	if eng != nil {
-		eng.Flush()
-		s := eng.Summarize(blame.RecorderResolvers(sink.Rec))
+	if st != nil {
+		// Settle blame without Close: the vehicle exports no recorder, so
+		// it gains no blame-exemplar track.
+		st.Blame.Flush()
+		s := st.Blame.Summarize(blame.RecorderResolvers(st.Sink.Rec))
 		res.Blame = &s
 	}
 

@@ -10,6 +10,7 @@ import (
 	"chainmon/internal/blame"
 	"chainmon/internal/dds"
 	"chainmon/internal/monitor"
+	"chainmon/internal/online"
 	"chainmon/internal/sim"
 	"chainmon/internal/telemetry"
 	"chainmon/internal/vclock"
@@ -17,40 +18,35 @@ import (
 )
 
 // TestBlameOnlineOfflineByteIdenticalWall pins the replay contract on the
-// wall timebase: the blame engine observing the stream writer during a live
-// realtime run and the offline recomputation from the written log marshal to
-// identical bytes. The observer sits inside the stream's event writer, so the
-// online engine sees exactly the events, in exactly the order, that reach the
-// log — byte-identity holds by construction even with the background drain
-// goroutine interleaving per-segment rings.
+// wall timebase through the online stack and its Close: the blame engine
+// observing the stream writer during a live realtime run and the offline
+// recomputation from the written log marshal to identical bytes. The
+// observer sits inside the stream's event writer, so the online engine sees
+// exactly the events, in exactly the order, that reach the log —
+// byte-identity holds by construction even with the background drain
+// goroutine (every 5 ms here) interleaving per-segment rings. Close drains
+// the rings through the observer, settles the engine, mirroring the
+// offline replay's feed-everything-then-flush order, and only then logs
+// the exemplars, so the log carries every admission.
 func TestBlameOnlineOfflineByteIdenticalWall(t *testing.T) {
 	var buf bytes.Buffer
-	sw, err := telemetry.NewStreamWriter(&buf, "wall", telemetry.StreamOptions{
-		Background: true, RingCap: 1 << 12, FlushEvery: 5 * time.Millisecond,
-	})
+	st, err := online.New("wall", func(timebase string, opt telemetry.StreamOptions) (*telemetry.StreamWriter, error) {
+		opt.RingCap, opt.FlushEvery = 1<<12, 5*time.Millisecond
+		return telemetry.NewStreamWriter(&buf, timebase, opt)
+	}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng := blame.New(blame.Options{})
-	eng.SetTimebase("wall")
-	sw.SetObserver(eng.Feed)
-	sink := telemetry.NewSink(1 << 12)
-	sink.Rec.SetStream(sw)
-
-	res, err := Run(testConfig(), sink)
+	cfg := testConfig()
+	cfg.Live = st.Live
+	res, err := Run(cfg, st.Sink)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Same finalization order as the chainmon binary's wall path: flush the
-	// already-admitted exemplars into the log, close the stream (draining the
-	// rings through the observer), then finalize the engine — mirroring the
-	// offline replay's feed-everything-then-flush order.
-	eng.FlushExemplars(sink.Rec.Track("blame-exemplar"))
-	if err := sw.Close(); err != nil {
+	if err := st.Close(); err != nil {
 		t.Fatal(err)
 	}
-	eng.Flush()
-	online := eng.Snapshot(blame.RecorderResolvers(sink.Rec))
+	onlineDoc := st.Blame.Snapshot(blame.RecorderResolvers(st.Sink.Rec))
 
 	l, err := telemetry.ReadLog(bytes.NewReader(buf.Bytes()))
 	if err != nil {
@@ -58,7 +54,7 @@ func TestBlameOnlineOfflineByteIdenticalWall(t *testing.T) {
 	}
 	offline := blame.FromLog(l, blame.Options{}).Snapshot(blame.LogResolvers(l))
 
-	got, err := json.MarshalIndent(online, "", "  ")
+	got, err := json.MarshalIndent(onlineDoc, "", "  ")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,15 +65,24 @@ func TestBlameOnlineOfflineByteIdenticalWall(t *testing.T) {
 	if !bytes.Equal(got, want) {
 		t.Errorf("online and offline blame reports diverge\nonline:\n%s\noffline:\n%s", got, want)
 	}
-	if online.Timebase != "wall" {
-		t.Errorf("timebase = %q, want wall", online.Timebase)
+	if onlineDoc.Timebase != "wall" {
+		t.Errorf("timebase = %q, want wall", onlineDoc.Timebase)
 	}
 	// testConfig stalls every 4th ground frame: activations 3 and 7 miss.
 	if _, _, miss := countsOf(res.Segments[1]); miss != 2 {
 		t.Fatalf("ground misses = %d, want 2", miss)
 	}
-	if online.Flows != uint64(testConfig().Frames) || online.Missed != 2 {
-		t.Errorf("attributed flows=%d missed=%d, want %d/2", online.Flows, online.Missed, testConfig().Frames)
+	if onlineDoc.Flows != uint64(testConfig().Frames) || onlineDoc.Missed != 2 {
+		t.Errorf("attributed flows=%d missed=%d, want %d/2", onlineDoc.Flows, onlineDoc.Missed, testConfig().Frames)
+	}
+	logged := 0
+	for _, tr := range l.Tracks() {
+		if tr.Name == "blame-exemplar" {
+			logged = len(tr.Events)
+		}
+	}
+	if n := len(st.Sink.Rec.Track("blame-exemplar").Events()); n == 0 || n != logged {
+		t.Errorf("%d exemplar admissions, %d of them logged", n, logged)
 	}
 }
 

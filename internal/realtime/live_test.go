@@ -7,6 +7,7 @@ import (
 
 	"chainmon/internal/livestats"
 	"chainmon/internal/monitor"
+	"chainmon/internal/online"
 	"chainmon/internal/stats"
 	"chainmon/internal/telemetry"
 	"chainmon/internal/weaklyhard"
@@ -106,10 +107,9 @@ func TestLiveAgreementWallClock(t *testing.T) {
 // -metrics-out snapshot share).
 func TestLiveMetricsOnWallClock(t *testing.T) {
 	cfg := testConfig()
-	set := livestats.NewSet(0)
-	cfg.Live = set
-	sink := telemetry.NewSink(1 << 12)
-	sink.AddExportHook(func() { set.PublishMetrics(sink.Reg) })
+	st, _ := online.New("wall", nil, nil) // only opening a log can fail
+	cfg.Live = st.Live
+	sink := st.Sink
 	if _, err := Run(cfg, sink); err != nil {
 		t.Fatal(err)
 	}

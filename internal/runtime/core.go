@@ -49,11 +49,12 @@ type Segment struct {
 	Name string
 	DMon Duration
 
-	index   int // registration order, the order due timeouts fire in
-	start   EventRing
-	end     EventRing
-	hooks   SegmentHooks
-	pending map[uint64]*pendingTimeout
+	index     int // registration order, the order due timeouts fire in
+	start     EventRing
+	end       EventRing
+	hooks     SegmentHooks
+	pending   map[uint64]*pendingTimeout
+	dupStarts uint64 // starts ignored while their activation was pending
 }
 
 // StartRing returns the ring the instrumented subscriber posts into.
@@ -64,6 +65,10 @@ func (s *Segment) EndRing() EventRing { return s.end }
 
 // Pending returns the number of armed timeouts of this segment.
 func (s *Segment) Pending() int { return len(s.pending) }
+
+// DuplicateStarts returns how many start events the segment ignored because
+// their activation was still pending. Like Pending, read it on the scan thread.
+func (s *Segment) DuplicateStarts() uint64 { return s.dupStarts }
 
 // Core is the timebase-independent monitor algorithm of the paper (Fig. 4):
 // per-segment start/end rings drained in fixed registration order, a
@@ -199,6 +204,12 @@ func (c *Core) drain(s *Segment, now Time) {
 			if s.hooks.SkipArm != nil && s.hooks.SkipArm(ev.Act) {
 				continue // propagated-in activation that was already handled
 			}
+			if _, armed := s.pending[ev.Act]; armed {
+				// A start posted twice: the armed timeout keeps its deadline,
+				// its timer and its heap entry.
+				s.dupStarts++
+				continue
+			}
 			p := c.newPending()
 			p.start = ev
 			p.deadline = ev.TS.Add(s.DMon)
@@ -258,7 +269,8 @@ func (c *Core) fireDue(now Time) {
 	}
 	sortDue(due)
 	for _, e := range due {
-		// A start event posted twice arms one timeout under two entries.
+		// An activation re-armed after it resolved, at the same deadline,
+		// also matches its stale heap entry: only the first of the two fires.
 		p, ok := e.seg.pending[e.act]
 		if !ok {
 			continue

@@ -58,6 +58,34 @@ func TestCoreOKWithinDeadline(t *testing.T) {
 	}
 }
 
+// TestCoreDuplicateStartIgnored: a start posted twice for a pending
+// activation keeps the first arm — one timer, cancelled by the end — and is
+// counted, so no timeout record or timer leaks.
+func TestCoreDuplicateStartIgnored(t *testing.T) {
+	c := NewCore()
+	r := &rec{}
+	s := c.AddSegment("s", 10*time.Millisecond, &SliceRing{}, &SliceRing{}, r.hooks())
+	s.StartRing().Post(Event{Act: 1, TS: 0})
+	s.StartRing().Post(Event{Act: 1, TS: 1e6})
+	s.EndRing().Post(Event{Act: 1, TS: 2e6})
+	c.Scan(3e6)
+	c.Scan(20e6)
+	if len(r.armed) != 1 || len(r.oks) != 1 || len(r.expired) != 0 {
+		t.Fatalf("armed=%d oks=%v expired=%v, want one arm, one OK", len(r.armed), r.oks, r.expired)
+	}
+	for i, tm := range r.armed {
+		if !tm.cancelled {
+			t.Errorf("armed timer %d was never cancelled", i)
+		}
+	}
+	if n := s.DuplicateStarts(); n != 1 {
+		t.Errorf("DuplicateStarts = %d, want 1", n)
+	}
+	if s.Pending() != 0 || c.freePending == nil {
+		t.Errorf("pending=%d, recycled=%v: the timeout record leaked", s.Pending(), c.freePending != nil)
+	}
+}
+
 func TestCoreExpireAfterDeadline(t *testing.T) {
 	c := NewCore()
 	r := &rec{}

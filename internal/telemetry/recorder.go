@@ -94,17 +94,6 @@ func (r *Recorder) SetObserver(fn func(track uint16, ev Event)) {
 	r.observer = fn
 }
 
-// Stream returns the attached stream writer (nil when events stay in
-// memory only).
-func (r *Recorder) Stream() *StreamWriter {
-	if r == nil {
-		return nil
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.stream
-}
-
 // Track returns the named track, creating it on first use. Tracks are
 // single-writer: exactly one goroutine may Append to a given track. A nil
 // recorder returns a nil track, whose Append is a no-op.

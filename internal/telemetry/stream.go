@@ -6,7 +6,6 @@ import (
 	"io"
 	"math/bits"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"chainmon/internal/spsc"
@@ -103,9 +102,8 @@ type StreamWriter struct {
 	// the blame engine's online/offline byte-identity rests on.
 	observer func(track uint16, ev Event)
 
-	events  uint64 // guarded by mu
-	bytes   uint64
-	flushes atomic.Uint64
+	events uint64 // guarded by mu
+	bytes  uint64
 
 	eventsC  *Counter
 	bytesC   *Counter
@@ -343,6 +341,12 @@ func (sw *StreamWriter) drainLoop() {
 	}
 }
 
+// Drain writes every staged event to the log now, in the drainer's order
+// and through the observer, so the observer has seen all that producers
+// appended before the call (a no-op in direct mode, which stages nothing).
+// Producers must have quiesced; the writer stays open.
+func (sw *StreamWriter) Drain() { sw.drainOnce() }
+
 func (sw *StreamWriter) drainOnce() {
 	sw.mu.Lock()
 	defer sw.mu.Unlock()
@@ -371,7 +375,6 @@ func (sw *StreamWriter) flushOnce() {
 			sw.err = err
 		}
 	}
-	sw.flushes.Add(1)
 	if sw.flushesC != nil {
 		sw.flushesC.Inc()
 	}
@@ -397,7 +400,6 @@ func (sw *StreamWriter) Close() error {
 				sw.err = err
 			}
 		}
-		sw.flushes.Add(1)
 		if sw.flushesC != nil {
 			sw.flushesC.Inc()
 		}
@@ -421,9 +423,6 @@ func (sw *StreamWriter) BytesWritten() uint64 {
 	defer sw.mu.Unlock()
 	return sw.bytes
 }
-
-// Flushes returns how many times the buffered writer was flushed.
-func (sw *StreamWriter) Flushes() uint64 { return sw.flushes.Load() }
 
 // Rotations returns how many times the writer rotated to a new segment
 // (always 0 without NewStreamFile + RotateBytes).

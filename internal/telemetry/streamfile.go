@@ -143,7 +143,8 @@ func segmentName(path string, i int) string {
 // Rotated segments are merged into one Log — the definition replay at each
 // segment start is recognized and deduplicated — and a truncated final
 // segment (a run killed mid-flush) is tolerated and flagged just like
-// ReadLog tolerates a truncated trailing record.
+// ReadLog tolerates a truncated trailing record. A cut earlier segment is
+// an error.
 func OpenLogSet(path string) (*Log, error) {
 	if _, err := os.Stat(path); err == nil {
 		l := newLog()
@@ -165,14 +166,16 @@ func OpenLogSet(path string) (*Log, error) {
 	}
 	l := newLog()
 	for i, seg := range segs {
-		if err := readLogFile(l, seg); err != nil {
+		err := readLogFile(l, seg)
+		if last := i == len(segs)-1; !last && err == nil && l.Truncated {
+			err = errors.New("ends inside a record") // later segments would follow a gap
+		} else if last && err != nil && isTruncation(err) {
 			// A final segment cut off before its header completed (run
 			// killed right after rotating) is the same benign truncation
 			// readFrom tolerates inside a record.
-			if i == len(segs)-1 && isTruncation(err) {
-				l.Truncated = true
-				break
-			}
+			l.Truncated, err = true, nil
+		}
+		if err != nil {
 			return nil, fmt.Errorf("telemetry: segment %s: %w", seg, err)
 		}
 	}
