@@ -29,8 +29,9 @@
 // ns/op regressions beyond -gate-ns fail when the fraction is positive
 // (wall-clock gating only makes sense against a baseline from the same
 // machine class, e.g. night-over-night CI artifacts — leave it 0 across
-// machines). A baseline row missing from the run, and a baseline of another
-// schema version, fail too.
+// machines). A baseline row missing from the run fails too. The baseline is
+// read, and one of another schema version refused, before the first row
+// runs, so -out may name the baseline file itself.
 //
 // Usage:
 //
@@ -43,11 +44,13 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"runtime"
+	"strings"
 	"testing"
 	"time"
 
@@ -121,6 +124,17 @@ func main() {
 	baseline := flag.String("baseline", "", "previous report JSON to gate against (empty: no gate)")
 	gateNs := flag.Float64("gate-ns", 0, "fail when ns/op regresses beyond this fraction (0: allocs-only gate)")
 	flag.Parse()
+
+	// The baseline is read before the first row runs: -out may name the
+	// same file, and the gate must compare against what was committed.
+	var base *report
+	if *baseline != "" {
+		b, err := readReport(*baseline)
+		if err != nil {
+			log.Fatalf("gate: %v", err)
+		}
+		base = &b
+	}
 
 	rep := report{
 		SchemaVersion: schemaVersion,
@@ -322,9 +336,9 @@ func main() {
 	// vehicle_run is the unit of the fleet_chaos benchmark: build and run
 	// one 120-frame full-chain vehicle (default scenario, no faults). Its
 	// allocs/op is the per-vehicle allocation budget of the simulated
-	// message path — publish, link, receive stages, monitor timers — plus
-	// the scenario build, gated against the baseline like every row. Each
-	// op leaves ~650 KB of garbage, so the count also carries the Go
+	// message path — publish, link, receive stages, monitor bookkeeping —
+	// plus the scenario build, gated against the baseline like every row.
+	// Each op leaves ~610 KB of garbage, so the count also carries the Go
 	// runtime's own per-GC allocations: 0.4–0.75 per op at the default
 	// GOGC (measured at GOMAXPROCS 1–16), which the integer allocs/op
 	// truncates away. Gate it at the default GOGC; GOGC=25 reads one more.
@@ -358,33 +372,8 @@ func main() {
 	})
 
 	defer func() {
-		enc, err := json.MarshalIndent(rep, "", "  ")
-		if err != nil {
+		if err := finish(os.Stderr, rep, *out, base, *gateNs); err != nil {
 			log.Fatal(err)
-		}
-		enc = append(enc, '\n')
-		if *out == "-" {
-			os.Stdout.Write(enc)
-		} else {
-			if err := os.WriteFile(*out, enc, 0o644); err != nil {
-				log.Fatal(err)
-			}
-			fmt.Fprintf(os.Stderr, "wrote %s\n", *out)
-		}
-		if *baseline != "" {
-			base, err := readReport(*baseline)
-			if err != nil {
-				log.Fatalf("gate: %v", err)
-			}
-			failed := false
-			for _, f := range gate(rep, base, *gateNs) {
-				fmt.Fprintln(os.Stderr, "gate:", f)
-				failed = failed || f.fail
-			}
-			if failed {
-				log.Fatal("gate: benchmark regression against baseline")
-			}
-			fmt.Fprintln(os.Stderr, "gate: no regression against baseline")
 		}
 	}()
 
@@ -493,7 +482,42 @@ func main() {
 		fleetSerialT, fleetParT, rep.FleetSweep.Speedup)
 }
 
-// readReport reads a report written by a previous run.
+// finish writes rep to out ("-" for stdout) and, with a baseline, gates rep
+// against it. It logs the gate's findings to w and returns an error naming
+// every failing row.
+func finish(w io.Writer, rep report, out string, base *report, gateNs float64) error {
+	enc, err := json.MarshalIndent(rep, "", "  ")
+	if err != nil {
+		return err
+	}
+	enc = append(enc, '\n')
+	if out == "-" {
+		os.Stdout.Write(enc)
+	} else {
+		if err := os.WriteFile(out, enc, 0o644); err != nil {
+			return err
+		}
+		fmt.Fprintf(w, "wrote %s\n", out)
+	}
+	if base == nil {
+		return nil
+	}
+	var failed []string
+	for _, f := range gate(rep, *base, gateNs) {
+		fmt.Fprintln(w, "gate:", f)
+		if f.fail {
+			failed = append(failed, f.name+": "+f.msg)
+		}
+	}
+	if len(failed) > 0 {
+		return fmt.Errorf("gate: benchmark regression against baseline: %s", strings.Join(failed, "; "))
+	}
+	fmt.Fprintln(w, "gate: no regression against baseline")
+	return nil
+}
+
+// readReport reads a report written by a previous run and refuses one of
+// another schema version.
 func readReport(path string) (report, error) {
 	var rep report
 	raw, err := os.ReadFile(path)
@@ -503,11 +527,14 @@ func readReport(path string) (report, error) {
 	if err := json.Unmarshal(raw, &rep); err != nil {
 		return rep, fmt.Errorf("parse baseline %s: %w", path, err)
 	}
+	if rep.SchemaVersion != schemaVersion {
+		return rep, fmt.Errorf("baseline %s has schema version %d, this report's is %d",
+			path, rep.SchemaVersion, schemaVersion)
+	}
 	return rep, nil
 }
 
-// finding is the gate's verdict on one row, or on the report as a whole
-// (empty name).
+// finding is the gate's verdict on one row.
 type finding struct {
 	name string
 	fail bool
@@ -516,18 +543,14 @@ type finding struct {
 
 func (f finding) String() string { return fmt.Sprintf("%-24s %s", f.name, f.msg) }
 
-// gate compares the fresh report against a baseline and returns one finding
-// per row. A baseline of another schema version fails as a whole, and so
-// does each baseline row the fresh report lacks: a deleted or renamed row
-// must not drop out of the gate unnoticed. A fresh row without a baseline
-// is skipped. Allocation counts gate strictly — they are deterministic and
+// gate compares the fresh report against a baseline of the same schema
+// version (readReport checks it) and returns one finding per row. Each
+// baseline row the fresh report lacks fails: a deleted or renamed row must
+// not drop out of the gate unnoticed. A fresh row without a baseline is
+// skipped. Allocation counts gate strictly — they are deterministic and
 // machine-independent. Wall-clock gates only when gateNs is positive, at
 // that relative tolerance.
 func gate(rep, base report, gateNs float64) []finding {
-	if base.SchemaVersion != rep.SchemaVersion {
-		return []finding{{fail: true, msg: fmt.Sprintf("FAIL baseline schema version %d, this report's is %d",
-			base.SchemaVersion, rep.SchemaVersion)}}
-	}
 	byName := make(map[string]benchRow, len(base.Benchmarks))
 	for _, row := range base.Benchmarks {
 		byName[row.Name] = row

@@ -2,8 +2,10 @@ package main
 
 import (
 	"encoding/json"
+	"io"
 	"net/http"
 	"net/http/httptest"
+	"path/filepath"
 	"slices"
 	"strings"
 	"testing"
@@ -25,7 +27,7 @@ func TestGate(t *testing.T) {
 		rep    report
 		base   report
 		gateNs float64
-		fail   []string // names of the failing findings; "" is the report
+		fail   []string // names of the failing findings
 		skip   []string // names of the skipped rows
 	}{
 		{name: "same", rep: base, base: base},
@@ -57,8 +59,6 @@ func TestGate(t *testing.T) {
 			benchRow{Name: "a", NsPerOp: 100, AllocsPerOp: 2},
 			benchRow{Name: "b", NsPerOp: 121}),
 			base: base, gateNs: 0.2, fail: []string{"b"}},
-		{name: "schema mismatch", rep: base,
-			base: report{SchemaVersion: schemaVersion - 1, Benchmarks: base.Benchmarks}, fail: []string{""}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			var fail, skip []string
@@ -74,6 +74,40 @@ func TestGate(t *testing.T) {
 				t.Errorf("failing %q, skipped %q; want failing %q, skipped %q", fail, skip, tc.fail, tc.skip)
 			}
 		})
+	}
+}
+
+// TestFinishGatesAgainstReadBaseline: -out naming the baseline file, as in
+// `bench -quick -baseline BENCH_parallel.json`, overwrites it, and the gate
+// still compares against the committed copy read before the run.
+func TestFinishGatesAgainstReadBaseline(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "BENCH_parallel.json")
+	if err := finish(io.Discard, rows(benchRow{Name: "vehicle_run", AllocsPerOp: 4185}), path, nil, 0); err != nil {
+		t.Fatal(err)
+	}
+	base, err := readReport(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	err = finish(io.Discard, rows(benchRow{Name: "vehicle_run", AllocsPerOp: 4186}), path, &base, 0)
+	if err == nil || !strings.Contains(err.Error(), "4185 -> 4186") {
+		t.Fatalf("gate of 4186 allocs/op against a committed 4185 returned %v", err)
+	}
+	if rep, err := readReport(path); err != nil || rep.Benchmarks[0].AllocsPerOp != 4186 {
+		t.Fatalf("-out holds %+v (%v), want the fresh report", rep, err)
+	}
+}
+
+// TestReadReportRefusesOtherSchema: a baseline of another schema version
+// fails before any row runs.
+func TestReadReportRefusesOtherSchema(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "old.json")
+	old := report{SchemaVersion: schemaVersion - 1}
+	if err := finish(io.Discard, old, path, nil, 0); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := readReport(path); err == nil || !strings.Contains(err.Error(), "schema version") {
+		t.Fatalf("readReport of a schema %d baseline returned %v", old.SchemaVersion, err)
 	}
 }
 

@@ -87,7 +87,7 @@ func NewLocalMonitor(ecu *dds.ECU) *LocalMonitor {
 		skipTables: make(map[*dds.Publisher]map[uint64]bool),
 		newRing:    func() rt.EventRing { return &rt.SliceRing{} },
 	}
-	m.exec = simtime.Executor{T: m.Thread}
+	m.exec = simtime.NewExecutor(m.Thread)
 	sc := &simScheduler{m: m}
 	sc.scanFn = sc.runScan
 	m.sched = sc
@@ -284,7 +284,7 @@ func (m *LocalMonitor) AddSegment(cfg SegmentConfig) *LocalSegment {
 			if m.armTimer != nil && deadline > now {
 				return m.armTimer(deadline, m.forceWake)
 			}
-			return nil
+			return rt.Timer{}
 		},
 		OK: func(start rt.Event, end rt.Time) {
 			s.resolve(Resolution{

@@ -72,6 +72,8 @@ type RemoteMonitor struct {
 	// the timer fires the pre-bound timeoutFn instead of a fresh closure.
 	armedAct  uint64
 	timeoutFn func()
+	// freeTimeout recycles dispatched timeout routines.
+	freeTimeout *remoteTimeout
 	// timeoutLabel names the timeout-routine work, built once.
 	timeoutLabel string
 	writer       string // the writer this monitor supervises (from samples)
@@ -142,9 +144,9 @@ func newDetachedRemoteMonitor(sub *dds.Subscription, cfg SegmentConfig, variant 
 		if lm == nil {
 			panic("monitor: VariantMonitorThread needs a LocalMonitor")
 		}
-		m.exec = simtime.Executor{T: lm.Thread}
+		m.exec = simtime.NewExecutor(lm.Thread)
 	case VariantDDSContext:
-		m.exec = simtime.Executor{T: sub.Node().Middleware}
+		m.exec = simtime.NewExecutor(sub.Node().Middleware)
 	}
 	m.reorder = newReorderBuf(func(r Resolution) {
 		m.counter.Record(r.Status == StatusMissed)
@@ -331,17 +333,15 @@ func (m *RemoteMonitor) resolveOK(s *dds.Sample, now sim.Time) {
 // corresponding QoS in DDS.
 func (m *RemoteMonitor) Stop() {
 	m.stopped = true
-	if m.timer != nil {
-		m.timer.Cancel()
-		m.timer = nil
-	}
+	m.timer.Cancel()
+	m.timer = rt.Timer{}
 }
 
-// armTimer programs the deadline timer for the expected activation.
+// armTimer programs the deadline timer for the expected activation. The
+// previous timer may be the one that just fired (handleTimeout re-arms from
+// it); its handle is stale then, and Cancel does nothing.
 func (m *RemoteMonitor) armTimer() {
-	if m.timer != nil {
-		m.timer.Cancel()
-	}
+	m.timer.Cancel()
 	if m.stopped {
 		return
 	}
@@ -366,15 +366,41 @@ func (m *RemoteMonitor) armTimer() {
 // the variant's thread. The latency from here to the routine's entry is the
 // Fig. 12 measurement.
 func (m *RemoteMonitor) onTimeout() {
-	act := m.armedAct
-	deadlineGlobal := sim.Time(m.clock.Now())
+	t := m.freeTimeout
+	if t == nil {
+		t = &remoteTimeout{m: m}
+		t.run = t.handle
+	} else {
+		m.freeTimeout = t.next
+		t.next = nil
+	}
+	t.act = m.armedAct
+	t.deadline = sim.Time(m.clock.Now())
 	cost := m.TimeoutRoutineCost.Sample(m.rng)
-	m.exec.Exec(m.timeoutLabel, cost, func(started rt.Time) {
-		if m.expected != act {
-			return // the sample slipped in between deadline and entry
-		}
-		m.handleTimeout(act, sim.Time(started).Sub(deadlineGlobal))
-	})
+	m.exec.Exec(m.timeoutLabel, cost, t.run)
+}
+
+// remoteTimeout is one dispatched timeout routine: the activation it
+// guards and the global deadline it fired at. Records recycle through their
+// monitor's freelist and run is the bound handle method value, created once,
+// so a timeout allocates no closure.
+type remoteTimeout struct {
+	m        *RemoteMonitor
+	act      uint64
+	deadline sim.Time
+	run      func(started rt.Time)
+	next     *remoteTimeout
+}
+
+// handle is the timeout routine's entry. The record goes back on the
+// freelist before the routine runs, which re-arms the timer.
+func (t *remoteTimeout) handle(started rt.Time) {
+	m, act, deadline := t.m, t.act, t.deadline
+	t.next, m.freeTimeout = m.freeTimeout, t
+	if m.expected != act {
+		return // the sample slipped in between deadline and entry
+	}
+	m.handleTimeout(act, sim.Time(started).Sub(deadline))
 }
 
 // handleTimeout raises the temporal exception for the expected activation:
@@ -499,10 +525,8 @@ func (m *InterArrivalMonitor) Detections() []sim.Time { return m.detections }
 // Stop disarms the supervisor.
 func (m *InterArrivalMonitor) Stop() {
 	m.stopped = true
-	if m.timer != nil {
-		m.timer.Cancel()
-		m.timer = nil
-	}
+	m.timer.Cancel()
+	m.timer = rt.Timer{}
 }
 
 func (m *InterArrivalMonitor) onDeliver(s *dds.Sample) bool {
@@ -512,9 +536,7 @@ func (m *InterArrivalMonitor) onDeliver(s *dds.Sample) bool {
 }
 
 func (m *InterArrivalMonitor) arm() {
-	if m.timer != nil {
-		m.timer.Cancel()
-	}
+	m.timer.Cancel()
 	if m.stopped {
 		return
 	}

@@ -104,7 +104,7 @@ func TestScanBatchedDrainPreservesOrder(t *testing.T) {
 	s := c.AddSegment("s", time.Millisecond, &SliceRing{}, &SliceRing{}, SegmentHooks{
 		Arm: func(start Event, _, _ Time) Timer {
 			armed = append(armed, start.Act)
-			return nil
+			return Timer{}
 		},
 	})
 	const n = 3*drainBatch + 17

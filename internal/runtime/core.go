@@ -20,9 +20,10 @@ type SegmentHooks struct {
 	// Arm is invoked when a timeout was armed for the activation; start is
 	// the start event as posted (activation, post timestamp, flow id). It
 	// may return a Timer whose expiry guarantees a scan pass at the deadline
-	// (the simtime path arms a kernel timer; walltime returns nil because
-	// its loop already sleeps until NextDeadline). Timers are cancelled when
-	// the activation completes in time.
+	// (the simtime path arms a kernel timer; walltime returns the zero
+	// Timer because its loop already sleeps until NextDeadline). Timers are
+	// cancelled when the activation completes in time, possibly after they
+	// fired.
 	Arm func(start Event, deadline, now Time) Timer
 	// OK is invoked when the end event arrived within the deadline; start
 	// is the original start event, end the end-event timestamp.
@@ -120,7 +121,7 @@ func (c *Core) newPending() *pendingTimeout {
 
 func (c *Core) releasePending(p *pendingTimeout) {
 	p.start = Event{}
-	p.timer = nil
+	p.timer = Timer{}
 	p.next = c.freePending
 	c.freePending = p
 }
@@ -234,9 +235,10 @@ func (c *Core) drain(s *Segment, now Time) {
 				// without a start cannot occur (causality).
 				continue
 			}
-			if p.timer != nil {
-				p.timer.Cancel()
-			}
+			// The timer may have fired already (an end drained by the pass
+			// its ForceWake queued); its handle is stale then, and Cancel
+			// leaves alone whatever the timebase armed in its slot since.
+			p.timer.Cancel()
 			delete(s.pending, ev.Act)
 			if s.hooks.OK != nil {
 				s.hooks.OK(p.start, ev.TS)

@@ -7,7 +7,7 @@ import (
 
 type fakeTimer struct{ cancelled bool }
 
-func (t *fakeTimer) Cancel() { t.cancelled = true }
+func (t *fakeTimer) CancelSeq(uint64) { t.cancelled = true }
 
 type rec struct {
 	oks     []uint64
@@ -26,7 +26,7 @@ func (r *rec) hooks() SegmentHooks {
 		Arm: func(start Event, deadline, now Time) Timer {
 			t := &fakeTimer{}
 			r.armed = append(r.armed, t)
-			return t
+			return NewTimer(t, 0)
 		},
 		OK:     func(start Event, end Time) { r.oks = append(r.oks, start.Act) },
 		Expire: func(start Event, deadline, now Time) { r.expired = append(r.expired, start.Act) },

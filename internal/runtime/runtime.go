@@ -58,10 +58,36 @@ type EventRing interface {
 	Len() int
 }
 
-// Timer is an armed one-shot timer handle. Cancel is idempotent and may be
-// called after the timer fired.
-type Timer interface {
-	Cancel()
+// Timer is the handle of an armed one-shot timer: the slot the timebase
+// armed it in and the sequence number it was armed under, its generation.
+// It is a value, so arming a timer boxes nothing. A timebase may reuse a
+// slot for a later timer once this one fired or was cancelled; the
+// generation tells the two apart, so Cancel on a stale handle does nothing.
+// The zero Timer is no timer.
+type Timer struct {
+	slot TimerSlot
+	seq  uint64
+}
+
+// TimerSlot is the timebase's side of a Timer. Its dynamic value should be
+// a pointer, so that storing it in a Timer does not allocate. CancelSeq
+// cancels the slot's pending timer if it was armed under sequence number
+// seq, and does nothing otherwise: that timer already fired or was
+// cancelled, or the slot now holds a later one.
+type TimerSlot interface {
+	CancelSeq(seq uint64)
+}
+
+// NewTimer returns the handle of the timer armed in slot under sequence
+// number seq.
+func NewTimer(slot TimerSlot, seq uint64) Timer { return Timer{slot: slot, seq: seq} }
+
+// Cancel cancels the timer unless it already fired or was cancelled. It is
+// idempotent and does nothing on the zero Timer.
+func (t Timer) Cancel() {
+	if t.slot != nil {
+		t.slot.CancelSeq(t.seq)
+	}
 }
 
 // TimerHost arms one-shot timers relative to now.

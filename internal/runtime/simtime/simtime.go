@@ -1,10 +1,11 @@
 // Package simtime adapts the deterministic simulation substrate
 // (internal/sim, internal/vclock) to the runtime abstraction the monitors
-// are written against. Every adapter is a zero-state wrapper that forwards
-// to exactly one kernel or thread operation, in the same order the monitor
-// issues them — the property that keeps a refactored monitor bit-for-bit
-// identical to its pre-abstraction behaviour (same RNG draw order, same
-// event scheduling order).
+// are written against. Every adapter forwards to exactly one kernel or
+// thread operation, in the same order the monitor issues them — the
+// property that keeps a refactored monitor bit-for-bit identical to its
+// pre-abstraction behaviour (same RNG draw order, same event scheduling
+// order). The only state an adapter keeps is the Executor's freelist of
+// dispatch records.
 package simtime
 
 import (
@@ -18,39 +19,81 @@ type Clock struct{ K *sim.Kernel }
 // Now returns the current virtual time.
 func (c Clock) Now() rt.Time { return rt.Time(c.K.Now()) }
 
-// TimerHost schedules one-shot timers on the kernel event queue. The timer
-// handle is the kernel event itself (sim.Event.Cancel is idempotent and a
-// no-op once the event fired), so arming a timer allocates the event and
-// nothing else. The events are not pooled: the monitor keeps the handle
-// after the timer fired.
+// TimerHost schedules one-shot timers on pooled kernel events. The handle
+// is the event with the sequence number of its schedule (sim.Event.Seq), so
+// once the kernel's freelist is warm arming a timer allocates nothing, and
+// cancelling it after it fired does nothing, even when a later schedule
+// reuses the event.
 type TimerHost struct{ K *sim.Kernel }
 
 // After schedules fn d from now.
 func (h TimerHost) After(d rt.Duration, fn func()) rt.Timer {
-	return h.K.After(d, fn)
+	return timer(h.K.AfterPooled(d, fn))
 }
 
 // At schedules fn at the absolute virtual time t with the given event
 // priority (ties at the same instant fire in priority order).
 func (h TimerHost) At(t rt.Time, priority int, fn func()) rt.Timer {
-	return h.K.AtPriority(sim.Time(t), priority, fn)
+	return timer(h.K.AtPriorityPooled(sim.Time(t), priority, fn))
 }
+
+func timer(e *sim.Event) rt.Timer { return rt.NewTimer(e, e.Seq()) }
 
 // Executor dispatches work onto a simulated thread. The started time passed
 // to fn is the work item's dispatch time, after queueing and wakeup
-// latency.
-type Executor struct{ T *sim.Thread }
+// latency. Each dispatch rides on a recycled record whose run method is
+// bound once, so a warm executor dispatches without allocating.
+type Executor struct {
+	t    *sim.Thread
+	free *dispatch
+}
+
+// NewExecutor returns an executor on thread t.
+func NewExecutor(t *sim.Thread) *Executor { return &Executor{t: t} }
 
 // Exec enqueues with a modeled wakeup (context-switch) latency.
-func (e Executor) Exec(label string, cost rt.Duration, fn func(started rt.Time)) {
-	var w *sim.WorkItem
-	w = e.T.Enqueue(label, cost, func() { fn(rt.Time(w.Started())) })
+func (e *Executor) Exec(label string, cost rt.Duration, fn func(started rt.Time)) {
+	d := e.bind(fn)
+	d.w = e.t.Enqueue(label, cost, d.run)
 }
 
 // ExecDirect enqueues without a wakeup — the thread dispatching to itself.
-func (e Executor) ExecDirect(label string, cost rt.Duration, fn func(started rt.Time)) {
-	var w *sim.WorkItem
-	w = e.T.EnqueueDirect(label, cost, func() { fn(rt.Time(w.Started())) })
+func (e *Executor) ExecDirect(label string, cost rt.Duration, fn func(started rt.Time)) {
+	d := e.bind(fn)
+	d.w = e.t.EnqueueDirect(label, cost, d.run)
+}
+
+// bind takes a dispatch record off the freelist, or allocates one, for fn.
+func (e *Executor) bind(fn func(started rt.Time)) *dispatch {
+	d := e.free
+	if d == nil {
+		d = &dispatch{e: e}
+		d.run = d.fire
+	} else {
+		e.free = d.next
+		d.next = nil
+	}
+	d.fn = fn
+	return d
+}
+
+// dispatch adapts one work item's completion to fn(started). w is the item,
+// valid until fire returns; run is the bound fire method value.
+type dispatch struct {
+	e    *Executor
+	w    *sim.WorkItem
+	fn   func(started rt.Time)
+	run  func()
+	next *dispatch
+}
+
+// fire runs fn with the item's dispatch time. The record goes back on the
+// freelist first, since fn may dispatch again.
+func (d *dispatch) fire() {
+	fn, started := d.fn, rt.Time(d.w.Started())
+	d.fn, d.w = nil, nil
+	d.next, d.e.free = d.e.free, d
+	fn(started)
 }
 
 // GlobalAfterer is the part of a synchronized virtual clock

@@ -32,7 +32,7 @@ func TestExecutorStartedTime(t *testing.T) {
 	k := sim.NewKernel()
 	p := sim.NewProcessor(k, sim.NewRNG(1), "ecu", 1)
 	th := p.NewThread("mon", 100)
-	e := Executor{T: th}
+	e := NewExecutor(th)
 
 	var started, direct rt.Time
 	k.After(time.Millisecond, func() {
@@ -60,23 +60,57 @@ func TestSyncClockForwards(t *testing.T) {
 }
 
 // TestTimerHostAllocs is the allocation gate of a monitor timer arm: the
-// returned rt.Timer is the kernel event itself, so At and After allocate
-// that event and nothing else — no handle is boxed around it.
+// timer rides on a pooled kernel event and its handle is a value, so once
+// the kernel's freelist is warm At and After allocate nothing.
 func TestTimerHostAllocs(t *testing.T) {
 	k := sim.NewKernel()
 	h := TimerHost{K: k}
 	fire := func() {}
+	h.At(rt.Time(k.Now())+1, 3, fire).Cancel() // park one event on the freelist
 	var tm rt.Timer
 	if allocs := testing.AllocsPerRun(1000, func() {
 		tm = h.At(rt.Time(k.Now())+1, 3, fire)
 		tm.Cancel()
-	}); allocs != 1 {
-		t.Errorf("TimerHost.At allocates %.2f/op, want 1 (the kernel event)", allocs)
+	}); allocs != 0 {
+		t.Errorf("TimerHost.At allocates %.2f/op, want 0", allocs)
 	}
 	if allocs := testing.AllocsPerRun(1000, func() {
 		tm = h.After(time.Millisecond, fire)
 		tm.Cancel()
-	}); allocs != 1 {
-		t.Errorf("TimerHost.After allocates %.2f/op, want 1 (the kernel event)", allocs)
+	}); allocs != 0 {
+		t.Errorf("TimerHost.After allocates %.2f/op, want 0", allocs)
+	}
+	if allocs := testing.AllocsPerRun(1000, func() {
+		h.After(0, fire)
+		k.Run()
+	}); allocs != 0 {
+		t.Errorf("a fired TimerHost.After allocates %.2f/op, want 0", allocs)
+	}
+}
+
+// TestExecutorAllocs is the allocation gate of a handler dispatch: with its
+// dispatch records and the thread's work items warm, Exec and ExecDirect
+// run fn without allocating.
+func TestExecutorAllocs(t *testing.T) {
+	k := sim.NewKernel()
+	p := sim.NewProcessor(k, sim.NewRNG(1), "ecu", 1)
+	e := NewExecutor(p.NewThread("mon", 100))
+	var started rt.Time
+	fn := func(s rt.Time) { started = s }
+	for _, exec := range []struct {
+		name string
+		run  func(string, rt.Duration, func(rt.Time))
+	}{{"Exec", e.Exec}, {"ExecDirect", e.ExecDirect}} {
+		exec.run("warm", time.Microsecond, fn)
+		k.Run()
+		if allocs := testing.AllocsPerRun(1000, func() {
+			exec.run("work", time.Microsecond, fn)
+			k.Run()
+		}); allocs != 0 {
+			t.Errorf("%s allocates %.2f/op, want 0", exec.name, allocs)
+		}
+		if started == 0 {
+			t.Errorf("%s never ran its work", exec.name)
+		}
 	}
 }

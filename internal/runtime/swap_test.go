@@ -41,7 +41,7 @@ func TestSwapShrinkKeepsArmedTimeout(t *testing.T) {
 	c := NewCore()
 	var armed, expired []Time
 	s := c.AddSegment("s", 10*time.Millisecond, &SliceRing{}, &SliceRing{}, SegmentHooks{
-		Arm:    func(_ Event, deadline, _ Time) Timer { armed = append(armed, deadline); return nil },
+		Arm:    func(_ Event, deadline, _ Time) Timer { armed = append(armed, deadline); return Timer{} },
 		Expire: func(_ Event, deadline, _ Time) { expired = append(expired, deadline) },
 	})
 	s.StartRing().Post(Event{Act: 1, TS: 0})

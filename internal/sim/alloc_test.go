@@ -220,8 +220,8 @@ func TestReleaseBeforeFireContract(t *testing.T) {
 
 // TestKernelHeapAllocFree gates the event heap itself: with the freelist
 // and the queue's backing array primed, scheduling pooled events, moving
-// them with Reschedule, canceling them with Kernel.Cancel and Event.Cancel,
-// and popping the rest allocates nothing.
+// them with Reschedule, canceling them with Kernel.Cancel and, as a timer
+// handle does, with Event.CancelSeq, and popping the rest allocates nothing.
 func TestKernelHeapAllocFree(t *testing.T) {
 	k := NewKernel()
 	nop := func() {}
@@ -235,7 +235,7 @@ func TestKernelHeapAllocFree(t *testing.T) {
 		}
 		for i := 1; i < len(evs); i += 8 {
 			k.Cancel(evs[i])
-			evs[i+2].Cancel()
+			evs[i+2].CancelSeq(evs[i+2].Seq())
 		}
 		evs = [64]*Event{}
 		for k.Step() {

@@ -31,10 +31,22 @@ func (e *Event) At() Time { return e.at }
 // Canceled reports whether the event has been canceled.
 func (e *Event) Canceled() bool { return e.canceled }
 
-// Cancel removes the event from its kernel's queue, like Kernel.Cancel.
-// With it *Event satisfies the runtime's Timer interface as is, so a timer
-// armed on the kernel costs the event and nothing else.
-func (e *Event) Cancel() { e.k.Cancel(e) }
+// Seq returns the event's schedule sequence number. Each schedule draws a
+// new one, so it is the generation of a pooled event: a handle that keeps
+// the event with its Seq tells its own schedule from a later one that reuses
+// the event.
+func (e *Event) Seq() uint64 { return e.seq }
+
+// CancelSeq cancels the event if it is still pending under the schedule
+// numbered seq, and does nothing once that schedule fired or was canceled,
+// also while the event is parked on the freelist or holds a later pooled
+// schedule. With it *Event is the slot of a runtime.Timer, so a timer armed
+// on a pooled event may be canceled after it fired.
+func (e *Event) CancelSeq(seq uint64) {
+	if e.seq == seq && e.index >= 0 {
+		e.k.Cancel(e)
+	}
+}
 
 // before is the queue order: earlier time first, then higher priority, then
 // earlier scheduling. seq is unique, so the order is strict and total — the
@@ -149,11 +161,12 @@ func (k *Kernel) After(d Duration, fn EventFunc) *Event {
 // AtPooled schedules fn like At, drawing the Event from the kernel freelist
 // and returning it there as soon as it fires or is canceled. The contract:
 // the caller must drop its reference before the event fires — a retained
-// handle ends up aliasing whatever event reuses the slot, so Cancel on a
-// stale pooled handle targets the wrong event and Reschedule panics (the
-// recycled fn is nil). Use the pooled calls for fire-and-forget scheduling
-// on hot paths (self-rescheduling periodic loads, dispatch completions); use
-// At/After when the handle outlives the event.
+// pointer ends up aliasing whatever event reuses the slot, so Kernel.Cancel
+// on it targets the wrong event and Reschedule panics (the recycled fn is
+// nil). A handle that outlives the event keeps its Seq too and cancels with
+// CancelSeq, which leaves a later schedule alone; the runtime's timers are
+// such handles. Use At/After when the handle must Reschedule after the
+// event fired.
 func (k *Kernel) AtPooled(t Time, fn EventFunc) *Event {
 	return k.schedule(t, 0, fn, true)
 }

@@ -252,6 +252,46 @@ func TestPooledEventCancelRecycles(t *testing.T) {
 	k.Run()
 }
 
+// TestCancelSeqStaleHandle pins the timer-handle contract on pooled events:
+// a handle (the event with its Seq) kept after its schedule fired cancels
+// nothing — not while the event is parked on the freelist, and not once a
+// thread's completion reuses it, however often it is called.
+func TestCancelSeqStaleHandle(t *testing.T) {
+	k := NewKernel()
+	th := NewProcessor(k, NewRNG(7), "ecu", 1).NewThread("a", 1)
+	e := k.AtPooled(10, func() {})
+	seq := e.Seq()
+	k.Run()
+	e.CancelSeq(seq)
+	if k.FreeEvents() != 1 || e.Canceled() {
+		t.Fatalf("cancel of a parked event: freelist %d, canceled %v; want 1, false", k.FreeEvents(), e.Canceled())
+	}
+	done := false
+	th.EnqueueDirect("job", 5, func() { done = true })
+	if k.Pending() != 1 || k.queue[0] != e || e.Seq() == seq {
+		t.Fatal("the thread's completion did not reuse the fired event")
+	}
+	e.CancelSeq(seq)
+	e.CancelSeq(seq)
+	if k.Pending() != 1 || e.Canceled() {
+		t.Fatal("a stale handle canceled the completion that reuses its event")
+	}
+	k.Run()
+	if !done {
+		t.Fatal("the completion never ran")
+	}
+
+	// A live handle cancels its schedule once; repeating it does nothing.
+	e = k.AtPooled(k.Now()+10, func() { t.Error("canceled event fired") })
+	seq = e.Seq()
+	e.CancelSeq(seq)
+	e.CancelSeq(seq)
+	if k.Pending() != 0 || k.FreeEvents() != 1 {
+		t.Fatalf("after cancel: pending %d, freelist %d; want 0, 1", k.Pending(), k.FreeEvents())
+	}
+	k.Run()
+}
+
 func TestPooledEventUnpooledUntouched(t *testing.T) {
 	k := NewKernel()
 	k.At(10, func() {})
