@@ -2,8 +2,8 @@
 // JSON (BENCH_parallel.json in CI). It covers the two axes of the parallel
 // engine work:
 //
-//   - hot-path allocation cuts: kernel event scheduling with and without the
-//     pooled freelist, the overload queue-churn workload (work-item freelist
+//   - hot-path allocation cuts: kernel event scheduling on the recycled
+//     freelist, the overload queue-churn workload (work-item freelist
 //     and pre-bound wakers), the deadline hot-swap cycle of the adaptive
 //     budget loop (budget_swap), one blame-attributed flow (blame_flow), a
 //     /health scrape with a full budget history (health_render), one
@@ -116,6 +116,12 @@ type report struct {
 	FleetSweep    fleetSweepResult `json:"fleet_sweep,omitempty"`
 }
 
+// matrices maps each -matrix value to its combo list.
+var matrices = map[string]func() []faultinject.Combo{
+	"102": faultinject.Matrix102,
+	"10k": faultinject.Matrix10K,
+}
+
 func main() {
 	workers := flag.Int("workers", 4, "worker pool size for the parallel sweep leg")
 	out := flag.String("out", "BENCH_parallel.json", "output JSON path (- for stdout)")
@@ -125,6 +131,12 @@ func main() {
 	gateNs := flag.Float64("gate-ns", 0, "fail when ns/op regresses beyond this fraction (0: allocs-only gate)")
 	flag.Parse()
 
+	// -matrix is resolved before the first row, also under -quick, which
+	// never reaches the sweep: a bad value must not pass silently.
+	matrixCombos, ok := matrices[*matrix]
+	if !ok {
+		log.Fatalf("unknown -matrix %q (want 102 or 10k)", *matrix)
+	}
 	// The baseline is read before the first row runs: -out may name the
 	// same file, and the gate must compare against what was committed.
 	var base *report
@@ -155,8 +167,8 @@ func main() {
 			name, float64(r.T.Nanoseconds())/float64(r.N), r.AllocsPerOp(), r.AllocedBytesPerOp())
 	}
 
-	// Hot-path allocation cuts: the same self-rescheduling tick, first
-	// through the plain heap-allocating API, then through the freelist.
+	// Hot-path allocation cuts: a self-rescheduling tick, whose event
+	// comes off the kernel's freelist after the first lap.
 	run("EventSchedule", func(b *testing.B) {
 		b.ReportAllocs()
 		k := sim.NewKernel()
@@ -169,20 +181,6 @@ func main() {
 		}
 		b.ResetTimer()
 		k.After(100, tick)
-		k.Run()
-	})
-	run("EventSchedulePooled", func(b *testing.B) {
-		b.ReportAllocs()
-		k := sim.NewKernel()
-		n := 0
-		var tick sim.EventFunc
-		tick = func() {
-			if n++; n < b.N {
-				k.AfterPooled(100, tick)
-			}
-		}
-		b.ResetTimer()
-		k.AfterPooled(100, tick)
 		k.Run()
 	})
 	// queue_churn is the overload-campaign event pattern (periodic chain work
@@ -382,15 +380,7 @@ func main() {
 	}
 
 	// Campaign throughput on the selected matrix.
-	var combos []faultinject.Combo
-	switch *matrix {
-	case "102":
-		combos = faultinject.Matrix102()
-	case "10k":
-		combos = faultinject.Matrix10K()
-	default:
-		log.Fatalf("unknown -matrix %q (want 102 or 10k)", *matrix)
-	}
+	combos := matrixCombos()
 	fmt.Fprintf(os.Stderr, "sweep: matrix %s, %d combos, serial vs %d workers (GOMAXPROCS=%d)\n",
 		*matrix, len(combos), *workers, runtime.GOMAXPROCS(0))
 

@@ -2,14 +2,30 @@ package main
 
 import (
 	"encoding/json"
+	"errors"
 	"io"
+	"io/fs"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"os/exec"
 	"path/filepath"
 	"slices"
 	"strings"
 	"testing"
 )
+
+// runMainEnv makes the test binary act as the bench binary: a child process
+// started with it set runs main with its own arguments.
+const runMainEnv = "BENCH_TEST_RUN_MAIN"
+
+func TestMain(m *testing.M) {
+	if os.Getenv(runMainEnv) == "1" {
+		main()
+		os.Exit(0)
+	}
+	os.Exit(m.Run())
+}
 
 func rows(rs ...benchRow) report {
 	return report{SchemaVersion: schemaVersion, Benchmarks: rs}
@@ -108,6 +124,32 @@ func TestReadReportRefusesOtherSchema(t *testing.T) {
 	}
 	if _, err := readReport(path); err == nil || !strings.Contains(err.Error(), "schema version") {
 		t.Fatalf("readReport of a schema %d baseline returned %v", old.SchemaVersion, err)
+	}
+}
+
+// TestUnknownMatrixFailsFirst: an unknown -matrix fails before the baseline
+// is read and before the first row runs, also under -quick, which never
+// reaches the sweep.
+func TestUnknownMatrixFailsFirst(t *testing.T) {
+	exe, err := os.Executable()
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	out := filepath.Join(dir, "out.json")
+	cmd := exec.Command(exe, "-quick", "-matrix", "1k",
+		"-baseline", filepath.Join(dir, "missing.json"), "-out", out)
+	cmd.Env = append(os.Environ(), runMainEnv+"=1")
+	stderr, err := cmd.CombinedOutput()
+	var exit *exec.ExitError
+	if !errors.As(err, &exit) || !strings.Contains(string(stderr), `unknown -matrix "1k"`) {
+		t.Fatalf("bench -quick -matrix 1k returned %v:\n%s", err, stderr)
+	}
+	if strings.Contains(string(stderr), "allocs/op") {
+		t.Fatalf("a row ran before -matrix was resolved:\n%s", stderr)
+	}
+	if _, err := os.Stat(out); !errors.Is(err, fs.ErrNotExist) {
+		t.Fatalf("-out was written (stat: %v)", err)
 	}
 }
 

@@ -254,9 +254,9 @@ func (t *Timer) Start(offset sim.Time) {
 				t.fn(idx)
 			}
 		})
-		d.k.AfterPooled(t.period, fire)
+		d.k.After(t.period, fire)
 	}
-	d.k.AtPooled(offset, fire)
+	d.k.At(offset, fire)
 }
 
 // Stop halts the timer after the current period.
@@ -650,12 +650,12 @@ func (dev *Device) Start(offset sim.Time) {
 			j += extra
 		}
 		if !drop {
-			dev.domain.k.AtPooled(grid.Add(j), func() { dev.publish(act) })
+			dev.domain.k.At(grid.Add(j), func() { dev.publish(act) })
 		}
 		grid = grid.Add(dev.Period)
-		dev.domain.k.AtPooled(grid, fire)
+		dev.domain.k.At(grid, fire)
 	}
-	dev.domain.k.AtPooled(grid, fire)
+	dev.domain.k.At(grid, fire)
 }
 
 // Stop halts the device after the current period.

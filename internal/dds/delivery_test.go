@@ -139,11 +139,11 @@ func TestDeliveryAllocs(t *testing.T) {
 		act++
 	}
 	for i := 0; i < 8; i++ {
-		k.AtPooled(k.Now(), publish)
+		k.At(k.Now(), publish)
 		k.Run()
 	}
 	allocs := testing.AllocsPerRun(500, func() {
-		k.AtPooled(k.Now(), publish)
+		k.At(k.Now(), publish)
 		k.Run()
 	})
 	if allocs != 2 {

@@ -2,6 +2,10 @@ package faultinject
 
 import (
 	"testing"
+
+	"chainmon/internal/monitor"
+	"chainmon/internal/perception"
+	"chainmon/internal/sim"
 )
 
 func TestMatrixSizes(t *testing.T) {
@@ -49,5 +53,51 @@ func TestSweepParallelDeterminism(t *testing.T) {
 		if !it.Ok() {
 			t.Errorf("%s failed: err=%v sanity=%v\n%s", it.Combo, it.Err, it.Sanity, it.Report.Summary())
 		}
+	}
+}
+
+// TestRemoteVerdictsConsecutive pins why a remote monitor needs no reorder
+// buffer: each verdict is for the activation it expects, and the
+// expectation then advances by one. So every remote monitor, and every
+// per-writer monitor of a keyed one on the classifier's subscription,
+// resolves consecutive activations in order under each PR campaign and both
+// variants.
+func TestRemoteVerdictsConsecutive(t *testing.T) {
+	for _, c := range PRMatrix() {
+		t.Run(c.String(), func(t *testing.T) {
+			t.Parallel()
+			cfg := perception.DefaultConfig()
+			cfg.Seed = c.Seed
+			cfg.Frames = chaosFrames
+			cfg.FullChain = true
+			cfg.RemoteVariant = c.Variant
+			sys := perception.Build(cfg)
+			km := monitor.NewKeyedRemoteMonitor(sys.ClassifierSub, monitor.SegmentConfig{
+				Name: "keyed", DMon: cfg.RemoteDeadline, Period: cfg.Period,
+			}, c.Variant, sys.MonECU2, nil)
+			sys.K.At((sim.Time(cfg.Frames) * sim.Time(cfg.Period)).Add(5*sim.Second), km.Stop)
+			if err := NewInjector(sim.NewRNG(c.Seed)).Apply(c.Campaign, TargetsOf(sys)); err != nil {
+				t.Fatal(err)
+			}
+			sys.Run()
+			mons := []*monitor.RemoteMonitor{sys.RemFront, sys.RemRear, sys.RemFused}
+			for _, w := range km.Writers() {
+				mons = append(mons, km.Monitor(w))
+			}
+			if len(mons) < 4 {
+				t.Fatal("the keyed monitor saw no writer")
+			}
+			for _, m := range mons {
+				rs := m.Stats().Resolutions()
+				if len(rs) == 0 {
+					t.Fatalf("%s resolved nothing", m.Config().Name)
+				}
+				for i, r := range rs {
+					if want := rs[0].Activation + uint64(i); r.Activation != want {
+						t.Fatalf("%s: verdict %d is for activation %d, want %d", m.Config().Name, i, r.Activation, want)
+					}
+				}
+			}
+		})
 	}
 }

@@ -38,7 +38,7 @@ func AttachLiveSegment(set *livestats.Set, seg MonitoredSegment) {
 
 // attachLiveScope subscribes a scope to a segment's in-order resolution
 // stream. Observers run after the segment's weakly-hard counter updated
-// (the reorder-buffer sink runs first), so the scope's SLO window always
+// (the segment's verdict sink runs first), so the scope's SLO window always
 // matches the counter the monitor itself consulted.
 func attachLiveScope(scope *livestats.Scope, seg interface{ OnResolve(ResolveFunc) }) {
 	seg.OnResolve(func(r Resolution) {

@@ -79,7 +79,6 @@ type RemoteMonitor struct {
 	writer       string // the writer this monitor supervises (from samples)
 
 	counter *weaklyhard.Counter
-	reorder *reorderBuf
 	stats   *SegmentStats
 
 	propagateTo  Propagator
@@ -148,16 +147,6 @@ func newDetachedRemoteMonitor(sub *dds.Subscription, cfg SegmentConfig, variant 
 	case VariantDDSContext:
 		m.exec = simtime.NewExecutor(sub.Node().Middleware)
 	}
-	m.reorder = newReorderBuf(func(r Resolution) {
-		m.counter.Record(r.Status == StatusMissed)
-		m.stats.record(r)
-		if m.tel != nil {
-			m.tel.verdict(r)
-		}
-		for _, fn := range m.onResolve {
-			fn(r)
-		}
-	})
 	return m
 }
 
@@ -473,8 +462,18 @@ func (m *RemoteMonitor) runHandler(act uint64, detection sim.Duration) {
 	m.resolve(r)
 }
 
+// resolve records the verdict and hands it to the observers. Verdicts come
+// in activation order without a reorder buffer: each one is for the expected
+// activation, and the expectation then advances by one.
 func (m *RemoteMonitor) resolve(r Resolution) {
-	m.reorder.add(r)
+	m.counter.Record(r.Status == StatusMissed)
+	m.stats.record(r)
+	if m.tel != nil {
+		m.tel.verdict(r)
+	}
+	for _, fn := range m.onResolve {
+		fn(r)
+	}
 }
 
 // InterArrivalMonitor is the baseline the paper argues against (Fig. 6): a

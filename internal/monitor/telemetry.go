@@ -20,7 +20,7 @@ type monTel struct {
 }
 
 // segTel carries one segment's verdict-path instrumentation. The verdict
-// counters are incremented inside the same reorder-buffer sink that feeds
+// counters are incremented inside the same verdict sink that feeds
 // SegmentStats, so the exported miss/OK counts match Counts() exactly.
 // scope is the segment's flow scope (Recorder.FlowScope of its name, unless
 // bound to a chain-wide scope first); every verdict, handler and ring-post

@@ -7,8 +7,8 @@ import (
 	"chainmon/internal/weaklyhard"
 )
 
-// The monitors arm their timers on pooled kernel events: once a timer
-// fired, the kernel hands its event to the next pooled schedule. These
+// The monitors arm their timers on recycled kernel events: once a timer
+// fired, the kernel hands its event to the next schedule. These
 // tests cancel a timer's handle after it fired, at a moment when the
 // event holds someone else's schedule, and check that the new occupant
 // still fires.

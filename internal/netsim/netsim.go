@@ -146,7 +146,7 @@ func (l *Link) Send(size int, deliver func()) (sim.Time, bool) {
 // copies is how many times deliver was scheduled: 0 for a lost message, 1
 // normally, 2 when a DupFault duplicated it. A caller that recycles the
 // state deliver works on releases it after that many calls (or at once for
-// a loss). Deliveries run on pooled kernel events, so no handle escapes.
+// a loss). The delivery events' handles are dropped, so none escapes.
 func (l *Link) SendTagged(size int, act uint64, flow uint32, deliver func()) (at sim.Time, copies int) {
 	l.sent++
 	resp := l.BCRT + l.transmissionTime(size) + l.Jitter.Sample(l.rng)
@@ -200,7 +200,7 @@ func (l *Link) SendTagged(size int, act uint64, flow uint32, deliver func()) (at
 	}
 	copies = 1
 	if deliver != nil {
-		l.k.AtPooled(at, deliver)
+		l.k.At(at, deliver)
 	}
 	if !lost && l.DupFault != nil {
 		if dup, extra := l.DupFault(l.k.Now(), size); dup {
@@ -210,7 +210,7 @@ func (l *Link) SendTagged(size int, act uint64, flow uint32, deliver func()) (at
 				l.tel.dup(l.k.Now(), act, flow, extra)
 			}
 			if deliver != nil {
-				l.k.AtPooled(at.Add(extra), deliver)
+				l.k.At(at.Add(extra), deliver)
 			}
 		}
 	}

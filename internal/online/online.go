@@ -19,9 +19,9 @@ import (
 	"chainmon/internal/telemetry"
 )
 
-// Opener opens a run's stream log on its timebase. The stack fills opt (a
-// background drainer on the wall clock, the sink's registry for the
-// chainmon_stream_* counters); the opener may add what it owns.
+// Opener opens a run's stream log on its timebase. The stack fills opt (the
+// sink's registry for the chainmon_stream_* counters); the opener may add
+// what it owns.
 type Opener func(timebase string, opt telemetry.StreamOptions) (*telemetry.StreamWriter, error)
 
 // Writer opens the stream log on w.
@@ -62,7 +62,7 @@ func New(timebase string, openLog Opener, meta func(budgetEpoch uint64) any) (*S
 	st.Health, st.Metrics = st.Live.Handler(), st.Sink.Handler()
 	if openLog != nil {
 		var err error
-		if st.Stream, err = openLog(timebase, telemetry.StreamOptions{Background: wall, Metrics: st.Sink.Reg}); err != nil {
+		if st.Stream, err = openLog(timebase, telemetry.StreamOptions{Metrics: st.Sink.Reg}); err != nil {
 			return nil, err
 		}
 		st.Sink.Rec.SetStream(st.Stream)

@@ -11,7 +11,7 @@ import (
 // seed 1's full chain with hold-over recovery on the two lidar remote
 // segments (perfbench's perception_live configuration), a monitored frame
 // allocates at most one object more than an unmonitored one. Monitor
-// timeouts ride on pooled kernel events and handler dispatches on recycled
+// timeouts ride on recycled kernel events and handler dispatches on recycled
 // records, so what is left of the margin is verdict bookkeeping. Only Run
 // is counted; the build is not.
 func TestMonitoredFrameAllocs(t *testing.T) {

@@ -16,7 +16,6 @@ import (
 func TestRunStreamedTrace(t *testing.T) {
 	var buf bytes.Buffer
 	sw, err := telemetry.NewStreamWriter(&buf, "wall", telemetry.StreamOptions{
-		Background: true,
 		RingCap:    1 << 12,
 		FlushEvery: 5 * time.Millisecond,
 	})

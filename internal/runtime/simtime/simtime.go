@@ -19,22 +19,22 @@ type Clock struct{ K *sim.Kernel }
 // Now returns the current virtual time.
 func (c Clock) Now() rt.Time { return rt.Time(c.K.Now()) }
 
-// TimerHost schedules one-shot timers on pooled kernel events. The handle
-// is the event with the sequence number of its schedule (sim.Event.Seq), so
-// once the kernel's freelist is warm arming a timer allocates nothing, and
+// TimerHost schedules one-shot timers on kernel events. The handle is the
+// event with the sequence number of its schedule (sim.Event.Seq), so once
+// the kernel's freelist is warm arming a timer allocates nothing, and
 // cancelling it after it fired does nothing, even when a later schedule
 // reuses the event.
 type TimerHost struct{ K *sim.Kernel }
 
 // After schedules fn d from now.
 func (h TimerHost) After(d rt.Duration, fn func()) rt.Timer {
-	return timer(h.K.AfterPooled(d, fn))
+	return timer(h.K.After(d, fn))
 }
 
 // At schedules fn at the absolute virtual time t with the given event
 // priority (ties at the same instant fire in priority order).
 func (h TimerHost) At(t rt.Time, priority int, fn func()) rt.Timer {
-	return timer(h.K.AtPriorityPooled(sim.Time(t), priority, fn))
+	return timer(h.K.AtPriority(sim.Time(t), priority, fn))
 }
 
 func timer(e *sim.Event) rt.Timer { return rt.NewTimer(e, e.Seq()) }

@@ -60,7 +60,7 @@ func TestSyncClockForwards(t *testing.T) {
 }
 
 // TestTimerHostAllocs is the allocation gate of a monitor timer arm: the
-// timer rides on a pooled kernel event and its handle is a value, so once
+// timer rides on a recycled kernel event and its handle is a value, so once
 // the kernel's freelist is warm At and After allocate nothing.
 func TestTimerHostAllocs(t *testing.T) {
 	k := sim.NewKernel()

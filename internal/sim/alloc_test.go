@@ -127,28 +127,6 @@ func TestWorkItemReuseUnderPreemption(t *testing.T) {
 	k.Run()
 }
 
-// TestRetainOptsOutOfRecycling pins the handle contract: a retained item
-// stays off the freelist with its bookkeeping intact, while an unretained
-// one is recycled.
-func TestRetainOptsOutOfRecycling(t *testing.T) {
-	k := NewKernel()
-	p := NewProcessor(k, NewRNG(7), "ecu", 1)
-	th := p.NewThread("a", 1)
-	kept := th.Enqueue("kept", 10*time.Nanosecond, nil).Retain()
-	k.Run()
-	if th.FreeItems() != 0 {
-		t.Fatalf("retained item leaked into freelist (%d items)", th.FreeItems())
-	}
-	if kept.Label != "kept" || kept.Finished() == 0 {
-		t.Fatalf("retained handle lost bookkeeping: label=%q finished=%v", kept.Label, kept.Finished())
-	}
-	next := th.Enqueue("next", 10*time.Nanosecond, nil)
-	if next == kept {
-		t.Fatal("enqueue reused a retained item")
-	}
-	k.Run()
-}
-
 // TestFreelistNeverLeaksStaleState is the property test over the churn
 // workload: at every step, every item parked on any freelist has its Fn and
 // label cleared and its links consistent — a recycled slot can never run or
@@ -189,10 +167,10 @@ func TestFreelistNeverLeaksStaleState(t *testing.T) {
 	}
 }
 
-// TestReleaseBeforeFireContract exercises the pooled-event interplay: the
-// wakeup event of an enqueued item is pooled (released before firing), and
-// a cancelled completion (preemption) must return its event without
-// touching the not-yet-fired wakeup of another item.
+// TestReleaseBeforeFireContract exercises the recycled-event interplay: the
+// wakeup event of an enqueued item is released before firing, and a
+// cancelled completion (preemption) must return its event without touching
+// the not-yet-fired wakeup of another item.
 func TestReleaseBeforeFireContract(t *testing.T) {
 	k := NewKernel()
 	p := NewProcessor(k, NewRNG(7), "ecu", 1)
@@ -219,22 +197,23 @@ func TestReleaseBeforeFireContract(t *testing.T) {
 }
 
 // TestKernelHeapAllocFree gates the event heap itself: with the freelist
-// and the queue's backing array primed, scheduling pooled events, moving
-// them with Reschedule, canceling them with Kernel.Cancel and, as a timer
-// handle does, with Event.CancelSeq, and popping the rest allocates nothing.
+// and the queue's backing array primed, scheduling events, moving them (a
+// CancelSeq plus a fresh schedule), canceling them with CancelSeq as a timer
+// handle does, and popping the rest allocates nothing.
 func TestKernelHeapAllocFree(t *testing.T) {
 	k := NewKernel()
 	nop := func() {}
 	var evs [64]*Event
 	cycle := func() {
 		for i := range evs {
-			evs[i] = k.AtPriorityPooled(k.Now().Add(Duration(i*7%64)), i%3, nop)
+			evs[i] = k.AtPriority(k.Now().Add(Duration(i*7%64)), i%3, nop)
 		}
 		for i := 0; i < len(evs); i += 4 {
-			k.Reschedule(evs[i], k.Now().Add(Duration(100-i)))
+			evs[i].CancelSeq(evs[i].Seq())
+			evs[i] = k.AtPriority(k.Now().Add(Duration(100-i)), i%3, nop)
 		}
 		for i := 1; i < len(evs); i += 8 {
-			k.Cancel(evs[i])
+			evs[i].CancelSeq(evs[i].Seq())
 			evs[i+2].CancelSeq(evs[i+2].Seq())
 		}
 		evs = [64]*Event{}

@@ -11,40 +11,34 @@ type EventFunc func()
 // Event is a scheduled occurrence in the simulation. Events are ordered by
 // time; ties are broken by priority (higher first) and then by insertion
 // order, which keeps runs deterministic.
+//
+// Every event is recycled: once it fires or is canceled it returns to the
+// kernel's freelist, and a later schedule reuses it. A handle kept past that
+// point is stale, so a caller that may cancel after the event fired keeps
+// the event together with its Seq and cancels with CancelSeq.
 type Event struct {
 	k        *Kernel
 	at       Time
 	seq      uint64
 	fn       EventFunc
 	priority int32
-	index    int32 // heap index; -1 once removed
-	canceled bool
-	// pooled events return to the kernel freelist once fired or canceled;
-	// inFree guards against double-release.
-	pooled bool
-	inFree bool
+	index    int32 // heap index; -1 once fired or canceled
 }
 
-// At returns the virtual time at which the event is (or was) scheduled.
-func (e *Event) At() Time { return e.at }
-
-// Canceled reports whether the event has been canceled.
-func (e *Event) Canceled() bool { return e.canceled }
-
 // Seq returns the event's schedule sequence number. Each schedule draws a
-// new one, so it is the generation of a pooled event: a handle that keeps
+// new one, so it is the generation of a recycled event: a handle that keeps
 // the event with its Seq tells its own schedule from a later one that reuses
 // the event.
 func (e *Event) Seq() uint64 { return e.seq }
 
 // CancelSeq cancels the event if it is still pending under the schedule
 // numbered seq, and does nothing once that schedule fired or was canceled,
-// also while the event is parked on the freelist or holds a later pooled
-// schedule. With it *Event is the slot of a runtime.Timer, so a timer armed
-// on a pooled event may be canceled after it fired.
+// also while the event is parked on the freelist or holds a later schedule.
+// With it *Event is the slot of a runtime.Timer, so a timer may be canceled
+// after it fired.
 func (e *Event) CancelSeq(seq uint64) {
 	if e.seq == seq && e.index >= 0 {
-		e.k.Cancel(e)
+		e.k.cancel(e)
 	}
 }
 
@@ -78,10 +72,10 @@ type Kernel struct {
 	// mutation (push, pop, remove). It is a plain callback rather than a
 	// telemetry type so sim stays free of telemetry imports.
 	queueProbe func(depth int)
-	// free is the Event freelist feeding the *Pooled scheduling calls. The
-	// queue under periodic load stays shallow (max depth ~4 in the overload
-	// churn benchmark), so a handful of recycled events serves the entire
-	// run and the per-event heap allocation disappears from the hot path.
+	// free is the Event freelist every schedule draws from. The queue under
+	// periodic load stays shallow (max depth ~4 in the overload churn
+	// benchmark), so a handful of recycled events serves the entire run and
+	// the per-event heap allocation disappears from the hot path.
 	free []*Event
 }
 
@@ -110,13 +104,18 @@ func (k *Kernel) At(t Time, fn EventFunc) *Event {
 	return k.AtPriority(t, 0, fn)
 }
 
-// AtPriority schedules fn at time t with an explicit tie-break priority
-// (higher priority fires first among events at the same instant).
-func (k *Kernel) AtPriority(t Time, priority int, fn EventFunc) *Event {
-	return k.schedule(t, priority, fn, false)
+// After schedules fn to run d after the current time.
+func (k *Kernel) After(d Duration, fn EventFunc) *Event {
+	if d < 0 {
+		panic(fmt.Sprintf("sim: negative delay %v", d))
+	}
+	return k.AtPriority(k.now.Add(d), 0, fn)
 }
 
-func (k *Kernel) schedule(t Time, priority int, fn EventFunc, pooled bool) *Event {
+// AtPriority schedules fn at time t with an explicit tie-break priority
+// (higher priority fires first among events at the same instant). The event
+// comes off the freelist when one is parked there.
+func (k *Kernel) AtPriority(t Time, priority int, fn EventFunc) *Event {
 	if t < k.now {
 		panic(fmt.Sprintf("sim: scheduling event at %v before now %v", t, k.now))
 	}
@@ -125,14 +124,14 @@ func (k *Kernel) schedule(t Time, priority int, fn EventFunc, pooled bool) *Even
 	}
 	k.seq++
 	var e *Event
-	if pooled && len(k.free) > 0 {
-		e = k.free[len(k.free)-1]
-		k.free[len(k.free)-1] = nil
-		k.free = k.free[:len(k.free)-1]
-		*e = Event{k: k, at: t, priority: int32(priority), seq: k.seq, fn: fn, pooled: true}
+	if n := len(k.free); n > 0 {
+		e = k.free[n-1]
+		k.free[n-1] = nil
+		k.free = k.free[:n-1]
 	} else {
-		e = &Event{k: k, at: t, priority: int32(priority), seq: k.seq, fn: fn, pooled: pooled}
+		e = &Event{k: k}
 	}
+	e.at, e.priority, e.seq, e.fn = t, int32(priority), k.seq, fn
 	k.push(e)
 	if k.queueProbe != nil {
 		k.queueProbe(len(k.queue))
@@ -140,66 +139,13 @@ func (k *Kernel) schedule(t Time, priority int, fn EventFunc, pooled bool) *Even
 	return e
 }
 
-// release returns a pooled event to the freelist once it can no longer fire.
-func (k *Kernel) release(e *Event) {
-	if !e.pooled || e.inFree {
-		return
-	}
-	e.fn = nil
-	e.inFree = true
-	k.free = append(k.free, e)
-}
-
-// After schedules fn to run d after the current time.
-func (k *Kernel) After(d Duration, fn EventFunc) *Event {
-	if d < 0 {
-		panic(fmt.Sprintf("sim: negative delay %v", d))
-	}
-	return k.At(k.now.Add(d), fn)
-}
-
-// AtPooled schedules fn like At, drawing the Event from the kernel freelist
-// and returning it there as soon as it fires or is canceled. The contract:
-// the caller must drop its reference before the event fires — a retained
-// pointer ends up aliasing whatever event reuses the slot, so Kernel.Cancel
-// on it targets the wrong event and Reschedule panics (the recycled fn is
-// nil). A handle that outlives the event keeps its Seq too and cancels with
-// CancelSeq, which leaves a later schedule alone; the runtime's timers are
-// such handles. Use At/After when the handle must Reschedule after the
-// event fired.
-func (k *Kernel) AtPooled(t Time, fn EventFunc) *Event {
-	return k.schedule(t, 0, fn, true)
-}
-
-// AfterPooled schedules fn to run d after the current time on a pooled
-// event; see AtPooled for the handle contract.
-func (k *Kernel) AfterPooled(d Duration, fn EventFunc) *Event {
-	if d < 0 {
-		panic(fmt.Sprintf("sim: negative delay %v", d))
-	}
-	return k.AtPooled(k.now.Add(d), fn)
-}
-
-// AtPriorityPooled schedules fn like AtPriority on a pooled event; see
-// AtPooled for the handle contract.
-func (k *Kernel) AtPriorityPooled(t Time, priority int, fn EventFunc) *Event {
-	return k.schedule(t, priority, fn, true)
-}
-
-// FreeEvents returns the current freelist length (pooled events parked
-// between firings), for allocation assertions in tests.
+// FreeEvents returns the current freelist length (events parked between
+// schedules), for allocation assertions in tests.
 func (k *Kernel) FreeEvents() int { return len(k.free) }
 
-// Cancel removes a scheduled event. Canceling an already-fired or
-// already-canceled event is a no-op.
-func (k *Kernel) Cancel(e *Event) {
-	if e == nil || e.canceled || e.index < 0 {
-		if e != nil {
-			e.canceled = true
-		}
-		return
-	}
-	e.canceled = true
+// cancel takes the pending event e off the queue and parks it on the
+// freelist.
+func (k *Kernel) cancel(e *Event) {
 	k.remove(int(e.index))
 	if k.queueProbe != nil {
 		k.queueProbe(len(k.queue))
@@ -207,50 +153,34 @@ func (k *Kernel) Cancel(e *Event) {
 	k.release(e)
 }
 
-// Reschedule moves a pending event to a new time, preserving its priority.
-// If the event already fired or was canceled, a fresh event is scheduled.
-func (k *Kernel) Reschedule(e *Event, t Time) *Event {
-	if e != nil && !e.canceled && e.index >= 0 {
-		if t < k.now {
-			panic(fmt.Sprintf("sim: rescheduling event to %v before now %v", t, k.now))
-		}
-		e.at = t
-		k.fix(int(e.index))
-		return e
-	}
-	if e == nil {
-		panic("sim: rescheduling nil event")
-	}
-	return k.AtPriority(t, int(e.priority), e.fn)
+// release parks an event that can no longer fire on the freelist.
+func (k *Kernel) release(e *Event) {
+	e.fn = nil
+	k.free = append(k.free, e)
 }
 
 // Step fires the next pending event and advances the clock to it.
 // It reports whether an event was fired.
 func (k *Kernel) Step() bool {
-	for len(k.queue) > 0 {
-		e := k.remove(0)
-		if k.queueProbe != nil {
-			k.queueProbe(len(k.queue))
-		}
-		if e.canceled {
-			k.release(e)
-			continue
-		}
-		if e.at < k.now {
-			panic("sim: time went backwards")
-		}
-		k.now = e.at
-		k.executed++
-		fn := e.fn
-		// Recycle before firing: the contract forbids the caller from
-		// touching the handle once the event is due, and releasing first
-		// lets fn's own rescheduling reuse the slot immediately (the
-		// self-perpetuating periodic pattern runs entirely allocation-free).
-		k.release(e)
-		fn()
-		return true
+	if len(k.queue) == 0 {
+		return false
 	}
-	return false
+	e := k.remove(0)
+	if k.queueProbe != nil {
+		k.queueProbe(len(k.queue))
+	}
+	if e.at < k.now {
+		panic("sim: time went backwards")
+	}
+	k.now = e.at
+	k.executed++
+	fn := e.fn
+	// Recycle before firing: fn's own rescheduling reuses the slot at once
+	// (the self-perpetuating periodic pattern runs allocation-free), and a
+	// handle kept past this point is stale, so its CancelSeq does nothing.
+	k.release(e)
+	fn()
+	return true
 }
 
 // Run executes events until the queue is empty or Stop is called.
@@ -264,23 +194,7 @@ func (k *Kernel) Run() {
 // horizon. Events scheduled beyond the horizon stay pending.
 func (k *Kernel) RunUntil(horizon Time) {
 	k.stopped = false
-	for !k.stopped {
-		if len(k.queue) == 0 {
-			break
-		}
-		// Peek the earliest non-canceled event.
-		e := k.queue[0]
-		if e.canceled {
-			k.remove(0)
-			if k.queueProbe != nil {
-				k.queueProbe(len(k.queue))
-			}
-			k.release(e)
-			continue
-		}
-		if e.at > horizon {
-			break
-		}
+	for !k.stopped && len(k.queue) > 0 && k.queue[0].at <= horizon {
 		k.Step()
 	}
 	if k.now < horizon {
@@ -313,9 +227,6 @@ func (k *Kernel) remove(i int) *Event {
 	e.index = -1
 	return e
 }
-
-// fix restores the heap order after the event at slot i changed its time.
-func (k *Kernel) fix(i int) { k.sift(i, k.queue[i]) }
 
 // sift places e into hole i, then moves it down or up to its position.
 func (k *Kernel) sift(i int, e *Event) {

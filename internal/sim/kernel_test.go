@@ -52,49 +52,28 @@ func TestKernelCancel(t *testing.T) {
 	k := NewKernel()
 	fired := false
 	e := k.At(10, func() { fired = true })
-	k.Cancel(e)
+	seq := e.Seq()
+	e.CancelSeq(seq)
+	if k.Pending() != 0 {
+		t.Errorf("Pending() = %d after cancel, want 0", k.Pending())
+	}
 	k.Run()
 	if fired {
 		t.Error("canceled event fired")
 	}
-	if !e.Canceled() {
-		t.Error("event not marked canceled")
-	}
 	// Double cancel is a no-op.
-	k.Cancel(e)
-	k.Cancel(nil)
+	e.CancelSeq(seq)
 }
 
 func TestKernelCancelFromWithinEarlierEvent(t *testing.T) {
 	k := NewKernel()
 	fired := false
 	e := k.At(20, func() { fired = true })
-	k.At(10, func() { k.Cancel(e) })
+	seq := e.Seq()
+	k.At(10, func() { e.CancelSeq(seq) })
 	k.Run()
 	if fired {
 		t.Error("event fired despite cancel at t=10")
-	}
-}
-
-func TestKernelReschedule(t *testing.T) {
-	k := NewKernel()
-	var fired []Time
-	e := k.At(10, func() { fired = append(fired, k.Now()) })
-	k.At(5, func() { k.Reschedule(e, 42) })
-	k.Run()
-	if len(fired) != 1 || fired[0] != 42 {
-		t.Fatalf("fired = %v, want [42]", fired)
-	}
-}
-
-func TestKernelRescheduleFiredEventCreatesNewOne(t *testing.T) {
-	k := NewKernel()
-	count := 0
-	e := k.At(10, func() { count++ })
-	k.At(20, func() { k.Reschedule(e, 30) })
-	k.Run()
-	if count != 2 {
-		t.Fatalf("count = %d, want 2 (original + rescheduled)", count)
 	}
 }
 
@@ -212,10 +191,10 @@ func TestTimeHelpers(t *testing.T) {
 	}
 }
 
-func TestPooledEventRecycled(t *testing.T) {
+func TestEventRecycled(t *testing.T) {
 	k := NewKernel()
 	fired := 0
-	k.AtPooled(10, func() { fired++ })
+	k.At(10, func() { fired++ })
 	if k.FreeEvents() != 0 {
 		t.Fatalf("freelist %d before firing", k.FreeEvents())
 	}
@@ -226,8 +205,8 @@ func TestPooledEventRecycled(t *testing.T) {
 	if k.FreeEvents() != 1 {
 		t.Fatalf("freelist %d after firing, want 1", k.FreeEvents())
 	}
-	// The next pooled schedule reuses the slot instead of growing the list.
-	k.AtPooled(20, func() { fired++ })
+	// The next schedule reuses the slot instead of growing the list.
+	k.At(20, func() { fired++ })
 	if k.FreeEvents() != 0 {
 		t.Fatalf("freelist %d after reuse, want 0", k.FreeEvents())
 	}
@@ -237,34 +216,34 @@ func TestPooledEventRecycled(t *testing.T) {
 	}
 }
 
-func TestPooledEventCancelRecycles(t *testing.T) {
+func TestEventCancelRecycles(t *testing.T) {
 	k := NewKernel()
-	e := k.AtPooled(10, func() { t.Fatal("canceled event fired") })
-	k.Cancel(e)
+	e := k.At(10, func() { t.Fatal("canceled event fired") })
+	e.CancelSeq(e.Seq())
 	if k.FreeEvents() != 1 {
 		t.Fatalf("freelist %d after cancel, want 1", k.FreeEvents())
 	}
 	// Double cancel must not double-release.
-	k.Cancel(e)
+	e.CancelSeq(e.Seq())
 	if k.FreeEvents() != 1 {
 		t.Fatalf("freelist %d after double cancel, want 1", k.FreeEvents())
 	}
 	k.Run()
 }
 
-// TestCancelSeqStaleHandle pins the timer-handle contract on pooled events:
-// a handle (the event with its Seq) kept after its schedule fired cancels
+// TestCancelSeqStaleHandle pins the handle contract of recycled events: a
+// handle (the event with its Seq) kept after its schedule fired cancels
 // nothing — not while the event is parked on the freelist, and not once a
 // thread's completion reuses it, however often it is called.
 func TestCancelSeqStaleHandle(t *testing.T) {
 	k := NewKernel()
 	th := NewProcessor(k, NewRNG(7), "ecu", 1).NewThread("a", 1)
-	e := k.AtPooled(10, func() {})
+	e := k.At(10, func() {})
 	seq := e.Seq()
 	k.Run()
 	e.CancelSeq(seq)
-	if k.FreeEvents() != 1 || e.Canceled() {
-		t.Fatalf("cancel of a parked event: freelist %d, canceled %v; want 1, false", k.FreeEvents(), e.Canceled())
+	if k.FreeEvents() != 1 {
+		t.Fatalf("cancel of a parked event: freelist %d, want 1", k.FreeEvents())
 	}
 	done := false
 	th.EnqueueDirect("job", 5, func() { done = true })
@@ -273,7 +252,7 @@ func TestCancelSeqStaleHandle(t *testing.T) {
 	}
 	e.CancelSeq(seq)
 	e.CancelSeq(seq)
-	if k.Pending() != 1 || e.Canceled() {
+	if k.Pending() != 1 || k.queue[0] != e {
 		t.Fatal("a stale handle canceled the completion that reuses its event")
 	}
 	k.Run()
@@ -282,7 +261,7 @@ func TestCancelSeqStaleHandle(t *testing.T) {
 	}
 
 	// A live handle cancels its schedule once; repeating it does nothing.
-	e = k.AtPooled(k.Now()+10, func() { t.Error("canceled event fired") })
+	e = k.At(k.Now()+10, func() { t.Error("canceled event fired") })
 	seq = e.Seq()
 	e.CancelSeq(seq)
 	e.CancelSeq(seq)
@@ -292,61 +271,65 @@ func TestCancelSeqStaleHandle(t *testing.T) {
 	k.Run()
 }
 
-func TestPooledEventUnpooledUntouched(t *testing.T) {
-	k := NewKernel()
-	k.At(10, func() {})
-	e := k.At(20, func() {})
-	k.Cancel(e)
-	k.Run()
-	if k.FreeEvents() != 0 {
-		t.Fatalf("unpooled events leaked into freelist: %d", k.FreeEvents())
-	}
-}
-
-// TestPooledScheduleAllocFree is the allocs/op assertion behind the ISSUE 3
-// allocation cuts: once the freelist is primed, a self-rescheduling pooled
-// event runs its schedule+fire cycle without any heap allocation.
-func TestPooledScheduleAllocFree(t *testing.T) {
-	k := NewKernel()
-	var tick func()
-	tick = func() { k.AfterPooled(Millisecond, tick) }
-	k.AtPooled(0, tick)
-	k.Step() // prime the freelist
-	allocs := testing.AllocsPerRun(1000, func() {
-		if !k.Step() {
-			t.Fatal("queue drained")
+// TestScheduleAllocFree: once the freelist is primed, a self-rescheduling
+// event runs its schedule+fire cycle without any heap allocation, through
+// each of At, After and AtPriority.
+func TestScheduleAllocFree(t *testing.T) {
+	for _, tc := range []struct {
+		name     string
+		schedule func(k *Kernel, fn EventFunc)
+	}{
+		{"At", func(k *Kernel, fn EventFunc) { k.At(k.Now().Add(Millisecond), fn) }},
+		{"After", func(k *Kernel, fn EventFunc) { k.After(Millisecond, fn) }},
+		{"AtPriority", func(k *Kernel, fn EventFunc) { k.AtPriority(k.Now().Add(Millisecond), 3, fn) }},
+	} {
+		k := NewKernel()
+		var tick func()
+		tick = func() { tc.schedule(k, tick) }
+		tc.schedule(k, tick)
+		k.Step() // prime the freelist
+		allocs := testing.AllocsPerRun(1000, func() {
+			if !k.Step() {
+				t.Fatal("queue drained")
+			}
+		})
+		if allocs != 0 {
+			t.Errorf("%s schedule+fire cycle allocates %.1f/op, want 0", tc.name, allocs)
 		}
-	})
-	if allocs != 0 {
-		t.Fatalf("pooled schedule+fire cycle allocates %.1f/op, want 0", allocs)
 	}
 }
 
 // TestKernelHeapOrderUnderChurn drives the hand-rolled event heap through a
 // seeded mix of schedules (colliding times and priorities), cancels,
-// reschedules and pops, and checks every pop against a brute-force scan for
-// the (time, priority, sequence) minimum. The order is strict and total, so
-// exactly one pop sequence is correct whatever the heap layout.
+// reschedules (a cancel plus a fresh schedule at the same priority) and
+// pops, and checks every pop against a brute-force scan for the (time,
+// priority, sequence) minimum. The order is strict and total, so exactly one
+// pop sequence is correct whatever the heap layout.
 func TestKernelHeapOrderUnderChurn(t *testing.T) {
 	rng := NewRNG(3)
 	k := NewKernel()
 	live := map[*Event]bool{}
 	var fired *Event
-	pick := func() *Event { // a pending event, chosen by position in the queue
-		return k.queue[rng.Intn(len(k.queue))]
+	schedule := func(at Time, priority int) {
+		var e *Event
+		e = k.AtPriority(at, priority, func() { fired = e })
+		live[e] = true
+	}
+	cancel := func() *Event { // a pending event, chosen by position in the queue
+		e := k.queue[rng.Intn(len(k.queue))]
+		e.CancelSeq(e.Seq())
+		delete(live, e)
+		return e
 	}
 	for step := 0; step < 20000; step++ {
 		switch op := rng.Intn(10); {
 		case op < 5 || len(k.queue) == 0:
-			var e *Event
-			e = k.AtPriorityPooled(k.Now().Add(Duration(rng.Intn(50))), rng.Intn(3), func() { fired = e })
-			live[e] = true
+			schedule(k.Now().Add(Duration(rng.Intn(50))), rng.Intn(3))
 		case op < 6:
-			e := pick()
-			k.Cancel(e)
-			delete(live, e)
+			cancel()
 		case op < 7:
-			k.Reschedule(pick(), k.Now().Add(Duration(rng.Intn(50))))
+			priority := int(cancel().priority)
+			schedule(k.Now().Add(Duration(rng.Intn(50))), priority)
 		default:
 			var want *Event
 			for e := range live {

@@ -10,9 +10,8 @@ import "fmt"
 // completes (after its Fn returned) it is returned to its thread and the
 // next Enqueue reuses it, so steady-state enqueueing does not touch the
 // heap. The handle returned by Enqueue/EnqueueDirect is therefore only
-// valid until the item's Fn returns — reading latency bookkeeping after
-// completion requires Retain, exactly like the kernel's pooled events
-// require dropping the handle before the event fires.
+// valid until the item's Fn returns: read its latency bookkeeping from Fn,
+// as a kernel event's handle is stale once the event fired.
 type WorkItem struct {
 	Label string
 	Cost  Duration
@@ -33,7 +32,6 @@ type WorkItem struct {
 	started    Time // first dispatch on a core
 	finished   Time
 	preemptCnt int
-	retained   bool
 	inFree     bool
 }
 
@@ -48,16 +46,6 @@ func (w *WorkItem) Finished() Time { return w.finished }
 
 // Preemptions returns how often the item was preempted.
 func (w *WorkItem) Preemptions() int { return w.preemptCnt }
-
-// Retain opts the item out of freelist recycling: the handle (and its
-// latency bookkeeping) stays valid after completion instead of aliasing
-// whatever work reuses the slot. Call it right after Enqueue when the
-// timestamps are read after the run; fire-and-forget callers (the hot path)
-// never need it.
-func (w *WorkItem) Retain() *WorkItem {
-	w.retained = true
-	return w
-}
 
 // Thread is a schedulable entity with a fixed priority and a FIFO queue of
 // work items. Higher Priority values take precedence.
@@ -193,7 +181,6 @@ func (t *Thread) newItem(label string, cost Duration, fn func()) *WorkItem {
 		w.Label, w.Cost, w.Fn = label, cost, fn
 		w.ready, w.started, w.finished = 0, 0, 0
 		w.preemptCnt = 0
-		w.retained = false
 	} else {
 		w = &WorkItem{t: t, Label: label, Cost: cost, Fn: fn}
 		w.wakeFn = w.wake
@@ -202,11 +189,11 @@ func (t *Thread) newItem(label string, cost Duration, fn func()) *WorkItem {
 	return w
 }
 
-// releaseItem parks a completed item on the thread freelist. Retained items
-// stay out; the stale Fn and Label are cleared so a recycled slot can never
-// run or report a previous item's work.
+// releaseItem parks a completed item on the thread freelist. The stale Fn
+// and Label are cleared so a recycled slot can never run or report a
+// previous item's work.
 func (t *Thread) releaseItem(w *WorkItem) {
-	if w.retained || w.inFree {
+	if w.inFree {
 		return
 	}
 	w.Fn = nil
@@ -237,11 +224,11 @@ func (w *WorkItem) wake() {
 // Enqueue schedules a work item on the thread. The item becomes runnable
 // after the processor's wakeup latency and then competes for a core at the
 // thread's priority. The returned handle is valid until the item's Fn
-// returns; Retain it when bookkeeping must survive completion.
+// returns.
 func (t *Thread) Enqueue(label string, cost Duration, fn func()) *WorkItem {
 	w := t.newItem(label, cost, fn)
 	wake := t.proc.Wakeup.Sample(t.proc.rng)
-	t.proc.k.AfterPooled(wake, w.wakeFn)
+	t.proc.k.After(wake, w.wakeFn)
 	return w
 }
 
@@ -388,7 +375,7 @@ func (p *Processor) reschedule() {
 
 func (t *Thread) preempt(now Time) {
 	if t.completion != nil {
-		t.proc.k.Cancel(t.completion)
+		t.proc.k.cancel(t.completion)
 		t.completion = nil
 	}
 	consumed := now.Sub(t.dispatched)
@@ -416,9 +403,9 @@ func (t *Thread) dispatch(now Time) {
 	t.remaining += t.proc.CtxSwitch.Sample(t.proc.rng)
 	t.running = true
 	t.dispatched = now
-	// Pooled: t.completion is nil'd in both complete() and preempt() before
-	// the event can be recycled, so no stale handle survives.
-	t.completion = t.proc.k.AtPriorityPooled(now.Add(t.remaining), t.Priority, t.completeFn)
+	// t.completion is nil'd in both complete() and preempt() before the
+	// event can be recycled, so while set it is pending.
+	t.completion = t.proc.k.AtPriority(now.Add(t.remaining), t.Priority, t.completeFn)
 }
 
 func (t *Thread) complete() {
@@ -449,12 +436,7 @@ func (t *Thread) complete() {
 // interfering services and load sweeps (Fig. 12). It starts at the given
 // offset and re-arms itself every period.
 func (p *Processor) PeriodicLoad(t *Thread, label string, offset Time, period Duration, cost Dist) {
-	var arm func()
-	arm = func() {
-		t.Enqueue(label, cost.Sample(p.rng), nil)
-		p.k.AfterPooled(period, arm)
-	}
-	p.k.AtPooled(offset, arm)
+	p.PeriodicLoadWindow(t, label, offset, MaxTime, period, cost)
 }
 
 // PeriodicLoadWindow drives a thread with periodic background work only
@@ -471,7 +453,7 @@ func (p *Processor) PeriodicLoadWindow(t *Thread, label string, from, until Time
 			return
 		}
 		t.Enqueue(label, cost.Sample(p.rng), nil)
-		p.k.AfterPooled(period, arm)
+		p.k.After(period, arm)
 	}
-	p.k.AtPooled(from, arm)
+	p.k.At(from, arm)
 }

@@ -98,18 +98,23 @@ func TestPreemptedWorkResumesWithRemainingCost(t *testing.T) {
 	k, p := newTestProc(1)
 	lo := p.NewThread("lo", 1)
 	hi := p.NewThread("hi", 10)
-	var loDone Time
-	w := lo.Enqueue("long", 100*time.Nanosecond, func() { loDone = k.Now() }).Retain()
+	var loDone, started, finished Time
+	var preemptions int
+	var w *WorkItem
+	// The handle is valid until Fn returns, so Fn reads its bookkeeping.
+	w = lo.Enqueue("long", 100*time.Nanosecond, func() {
+		loDone, started, finished, preemptions = k.Now(), w.Started(), w.Finished(), w.Preemptions()
+	})
 	k.At(50, func() { hi.Enqueue("h", 30*time.Nanosecond, nil) })
 	k.Run()
 	if loDone != 130 {
 		t.Errorf("lo done at %v, want 130", loDone)
 	}
-	if w.Preemptions() != 1 {
-		t.Errorf("preemptions = %d, want 1", w.Preemptions())
+	if preemptions != 1 {
+		t.Errorf("preemptions = %d, want 1", preemptions)
 	}
-	if w.Started() != 0 || w.Finished() != 130 {
-		t.Errorf("started/finished = %v/%v", w.Started(), w.Finished())
+	if started != 0 || finished != 130 {
+		t.Errorf("started/finished = %v/%v", started, finished)
 	}
 }
 
@@ -354,14 +359,14 @@ func TestThreadIntrospection(t *testing.T) {
 		t.Error("RNG() nil")
 	}
 	th := p.NewThread("a", 1)
-	w := th.Enqueue("j", 10*time.Nanosecond, nil).Retain()
+	w := th.Enqueue("j", 10*time.Nanosecond, nil)
+	if w.Enqueued() != 0 {
+		t.Errorf("Enqueued() = %v", w.Enqueued())
+	}
 	if th.QueueLen() != 0 { // not yet ready (wakeup pending as event)
 		t.Errorf("queue len = %d before wakeup", th.QueueLen())
 	}
 	k.Run()
-	if w.Enqueued() != 0 {
-		t.Errorf("Enqueued() = %v", w.Enqueued())
-	}
 	if th.Busy() {
 		t.Error("thread busy after completion")
 	}

@@ -22,7 +22,7 @@ func TestQueueProbeObservesHeapOps(t *testing.T) {
 	if calls != 2 || lastDepth != 2 {
 		t.Fatalf("after 2 pushes: calls=%d depth=%d", calls, lastDepth)
 	}
-	k.Cancel(e1)
+	e1.CancelSeq(e1.Seq())
 	if calls != 3 || lastDepth != 1 {
 		t.Fatalf("after cancel: calls=%d depth=%d", calls, lastDepth)
 	}
@@ -97,28 +97,14 @@ func BenchmarkKernelQueueChurnNoProbe(b *testing.B) {
 	}
 }
 
-// BenchmarkEventSchedule measures a bare schedule+fire cycle through the
-// unpooled API: every cycle heap-allocates a fresh Event.
+// BenchmarkEventSchedule measures a bare schedule+fire cycle; after the
+// first lap the Event is recycled and the loop runs allocation-free
+// (asserted by TestScheduleAllocFree).
 func BenchmarkEventSchedule(b *testing.B) {
 	k := sim.NewKernel()
 	var tick func()
 	tick = func() { k.After(sim.Millisecond, tick) }
 	k.At(0, tick)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		k.Step()
-	}
-}
-
-// BenchmarkEventSchedulePooled is the same cycle through the freelist API;
-// after the first lap the Event is recycled and the loop runs allocation-free
-// (asserted by TestPooledScheduleAllocFree).
-func BenchmarkEventSchedulePooled(b *testing.B) {
-	k := sim.NewKernel()
-	var tick func()
-	tick = func() { k.AfterPooled(sim.Millisecond, tick) }
-	k.AtPooled(0, tick)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -41,19 +41,13 @@ const eventPayloadLen = 34
 
 // StreamOptions configures a StreamWriter.
 type StreamOptions struct {
-	// Background selects the concurrent writer: producers push events into
-	// per-track wait-free staging rings and a drainer goroutine encodes and
-	// flushes them. Required whenever tracks are appended from more than
-	// one goroutine (the wall-clock runtime). The default (false) encodes
-	// inline in Append — deterministic and byte-identical across same-seed
-	// runs, for the single-goroutine simulation.
-	Background bool
-	// RingCap is the per-track staging-ring capacity of a background
+	// RingCap is the per-track staging-ring capacity of a wall-clock
 	// writer, rounded up to a power of two (default 8192). When a ring is
 	// full the newest event is dropped from the stream (never from the
 	// in-memory flight recorder) and counted.
 	RingCap int
-	// FlushEvery is the background drain/flush period (default 100ms).
+	// FlushEvery is a wall-clock writer's drain/flush period (default
+	// 100ms).
 	FlushEvery time.Duration
 	// Metrics, when non-nil, receives the writer's drop/flush/volume
 	// counters (chainmon_stream_*).
@@ -123,7 +117,12 @@ type StreamWriter struct {
 
 // NewStreamWriter creates a writer on w and writes the log header. timebase
 // names the timestamp domain of the events ("sim" or "wall") and is recorded
-// as log metadata.
+// as log metadata. It also picks the writer: on "wall", where tracks are
+// appended from more than one goroutine, producers push events into
+// per-track wait-free staging rings and a background drainer encodes and
+// flushes them; on any other timebase Append encodes inline, which is
+// deterministic and byte-identical across same-seed runs of the
+// single-goroutine simulation.
 func NewStreamWriter(w io.Writer, timebase string, opts StreamOptions) (*StreamWriter, error) {
 	sw := newStreamWriterCore(w, timebase, opts)
 	sw.writeHeaderLocked()
@@ -140,7 +139,7 @@ func NewStreamWriter(w io.Writer, timebase string, opts StreamOptions) (*StreamW
 func newStreamWriterCore(w io.Writer, timebase string, opts StreamOptions) *StreamWriter {
 	sw := &StreamWriter{
 		bw:         bufio.NewWriterSize(w, 1<<16),
-		background: opts.Background,
+		background: timebase == "wall",
 		ringCap:    opts.RingCap,
 		flushEvery: opts.FlushEvery,
 		reg:        opts.Metrics,
@@ -176,7 +175,7 @@ func (sw *StreamWriter) writeHeaderLocked() {
 	sw.writeRecordLocked(recMeta, []byte("timebase="+sw.timebase))
 }
 
-// start launches the background drainer when configured.
+// start launches the background drainer of a wall-clock writer.
 func (sw *StreamWriter) start() {
 	if sw.background {
 		sw.stop = make(chan struct{})

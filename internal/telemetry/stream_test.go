@@ -120,7 +120,6 @@ func TestStreamReplaysEarlyDefinitions(t *testing.T) {
 func TestStreamBackgroundConcurrent(t *testing.T) {
 	var buf bytes.Buffer
 	sw, err := NewStreamWriter(&buf, "wall", StreamOptions{
-		Background: true,
 		RingCap:    4096,
 		FlushEvery: time.Millisecond,
 	})
@@ -176,7 +175,6 @@ func TestStreamBackgroundDropAccounting(t *testing.T) {
 	reg := NewRegistry()
 	var buf bytes.Buffer
 	sw, err := NewStreamWriter(&buf, "wall", StreamOptions{
-		Background: true,
 		RingCap:    8,
 		FlushEvery: time.Hour, // only the Close drain runs
 		Metrics:    reg,

@@ -260,7 +260,6 @@ func TestStreamFileTruncatedFinalSegment(t *testing.T) {
 func TestStreamFileRotateBackground(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "trace.log")
 	sw, err := NewStreamFile(path, "wall", StreamOptions{
-		Background:  true,
 		RingCap:     4096,
 		FlushEvery:  time.Millisecond,
 		RotateBytes: 2048,
