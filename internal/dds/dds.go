@@ -17,6 +17,16 @@
 //   - Subscription.OnDeliver — receive events in the DDS subscriber, before
 //     the application callback is dispatched (remote monitor timer
 //     reprogramming, late-sample discard, local segment start/end).
+//
+// A *Sample is lent, as a DDS reader lends a sample to its listener: it is
+// valid until the hook or callback it was handed to returns. Publication
+// samples and each subscription's copy live in records the middleware
+// recycles, and a record is zeroed when it is parked, so a pointer kept
+// past the return reads the zero Sample — and, once the record is reused,
+// a later message. Copy the fields a hook needs instead (Activation,
+// Writer, the times); Data is the application's own and may be kept.
+// DeliverLocal and InjectReceive copy the caller's sample before anything
+// runs, so the caller's value is never handed on.
 package dds
 
 import (
@@ -85,6 +95,9 @@ type Domain struct {
 	sink       *telemetry.Sink // nil when uninstrumented
 	ddsTels    map[string]*ddsTel
 	flowScopes map[string]uint8 // topic → flow scope id
+
+	// free heads the freelist of publication records not in use.
+	free *publication
 
 	// InterECU is the link configuration used when two ECUs communicate
 	// and no explicit link was installed. Defaults to netsim.Ethernet().
@@ -302,50 +315,36 @@ func (p *Publisher) Stats() (published, skipped uint64) { return p.published, p.
 
 // Publish sends a sample for the given activation to all subscriptions of
 // the topic. It must be called from simulation context (inside a work item
-// or kernel event). It returns the sample, or nil if a PrePublish hook
-// vetoed.
-func (p *Publisher) Publish(activation uint64, data any, size int) *Sample {
-	now := p.domain.k.Now()
-	s := &Sample{
-		Topic:        p.Topic,
-		Writer:       p.Writer,
-		Activation:   activation,
-		SrcTimestamp: p.node.ECU.Clock.Now(),
-		PubTime:      now,
-		Size:         size,
-		Data:         data,
-	}
+// or kernel event). It reports whether the sample was published: false when
+// a PrePublish hook vetoed it.
+func (p *Publisher) Publish(activation uint64, data any, size int) bool {
+	pb := p.newPublication(activation, data, size)
 	for _, hook := range p.PrePublish {
-		if !hook(s) {
+		if !hook(&pb.s) {
 			p.skipped++
 			if p.domain.sink != nil {
-				p.domain.telSkip(p.node.ECU.Name, s)
+				p.domain.telSkip(p.node.ECU.Name, &pb.s)
 			}
-			return nil
+			p.domain.park(pb)
+			return false
 		}
 	}
-	p.published++
-	for _, hook := range p.OnPublish {
-		hook(s)
-	}
-	if p.domain.sink != nil {
-		p.domain.telSend(p.node.ECU.Name, s)
-	}
-	for _, hook := range p.DropOnWire {
-		if hook(s) {
-			return s
-		}
-	}
-	p.domain.route(p.node.ECU.Name, s)
-	return s
+	p.send(pb)
+	return true
 }
 
 // PublishBypass sends a sample without running PrePublish hooks. The local
 // monitor uses it to publish recovery data from an exception handler: the
 // recovery publication must not be vetoed by the monitor's own skip entry
 // for the activation.
-func (p *Publisher) PublishBypass(activation uint64, data any, size int) *Sample {
-	s := &Sample{
+func (p *Publisher) PublishBypass(activation uint64, data any, size int) {
+	p.send(p.newPublication(activation, data, size))
+}
+
+// newPublication takes a record for a sample published now.
+func (p *Publisher) newPublication(activation uint64, data any, size int) *publication {
+	pb := p.domain.take()
+	pb.s = Sample{
 		Topic:        p.Topic,
 		Writer:       p.Writer,
 		Activation:   activation,
@@ -354,6 +353,13 @@ func (p *Publisher) PublishBypass(activation uint64, data any, size int) *Sample
 		Size:         size,
 		Data:         data,
 	}
+	return pb
+}
+
+// send runs the publication event of a sample past the veto, routes it
+// unless a DropOnWire hook loses it, and parks its record.
+func (p *Publisher) send(pb *publication) {
+	s := &pb.s
 	p.published++
 	for _, hook := range p.OnPublish {
 		hook(s)
@@ -363,14 +369,52 @@ func (p *Publisher) PublishBypass(activation uint64, data any, size int) *Sample
 	}
 	for _, hook := range p.DropOnWire {
 		if hook(s) {
-			return s
+			p.domain.park(pb)
+			return
 		}
 	}
 	p.domain.route(p.node.ECU.Name, s)
-	return s
+	p.domain.park(pb)
 }
 
-// route delivers a sample to every subscription of its topic.
+// publication is one published sample on its way through the publication
+// hooks and routing. Records are recycled through the domain's freelist, so
+// a publication allocates nothing once the first few exist. A device also
+// schedules its next publication ahead on a record: dev and the activation
+// are set then, and publishFn, bound once when the record is first
+// allocated, fills in the rest at publication time.
+type publication struct {
+	s         Sample
+	dev       *Device
+	next      *publication
+	publishFn func()
+}
+
+// take pops a zeroed publication record off the freelist, allocating the
+// first few.
+func (d *Domain) take() *publication {
+	pb := d.free
+	if pb == nil {
+		pb = &publication{}
+		pb.publishFn = pb.devicePublish
+		return pb
+	}
+	d.free = pb.next
+	pb.next = nil
+	return pb
+}
+
+// park zeroes a record whose publication has ended and returns it to the
+// freelist.
+func (d *Domain) park(pb *publication) {
+	pb.s, pb.dev = Sample{}, nil
+	pb.next = d.free
+	d.free = pb
+}
+
+// route delivers a sample to every subscription of its topic. Each
+// subscription gets its own copy, in its delivery record, so RecvTime and
+// hook decisions do not leak across receivers.
 func (d *Domain) route(fromECU string, s *Sample) {
 	var flow uint32
 	if d.sink != nil {
@@ -378,12 +422,7 @@ func (d *Domain) route(fromECU string, s *Sample) {
 	}
 	for _, sub := range d.subs[s.Topic] {
 		link := d.Link(fromECU, sub.node.ECU.Name)
-		// Each subscription gets its own copy so RecvTime and hook
-		// decisions do not leak across receivers. The copy lives on the
-		// heap: hooks and callbacks may keep the *Sample.
-		c := new(Sample)
-		*c = *s
-		r := sub.newDelivery(c)
+		r := sub.newDelivery(s)
 		if _, r.pending = link.SendTagged(s.Size, s.Activation, flow, r.arriveFn); r.pending == 0 {
 			sub.release(r) // lost on the wire
 		}
@@ -448,11 +487,12 @@ func (s *Subscription) Stats() (delivered, discarded uint64) { return s.delivere
 // Expired returns the number of samples dropped by the lifespan QoS.
 func (s *Subscription) Expired() uint64 { return s.expired }
 
-// delivery is one in-flight receive of a sample at a subscription. Its
-// stage methods are the receive path — link arrival → ksoftirq →
-// middleware thread → hooks → executor callback — bound to method values
-// once, when the record is first allocated, so a delivery schedules no
-// closures. Records are recycled through the subscription's freelist.
+// delivery is one in-flight receive of a sample at a subscription: it
+// carries the subscription's copy of the sample. Its stage methods are the
+// receive path — link arrival → ksoftirq → middleware thread → hooks →
+// executor callback — bound to method values once, when the record is
+// first allocated, so a delivery schedules no closures. Records are
+// recycled through the subscription's freelist.
 //
 // pending counts the receive chains still running on the record. Each
 // arrival the link scheduled holds one (two when a DupFault duplicated the
@@ -461,7 +501,7 @@ func (s *Subscription) Expired() uint64 { return s.expired }
 // a hook discard. The last one returns the record to the freelist.
 type delivery struct {
 	sub     *Subscription
-	s       *Sample
+	s       Sample
 	pending int
 	next    *delivery
 
@@ -469,7 +509,7 @@ type delivery struct {
 }
 
 // newDelivery takes a record off the freelist (allocating the first few)
-// for sample s. The caller sets pending.
+// and copies sample s into it. The caller sets pending.
 func (sub *Subscription) newDelivery(s *Sample) *delivery {
 	r := sub.free
 	if r != nil {
@@ -479,13 +519,13 @@ func (sub *Subscription) newDelivery(s *Sample) *delivery {
 		r = &delivery{sub: sub}
 		r.arriveFn, r.rxFn, r.deliverFn, r.callbackFn = r.arrive, r.rx, r.deliver, r.callback
 	}
-	r.s = s
+	r.s = *s
 	return r
 }
 
-// release parks a record no chain runs on any more.
+// release zeroes and parks a record no chain runs on any more.
 func (sub *Subscription) release(r *delivery) {
-	r.s = nil
+	r.s = Sample{}
 	r.next = sub.free
 	sub.free = r
 }
@@ -513,7 +553,7 @@ func (r *delivery) rx() {
 	d := sub.node.ECU.Domain
 	cost := d.DeliverCost.Sample(d.rng)
 	if sub.DeliverCost != nil {
-		cost = sub.DeliverCost(r.s)
+		cost = sub.DeliverCost(&r.s)
 	}
 	sub.node.Middleware.Enqueue(sub.deliverLabel, cost, r.deliverFn)
 }
@@ -521,7 +561,7 @@ func (r *delivery) rx() {
 // deliver is the middleware receive: lifespan QoS, the OnDeliver hooks,
 // then the callback dispatch.
 func (r *delivery) deliver() {
-	sub, s := r.sub, r.s
+	sub, s := r.sub, &r.s
 	e := sub.node.ECU
 	d := e.Domain
 	s.RecvTime = d.k.Now()
@@ -546,7 +586,7 @@ func (r *delivery) deliver() {
 // callback runs the application callback on the executor.
 func (r *delivery) callback() {
 	if r.sub.Callback != nil {
-		r.sub.Callback(r.s)
+		r.sub.Callback(&r.s)
 	}
 	r.done()
 }
@@ -557,39 +597,36 @@ func (sub *Subscription) dispatch(r *delivery) {
 	sub.delivered++
 	var cost sim.Duration
 	if sub.Cost != nil {
-		cost = sub.Cost(r.s)
+		cost = sub.Cost(&r.s)
 	}
 	sub.node.Exec.Enqueue(sub.cbLabel, cost, r.callbackFn)
 }
 
-// dispatchSample runs the callback stage for a synthesized sample on a
-// record of its own.
-func (sub *Subscription) dispatchSample(s *Sample) {
+// InjectReceive delivers a copy of a synthesized sample directly to the
+// application callback, bypassing network and hooks.
+func (sub *Subscription) InjectReceive(s *Sample) {
 	r := sub.newDelivery(s)
 	r.pending = 1
 	sub.dispatch(r)
 }
 
-// InjectReceive delivers a synthesized sample directly to the application
-// callback, bypassing network and hooks.
-func (sub *Subscription) InjectReceive(s *Sample) {
-	sub.dispatchSample(s)
-}
-
 // DeliverLocal runs the full local delivery path (OnDeliver hooks, then the
-// application callback) for a synthesized sample, without network or kernel
-// receive costs. Remote-segment recovery handlers use it to issue the
-// receive event with recovered data so that downstream monitors observe a
-// regular start event.
+// application callback) for a copy of a synthesized sample, without network
+// or kernel receive costs. Remote-segment recovery handlers use it to issue
+// the receive event with recovered data so that downstream monitors observe
+// a regular start event.
 func (sub *Subscription) DeliverLocal(s *Sample) {
-	s.RecvTime = sub.node.ECU.Domain.k.Now()
+	r := sub.newDelivery(s)
+	r.pending = 1
+	r.s.RecvTime = sub.node.ECU.Domain.k.Now()
 	for _, hook := range sub.OnDeliver {
-		if !hook(s) {
+		if !hook(&r.s) {
 			sub.discarded++
+			r.done()
 			return
 		}
 	}
-	sub.dispatchSample(s)
+	sub.dispatch(r)
 }
 
 // Device is a sensor (e.g. a lidar) that publishes a topic periodically
@@ -650,7 +687,9 @@ func (dev *Device) Start(offset sim.Time) {
 			j += extra
 		}
 		if !drop {
-			dev.domain.k.At(grid.Add(j), func() { dev.publish(act) })
+			pb := dev.domain.take()
+			pb.dev, pb.s.Activation = dev, act
+			dev.domain.k.At(grid.Add(j), pb.publishFn)
 		}
 		grid = grid.Add(dev.Period)
 		dev.domain.k.At(grid, fire)
@@ -661,26 +700,31 @@ func (dev *Device) Start(offset sim.Time) {
 // Stop halts the device after the current period.
 func (dev *Device) Stop() { dev.stopped = true }
 
-func (dev *Device) publish(act uint64) {
+// devicePublish is a device's publication of the record's activation:
+// payload, publication hooks, routing; then the record is parked.
+func (pb *publication) devicePublish() {
+	dev, act := pb.dev, pb.s.Activation
+	d := dev.domain
 	var data any
 	var size int
 	if dev.Payload != nil {
 		data, size = dev.Payload(act)
 	}
-	s := &Sample{
+	pb.s = Sample{
 		Topic:        dev.Topic,
 		Writer:       dev.Writer,
 		Activation:   act,
 		SrcTimestamp: dev.Clock.Now(),
-		PubTime:      dev.domain.k.Now(),
+		PubTime:      d.k.Now(),
 		Size:         size,
 		Data:         data,
 	}
 	for _, hook := range dev.OnPublish {
-		hook(s)
+		hook(&pb.s)
 	}
-	if dev.domain.sink != nil {
-		dev.domain.telSend(dev.Name, s)
+	if d.sink != nil {
+		d.telSend(dev.Name, &pb.s)
 	}
-	dev.domain.route(dev.Name, s)
+	d.route(dev.Name, &pb.s)
+	d.park(pb)
 }

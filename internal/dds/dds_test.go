@@ -31,15 +31,17 @@ func TestPublishDeliversAcrossECUs(t *testing.T) {
 	n1 := e1.NewNode("sender", PrioExecBase)
 	n2 := e2.NewNode("receiver", PrioExecBase)
 
-	var got *Sample
+	// The sample is lent to the callback: copy it there.
+	var got Sample
 	var at sim.Time
-	n2.Subscribe("topic", nil, func(s *Sample) { got = s; at = k.Now() })
+	delivered := false
+	n2.Subscribe("topic", nil, func(s *Sample) { got, at, delivered = *s, k.Now(), true })
 
 	pub := n1.NewPublisher("topic")
 	k.At(0, func() { pub.Publish(0, "hello", 0) })
 	k.Run()
 
-	if got == nil {
+	if !delivered {
 		t.Fatal("sample not delivered")
 	}
 	if got.Data != "hello" || got.Activation != 0 || got.Topic != "topic" {
@@ -124,28 +126,40 @@ func TestPublishBypassIgnoresVetoHooks(t *testing.T) {
 	pub := n1.NewPublisher("t")
 	pub.PrePublish = append(pub.PrePublish, func(*Sample) bool { return false })
 	k.At(0, func() {
-		if pub.Publish(0, nil, 0) != nil {
+		if pub.Publish(0, nil, 0) {
 			t.Error("regular publish should have been vetoed")
 		}
-		if pub.PublishBypass(0, "recovery", 0) == nil {
-			t.Error("bypass publish returned nil")
-		}
+		pub.PublishBypass(0, "recovery", 0)
 	})
 	k.Run()
 	if got != 1 {
 		t.Errorf("delivered %d, want 1 (bypass only)", got)
+	}
+	if published, skipped := pub.Stats(); published != 1 || skipped != 1 {
+		t.Errorf("stats = %d,%d, want 1,1", published, skipped)
+	}
+	// Without the veto, Publish reports the publication.
+	pub.PrePublish = nil
+	k.At(k.Now()+1, func() {
+		if !pub.Publish(1, nil, 0) {
+			t.Error("publish without a veto reported false")
+		}
+	})
+	k.Run()
+	if got != 2 {
+		t.Errorf("delivered %d, want 2", got)
 	}
 }
 
 func TestOnPublishHookObservesSample(t *testing.T) {
 	k, _, e1, _ := newTestDomain()
 	n1 := e1.NewNode("s", PrioExecBase)
-	var observed *Sample
+	var observed Sample
 	pub := n1.NewPublisher("t")
-	pub.OnPublish = append(pub.OnPublish, func(s *Sample) { observed = s })
+	pub.OnPublish = append(pub.OnPublish, func(s *Sample) { observed = *s })
 	k.At(42, func() { pub.Publish(0, "x", 7) })
 	k.Run()
-	if observed == nil || observed.PubTime != 42 || observed.Size != 7 {
+	if observed.PubTime != 42 || observed.Size != 7 || observed.Data != "x" {
 		t.Errorf("observed = %+v", observed)
 	}
 }
@@ -193,17 +207,23 @@ func TestMultipleSubscribersEachGetCopy(t *testing.T) {
 	n1 := e1.NewNode("s", PrioExecBase)
 	ra := e1.NewNode("ra", PrioExecBase)
 	rb := e2.NewNode("rb", PrioExecBase)
-	var sa, sb *Sample
-	ra.Subscribe("t", nil, func(s *Sample) { sa = s })
-	rb.Subscribe("t", nil, func(s *Sample) { sb = s })
+	// Each callback keeps its pointer only to compare identities, and
+	// copies the sample to read it.
+	var pa, pb *Sample
+	var sa, sb Sample
+	ra.Subscribe("t", nil, func(s *Sample) { pa, sa = s, *s })
+	rb.Subscribe("t", nil, func(s *Sample) { pb, sb = s, *s })
 	pub := n1.NewPublisher("t")
 	k.At(0, func() { pub.Publish(0, "x", 0) })
 	k.Run()
-	if sa == nil || sb == nil {
+	if pa == nil || pb == nil {
 		t.Fatal("not all subscribers received")
 	}
-	if sa == sb {
+	if pa == pb {
 		t.Error("subscribers share a sample instance")
+	}
+	if sa.Data != "x" || sb.Data != "x" {
+		t.Errorf("copies carry %v and %v, want x", sa.Data, sb.Data)
 	}
 	if sa.RecvTime == sb.RecvTime {
 		t.Error("loopback and remote delivery should differ in time")
@@ -292,10 +312,12 @@ func TestSrcTimestampUsesLocalClock(t *testing.T) {
 	e1 := d.NewECU("e1", 2, vclock.Config{Epsilon: 50 * sim.Microsecond, DriftStep: 50 * sim.Microsecond})
 	n1 := e1.NewNode("s", PrioExecBase)
 	pub := n1.NewPublisher("t")
-	var s *Sample
-	k.At(sim.Time(5*sim.Second), func() { s = pub.Publish(0, nil, 0) })
+	var s Sample
+	published := false
+	pub.OnPublish = append(pub.OnPublish, func(p *Sample) { s, published = *p, true })
+	k.At(sim.Time(5*sim.Second), func() { pub.Publish(0, nil, 0) })
 	k.Run()
-	if s == nil {
+	if !published {
 		t.Fatal("no sample")
 	}
 	diff := s.SrcTimestamp.Sub(s.PubTime)
