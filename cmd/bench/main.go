@@ -8,8 +8,9 @@
 //     budget loop (budget_swap), one blame-attributed flow (blame_flow), a
 //     /health scrape with a full budget history (health_render), one
 //     /health and one /metrics scrape of a mid-run full stack
-//     (scrape_pair), and the sweep-framework overhead per combo, all
-//     measured via testing.Benchmark;
+//     (scrape_pair), one 120-frame vehicle built and run bare (vehicle_run)
+//     and with blame on (blame_vehicle), and the sweep-framework overhead
+//     per combo, all measured via testing.Benchmark;
 //   - parallel campaign throughput: the frozen 102-combo chaos matrix (or
 //     the 10k nightly matrix with -matrix 10k) run serially and through the
 //     sharded worker pool, with the merged summaries byte-compared so the
@@ -60,6 +61,7 @@ import (
 	"chainmon/internal/fleet"
 	"chainmon/internal/livestats"
 	"chainmon/internal/monitor"
+	"chainmon/internal/online"
 	"chainmon/internal/parallel"
 	"chainmon/internal/perception"
 	rt "chainmon/internal/runtime"
@@ -347,6 +349,32 @@ func main() {
 		cfg.FullChain = true
 		for i := 0; i < b.N; i++ {
 			perception.Build(cfg).Run()
+		}
+	})
+	// blame_vehicle is vehicle_run with blame on, wired the way a fleet
+	// -blame vehicle is: a private online stack without a log whose flight
+	// recorder feeds the blame engine, settled and summarized after the
+	// run. Its B/op is the memory the recorder and blame add per vehicle;
+	// a track holds only the 32 KiB chunks it has written into. A
+	// collection before each op, off the clock, keeps the op's ~1.3 MB
+	// under the heap goal, so no cycle runs inside it: the runtime's own
+	// per-cycle allocations, about one per op here, would otherwise tip the
+	// integer allocs/op between GOMAXPROCS values.
+	run("blame_vehicle", func(b *testing.B) {
+		b.ReportAllocs()
+		cfg := perception.DefaultConfig()
+		cfg.Frames = 120
+		cfg.FullChain = true
+		for i := 0; i < b.N; i++ {
+			b.StopTimer()
+			runtime.GC()
+			b.StartTimer()
+			s := perception.Build(cfg)
+			st, _ := online.New("sim", nil, nil) // only opening a log can fail
+			perception.AttachTelemetry(s, st.Sink)
+			s.Run()
+			st.Blame.Flush()
+			st.Blame.Summarize(blame.RecorderResolvers(st.Sink.Rec))
 		}
 	})
 	// sweep_framework isolates the sweep machinery from the combos: one op is

@@ -519,6 +519,10 @@ func findSpan(spans []span, label uint16) *span {
 }
 
 // segSpans appends the per-segment spans of a sorted hop timeline to spans.
+// The arms are read after every span exists: a wall-clock scan stamps an arm
+// with the time it read before draining the start ring, so a start posted
+// during that gap sorts after its own arm. The arm's Arg, the absolute
+// deadline, sets the span's budget all the same.
 func segSpans(spans []span, hops []hop) []span {
 	for i := range hops {
 		h := &hops[i]
@@ -527,12 +531,6 @@ func segSpans(spans []span, hops []hop) []span {
 			if findSpan(spans, h.label) == nil {
 				spans = append(spans, span{label: h.label, start: h.ts, end: hops[len(hops)-1].ts})
 			}
-		case telemetry.KindTimeoutArm:
-			if sp := findSpan(spans, h.label); sp != nil && !sp.hasBudget {
-				sp.budget = h.arg - sp.start
-				sp.epoch = h.epoch
-				sp.hasBudget = true
-			}
 		case telemetry.KindVerdict:
 			if sp := findSpan(spans, h.label); sp != nil {
 				sp.end = h.ts
@@ -540,6 +538,17 @@ func segSpans(spans []span, hops []hop) []span {
 					sp.missed = true
 				}
 			}
+		}
+	}
+	for i := range hops {
+		h := &hops[i]
+		if h.kind != telemetry.KindTimeoutArm {
+			continue
+		}
+		if sp := findSpan(spans, h.label); sp != nil && !sp.hasBudget {
+			sp.budget = h.arg - sp.start
+			sp.epoch = h.epoch
+			sp.hasBudget = true
 		}
 	}
 	// Deterministic span precedence for overlapping spans: by start time,

@@ -83,6 +83,32 @@ func TestLedgerTelescoping(t *testing.T) {
 	}
 }
 
+// TestArmStampedBeforeItsStart pins the wall-clock case where a scan reads
+// its clock (100), a producer then posts a start (102), and the drain that
+// follows arms it stamped with the earlier reading. The arm sorts before its
+// span, yet its absolute deadline still sets the segment's budget: the
+// activation counts as armed, and only its overrun beyond the budget is
+// blamed on the segment, whichever of the two events is fed first.
+func TestArmStampedBeforeItsStart(t *testing.T) {
+	flow := telemetry.FlowID(1, 7)
+	post := telemetry.Event{TS: 102, Act: 7, Flow: flow, Kind: telemetry.KindRingPostStart, Label: 1}
+	arm := telemetry.Event{TS: 100, Act: 7, Arg: 102 + 15, Flow: flow, Kind: telemetry.KindTimeoutArm, Label: 1}
+	for _, order := range [][]telemetry.Event{{post, arm}, {arm, post}} {
+		e := New(Options{})
+		for _, ev := range order {
+			e.Feed(0, ev)
+		}
+		e.Feed(1, telemetry.Event{TS: 130, Act: 7, Arg: 28, Flow: flow,
+			Kind: telemetry.KindVerdict, Label: 1, Status: telemetry.StatusMissed})
+		e.Flush()
+		seg := e.Snapshot(res()).Scopes[0].Segments[0]
+		if seg.Armed != 1 || seg.BudgetNS != 15 || seg.OverrunNS != 13 {
+			t.Errorf("fed %v then %v: segA armed=%d budget=%d overrun=%d, want 1/15/13",
+				order[0].Kind, order[1].Kind, seg.Armed, seg.BudgetNS, seg.OverrunNS)
+		}
+	}
+}
+
 // TestExemplarEviction pins the deterministic top-K ordering: worse = larger
 // e2e, ties by ascending flow id, capped at K with the best-of-the-worst
 // evicted first.

@@ -3,8 +3,10 @@ package fleet
 import (
 	"bytes"
 	"reflect"
+	"runtime"
 	"testing"
 
+	"chainmon/internal/faultinject"
 	"chainmon/internal/livestats"
 	"chainmon/internal/perception"
 	"chainmon/internal/telemetry"
@@ -262,5 +264,31 @@ func TestClassSketchMergeEqualsDirect(t *testing.T) {
 	}
 	if merged.Count() != uint64(len(vehicles)) {
 		t.Errorf("merged sketch count = %d, want %d", merged.Count(), len(vehicles))
+	}
+}
+
+// TestBlameVehicleBytes gates the memory one blame vehicle of a chaos
+// fleet allocates: a 120-frame full-chain vehicle with the oracle and a
+// private online stack whose flight recorder feeds blame. Its tracks hold
+// only the chunks they write into; sizing every track's whole ring up front
+// took 26.5 MB per vehicle.
+func TestBlameVehicleBytes(t *testing.T) {
+	base := perception.DefaultConfig()
+	base.Frames = 120
+	base.FullChain = true
+	a := NewVehicleArena()
+	p := DeriveParams(1, 0, Uniform(0.1))
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	res := a.runVehicle(base, p, faultinject.Campaign{Name: "nominal"}, true, true)
+	runtime.ReadMemStats(&m1)
+	if res.Err != "" || res.Blame == nil {
+		t.Fatalf("vehicle err=%q blame=%v", res.Err, res.Blame)
+	}
+	const limit = 4 << 20
+	got := m1.TotalAlloc - m0.TotalAlloc
+	t.Logf("one blame vehicle allocated %d bytes", got)
+	if got >= limit {
+		t.Errorf("one blame vehicle allocated %d bytes, want under %d", got, limit)
 	}
 }

@@ -2,6 +2,7 @@ package online_test
 
 import (
 	"bytes"
+	"runtime"
 	"slices"
 	"testing"
 
@@ -99,6 +100,34 @@ func TestNewShapes(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestOnlineStackSetupBytes gates what building the fully wired sim stack
+// costs in memory before it records anything: the stack with a log, and the
+// seed-1 full chain built and attached to it. A flight-recorder track holds
+// only the chunks it has written into, so its capacity no longer costs
+// memory at set-up; sizing each track's whole ring up front took 19.1 MB.
+func TestOnlineStackSetupBytes(t *testing.T) {
+	cfg := perception.DefaultConfig()
+	cfg.Seed = 1
+	cfg.FullChain = true
+	var buf bytes.Buffer
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	st, err := online.New("sim", online.Writer(&buf), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := perception.Build(cfg)
+	perception.AttachTelemetry(s, st.Sink)
+	runtime.ReadMemStats(&m1)
+	const limit = 1 << 20
+	got := m1.TotalAlloc - m0.TotalAlloc
+	t.Logf("set-up allocated %d bytes over %d tracks", got, len(st.Sink.Rec.Tracks()))
+	if got >= limit {
+		t.Errorf("set-up allocated %d bytes, want under %d", got, limit)
+	}
+	runtime.KeepAlive(s)
 }
 
 // exemplars counts the log's blame-exemplar records.

@@ -14,6 +14,7 @@ package perception
 
 import (
 	"fmt"
+	"maps"
 
 	"chainmon/internal/dds"
 	"chainmon/internal/lidar"
@@ -201,11 +202,24 @@ type System struct {
 	rng      *sim.RNG
 
 	// fusion join state (touched on ECU1 mw/exec threads — single-threaded
-	// simulation makes this safe).
-	frontArrived map[uint64]*FrameData
-	rearArrived  map[uint64]*FrameData
-	fusedDone    map[uint64]bool
+	// simulation makes this safe). The first arrival of activation
+	// fusionPruneAt or later prunes the three maps.
+	frontArrived  map[uint64]*FrameData
+	rearArrived   map[uint64]*FrameData
+	fusedDone     map[uint64]bool
+	fusionPruneAt uint64
 }
+
+// fusionHorizon bounds the fusion join's bookkeeping, in activations: no
+// key stays in its maps once it is that far behind the newest activation
+// the join has seen. It is the horizon the local monitors keep their verdict
+// maps over. A pruned key would matter only to a sample arriving more than
+// fusionHorizon − fusionPruneStride activations behind the newest, and no
+// link delay, hold or duplicate comes near that.
+const (
+	fusionHorizon     = 4096
+	fusionPruneStride = 256
+)
 
 // Build constructs the system.
 func Build(cfg Config) *System {
@@ -216,12 +230,13 @@ func Build(cfg Config) *System {
 
 	s := &System{
 		Cfg: cfg, K: k, Domain: d,
-		rng:          rng.Derive("perception"),
-		frontGen:     lidar.NewSceneGenerator(cfg.Scene, rng.Derive("front")),
-		rearGen:      lidar.NewSceneGenerator(cfg.Scene, rng.Derive("rear")),
-		frontArrived: make(map[uint64]*FrameData),
-		rearArrived:  make(map[uint64]*FrameData),
-		fusedDone:    make(map[uint64]bool),
+		rng:           rng.Derive("perception"),
+		frontGen:      lidar.NewSceneGenerator(cfg.Scene, rng.Derive("front")),
+		rearGen:       lidar.NewSceneGenerator(cfg.Scene, rng.Derive("rear")),
+		frontArrived:  make(map[uint64]*FrameData),
+		rearArrived:   make(map[uint64]*FrameData),
+		fusedDone:     make(map[uint64]bool),
+		fusionPruneAt: fusionHorizon - fusionPruneStride,
 	}
 	clockCfg := vclock.Config{Epsilon: cfg.ClockEpsilon}
 	s.ECU1 = d.NewECU("ecu1", cfg.ECU1Cores, clockCfg)
@@ -312,6 +327,7 @@ func (s *System) buildFusion() {
 
 	join := func(self, other map[uint64]*FrameData) func(*dds.Sample) {
 		return func(smp *dds.Sample) {
+			s.pruneFusion(smp.Activation)
 			fd := smp.Data.(*FrameData)
 			self[smp.Activation] = fd
 			o := other[smp.Activation]
@@ -335,6 +351,24 @@ func (s *System) buildFusion() {
 		s.fusionCost(s.rearArrived), join(s.frontArrived, s.rearArrived))
 	s.FusionRearSub = s.Fusion.Subscribe(TopicRear,
 		s.fusionCost(s.frontArrived), join(s.rearArrived, s.frontArrived))
+}
+
+// pruneFusion drops, on the first arrival of each new stride of
+// activations, the keys of all three maps that are fusionHorizon −
+// fusionPruneStride or more behind it: a partner that never arrived, a
+// duplicate that landed after its fusion, a fused frame's marker. Until the
+// next prune the newest arrival stays below fusionPruneAt, so no key is
+// ever fusionHorizon behind it.
+func (s *System) pruneFusion(act uint64) {
+	if act < s.fusionPruneAt {
+		return
+	}
+	s.fusionPruneAt = act + fusionPruneStride
+	cut := act - (fusionHorizon - fusionPruneStride)
+	stale := func(a uint64, _ *FrameData) bool { return a <= cut }
+	maps.DeleteFunc(s.frontArrived, stale)
+	maps.DeleteFunc(s.rearArrived, stale)
+	maps.DeleteFunc(s.fusedDone, func(a uint64, _ bool) bool { return a <= cut })
 }
 
 func combineMeta(a, b lidar.FrameMeta) lidar.FrameMeta {

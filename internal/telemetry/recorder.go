@@ -9,8 +9,17 @@ import (
 )
 
 // DefaultTrackCap is the per-track event capacity used when NewRecorder is
-// given a non-positive capacity: 64Ki events ≈ 2 MiB per track.
+// given a non-positive capacity: 64Ki events, at most 2 MiB per track. A
+// track holds only the chunks it has written into, so the capacity bounds
+// its memory rather than sizing it up front.
 const DefaultTrackCap = 1 << 16
+
+// chunkShift sizes a track's storage chunk: 1Ki events, 32 KiB. A chunk is
+// allocated by the first Append that writes into it.
+const (
+	chunkShift = 10
+	chunkLen   = 1 << chunkShift
+)
 
 // Recorder owns the flight-recorder tracks, the label intern table and the
 // flow-scope table. Track creation, interning and scope binding take a mutex
@@ -107,11 +116,11 @@ func (r *Recorder) Track(name string) *Track {
 		return t
 	}
 	t := &Track{
-		name: name,
-		id:   uint16(len(r.tracks)),
-		buf:  make([]Event, r.trackCap),
-		mask: uint64(r.trackCap - 1),
-		obs:  r.observer,
+		name:   name,
+		id:     uint16(len(r.tracks)),
+		chunks: make([][]Event, (r.trackCap+chunkLen-1)/chunkLen),
+		cap:    uint64(r.trackCap),
+		obs:    r.observer,
 	}
 	if r.stream != nil {
 		t.sw = r.stream
@@ -262,8 +271,12 @@ func (r *Recorder) Dropped() uint64 {
 type Track struct {
 	name string
 	id   uint16
-	buf  []Event
-	mask uint64
+	// chunks holds the ring, chunkLen events per chunk (a single chunk of
+	// the whole capacity when that is smaller); a chunk stays nil until
+	// the first Append into it. Only the owning goroutine touches it while
+	// the run is in progress.
+	chunks [][]Event
+	cap    uint64 // the ring's capacity, a power of two
 	// n counts appends. It is written only by the owning goroutine but read
 	// by concurrent Len/Dropped (the live /metrics scrape), hence atomic.
 	n atomic.Uint64
@@ -297,15 +310,23 @@ func (t *Track) ID() uint16 {
 }
 
 // Append records an event. It is wait-free: one slot store and one counter
-// increment, no allocation, no locks (the optional disk stream adds one
-// staging-ring push). Append must only be called by the track's owning
-// goroutine. A nil track ignores the event.
+// increment, no locks (the optional disk stream adds one staging-ring
+// push). Until the ring first fills, the first Append into each chunk
+// allocates that chunk — at most once per chunkLen events; once every chunk
+// exists Append never allocates. Append must only be called by the track's
+// owning goroutine. A nil track ignores the event.
 func (t *Track) Append(ev Event) {
 	if t == nil {
 		return
 	}
 	n := t.n.Load()
-	t.buf[n&t.mask] = ev
+	i := n & (t.cap - 1)
+	c := t.chunks[i>>chunkShift]
+	if c == nil {
+		c = make([]Event, min(t.cap, chunkLen))
+		t.chunks[i>>chunkShift] = c
+	}
+	c[i&(chunkLen-1)] = ev
 	t.n.Store(n + 1)
 	if t.sw != nil {
 		t.sw.tee(t, ev)
@@ -316,14 +337,13 @@ func (t *Track) Append(ev Event) {
 }
 
 // Len returns the number of retained events (at most the track capacity).
+// Like Dropped it reads only the append count and the fixed capacity, never
+// the chunks, so it is safe while the owning goroutine is appending.
 func (t *Track) Len() int {
 	if t == nil {
 		return 0
 	}
-	if n := t.n.Load(); n < uint64(len(t.buf)) {
-		return int(n)
-	}
-	return len(t.buf)
+	return int(min(t.n.Load(), t.cap))
 }
 
 // Dropped returns how many events were overwritten because the ring was
@@ -332,8 +352,8 @@ func (t *Track) Dropped() uint64 {
 	if t == nil {
 		return 0
 	}
-	if n := t.n.Load(); n > uint64(len(t.buf)) {
-		return n - uint64(len(t.buf))
+	if n := t.n.Load(); n > t.cap {
+		return n - t.cap
 	}
 	return 0
 }
@@ -345,12 +365,27 @@ func (t *Track) Events() []Event {
 		return nil
 	}
 	n := t.n.Load()
-	if n <= uint64(len(t.buf)) {
-		return append([]Event(nil), t.buf[:n]...)
+	if n == 0 {
+		return nil
 	}
-	head := n & t.mask
-	out := make([]Event, 0, len(t.buf))
-	out = append(out, t.buf[head:]...)
-	out = append(out, t.buf[:head]...)
+	if n <= t.cap {
+		return t.appendSlots(make([]Event, 0, n), 0, n)
+	}
+	head := n & (t.cap - 1)
+	out := make([]Event, 0, t.cap)
+	out = t.appendSlots(out, head, t.cap)
+	return t.appendSlots(out, 0, head)
+}
+
+// appendSlots appends the ring slots [from, to) to out, chunk by chunk.
+// Every slot in the range has been written, so its chunk exists.
+func (t *Track) appendSlots(out []Event, from, to uint64) []Event {
+	for from < to {
+		c := t.chunks[from>>chunkShift]
+		off := from & (chunkLen - 1)
+		end := min(to-from+off, uint64(len(c)))
+		out = append(out, c[off:end]...)
+		from += end - off
+	}
 	return out
 }
