@@ -169,7 +169,11 @@ type (
 type (
 	// Trace is a set of recorded segment latency series.
 	Trace = trace.Trace
-	// TraceRecorder observes an unmonitored run.
+	// TracePoint is the first time, per activation, of one DDS event.
+	TracePoint = trace.Point
+	// TraceSpan is a segment's ground truth between two points.
+	TraceSpan = trace.Span
+	// TraceRecorder turns spans into segment latency traces.
 	TraceRecorder = trace.Recorder
 	// StatsSample is a collection of measurements.
 	StatsSample = stats.Sample
@@ -285,8 +289,17 @@ func BuildChain(spec ChainSpec, monitors map[*ECU]*LocalMonitor) (*BuiltChain, e
 // NewCounter creates an online (m,k) window counter.
 func NewCounter(c Constraint) *Counter { return weaklyhard.NewCounter(c) }
 
-// NewTraceRecorder creates a recorder on the kernel.
-func NewTraceRecorder(k *Kernel) *TraceRecorder { return trace.NewRecorder(k) }
+// NewTraceRecorder creates a recorder with no segments.
+func NewTraceRecorder() *TraceRecorder { return trace.NewRecorder() }
+
+// TraceOnPublish hooks a trace point on the publisher's publications.
+func TraceOnPublish(pub *Publisher) *TracePoint { return trace.OnPublish(pub) }
+
+// TraceOnDevicePublish hooks a trace point on a device's publications.
+func TraceOnDevicePublish(dev *Device) *TracePoint { return trace.OnDevicePublish(dev) }
+
+// TraceOnDeliver hooks a trace point on the subscription's raw deliveries.
+func TraceOnDeliver(sub *Subscription) *TracePoint { return trace.OnDeliver(sub) }
 
 // SolveBudgetIndependent solves the budgeting CSP with propagation factors
 // forced to zero (the paper's per-segment decomposition).

@@ -128,12 +128,42 @@ func TestPublicAPICounterAndStats(t *testing.T) {
 		t.Error("counter should be violated")
 	}
 
-	k := NewKernel()
-	rec := NewTraceRecorder(k)
-	_ = rec
-
 	if EthernetLink().BCRT <= 0 || LoopbackLink().BCRT <= 0 {
 		t.Error("link presets broken")
+	}
+}
+
+// TestPublicAPITraceRecorder records the trace of a user-built chain: a
+// sensor, and a processor that takes 5 ms per frame before it publishes.
+func TestPublicAPITraceRecorder(t *testing.T) {
+	k := NewKernel()
+	domain := NewDomain(k, NewRNG(1))
+	ecu := domain.NewECU("ecu-a", 2, ClockConfig{})
+	sensor := domain.NewDevice("sensor", "frames", 100*Millisecond, ClockConfig{})
+	processor := ecu.NewNode("processor", 100)
+	resultPub := processor.NewPublisher("results")
+	frameSub := processor.Subscribe("frames",
+		func(s *Sample) Duration { return 5 * Millisecond },
+		func(s *Sample) { resultPub.Publish(s.Activation, nil, 64) })
+
+	rec := NewTraceRecorder()
+	recv := TraceOnDeliver(frameSub)
+	rec.Segment(TraceSpan{Name: "process", From: recv, To: TraceOnPublish(resultPub)}, 1)
+	rec.Segment(TraceSpan{Name: "transport", From: TraceOnDevicePublish(sensor), To: recv}, 1)
+	sensor.Start(0)
+	k.At(Time(10)*Time(100*Millisecond), sensor.Stop)
+	k.Run()
+
+	tr := rec.Trace()
+	process := tr.Segment("process")
+	if n := len(process.Latencies); n != 10 {
+		t.Fatalf("recorded %d latencies, want 10", n)
+	}
+	if got := Duration(process.Sample().Min()); got < 5*Millisecond {
+		t.Errorf("processing latency %v below the 5 ms cost", got)
+	}
+	if n := len(tr.Segment("transport").Latencies); n != 10 {
+		t.Errorf("recorded %d transport latencies, want 10", n)
 	}
 }
 

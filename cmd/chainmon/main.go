@@ -545,10 +545,10 @@ func writeTrace(path string, cfg perception.Config) {
 	cfg.Monitored = false
 	cfg.FullChain = false
 	cfg.Handlers = nil
-	cfg.Record = true
 	s := perception.Build(cfg)
+	rec := s.RecordTrace()
 	s.Run()
-	writeFile(path, "trace", s.Recorder.Trace().WriteJSON)
+	writeFile(path, "trace", rec.Trace().WriteJSON)
 	fmt.Printf("\nunmonitored trace written to %s\n", path)
 }
 

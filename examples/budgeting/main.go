@@ -30,10 +30,10 @@ func main() {
 	cfg := chainmon.DefaultPerceptionConfig()
 	cfg.Frames = frames
 	cfg.Monitored = false
-	cfg.Record = true
-	rec := chainmon.BuildPerception(cfg)
-	rec.Run()
-	tr := rec.Recorder.Trace()
+	unmon := chainmon.BuildPerception(cfg)
+	rec := unmon.RecordTrace()
+	unmon.Run()
+	tr := rec.Trace()
 
 	segNames := []string{chainmon.SegFusionFront, chainmon.SegFusedRemote, chainmon.SegObjectsLocal}
 	fmt.Printf("recorded %d frames; segment latency medians:\n", frames)

@@ -179,11 +179,11 @@ func RunMigrationAblation(frames int, seed int64, workers int) []MigrationRow {
 		cfg.Frames = frames
 		cfg.Seed = seed
 		cfg.Monitored = false
-		cfg.Record = true
 		cfg.Partition = partition
 		s := perception.Build(cfg)
+		rec := s.RecordTrace()
 		s.Run()
-		tr := s.Recorder.Trace()
+		tr := rec.Trace()
 		obj := tr.Segment(perception.SegObjectsLocal).Sample()
 		gnd := tr.Segment(perception.SegGroundLocal).Sample()
 		deadline := float64(100 * sim.Millisecond)

@@ -82,9 +82,7 @@ func TestMigrationAblation(t *testing.T) {
 	}
 	var buf bytes.Buffer
 	ReportMigrationAblation(&buf, rows)
-	if !strings.Contains(buf.String(), "colocated") {
-		t.Error("missing report")
-	}
+	checkGolden(t, "migration_report.golden", buf.String())
 }
 
 func TestOrderAblationFlipsGap(t *testing.T) {

@@ -46,10 +46,10 @@ func RunBudgeting(frames int, seed int64) BudgetResult {
 	cfg.Frames = frames
 	cfg.Seed = seed
 	cfg.Monitored = false
-	cfg.Record = true
 	s := perception.Build(cfg)
+	rec := s.RecordTrace()
 	s.Run()
-	tr := s.Recorder.Trace()
+	tr := rec.Trace()
 
 	segs := []string{perception.SegFusionFront, perception.SegFusedRemote, perception.SegObjectsLocal}
 	aligned := alignSegments(tr, segs)
@@ -73,7 +73,7 @@ func RunBudgeting(frames int, seed int64) BudgetResult {
 	}
 
 	res := BudgetResult{SegmentNames: segs, DEx: dEx}
-	if e2e := tr.Segment("e2e/front-objects"); e2e != nil {
+	if e2e := tr.Segment(perception.SegE2EFront); e2e != nil {
 		res.E2E = e2e.Sample()
 	}
 	if len(aligned) == 0 || len(aligned[0]) == 0 {
@@ -156,6 +156,6 @@ func (r BudgetResult) Report(w io.Writer) {
 	}
 	if r.E2E != nil && r.E2E.Len() > 0 {
 		fmt.Fprintf(w, "\nrecorded end-to-end latency (front lidar → objects at plan):\n%s\n",
-			r.E2E.Tukey().DurationRow("e2e/front-objects"))
+			r.E2E.Tukey().DurationRow(perception.SegE2EFront))
 	}
 }

@@ -8,6 +8,7 @@ import (
 	"chainmon/internal/perception"
 	"chainmon/internal/sim"
 	"chainmon/internal/stats"
+	"chainmon/internal/trace"
 )
 
 // Fig9Result carries the quantities Figs. 9 and 10 report.
@@ -52,20 +53,21 @@ func RunFig9(frames int, seed int64, workers int) Fig9Result {
 
 	unmon := base
 	unmon.Monitored = false
-	unmon.Record = true
 	mon := base
 
-	var su, sm *perception.System
+	var tr *trace.Trace
+	var sm *perception.System
 	parallel.ForEach(workers, 2, func(shard int) {
 		if shard == 0 {
-			su = perception.Build(unmon)
+			su := perception.Build(unmon)
+			rec := su.RecordTrace()
 			su.Run()
+			tr = rec.Trace()
 		} else {
 			sm = perception.Build(mon)
 			sm.Run()
 		}
 	})
-	tr := su.Recorder.Trace()
 
 	gap := stats.NewSample()
 	objEntry := make(map[uint64]sim.Time)

@@ -43,9 +43,13 @@ func TestFig9DumpGolden(t *testing.T) {
 		b.WriteString("== " + name + " ==\n")
 		b.Write(data)
 	}
-	got := b.String()
+	checkGolden(t, "fig9_dump.golden", b.String())
+}
 
-	golden := filepath.Join("testdata", "fig9_dump.golden")
+// checkGolden compares got with testdata/name, which -update rewrites.
+func checkGolden(t *testing.T, name, got string) {
+	t.Helper()
+	golden := filepath.Join("testdata", name)
 	if *update {
 		if err := os.MkdirAll("testdata", 0o755); err != nil {
 			t.Fatal(err)
@@ -59,7 +63,7 @@ func TestFig9DumpGolden(t *testing.T) {
 		t.Fatalf("reading golden file (run with -update to generate): %v", err)
 	}
 	if got != string(want) {
-		t.Errorf("dump output drifted from %s (%d vs %d bytes);\n"+
+		t.Errorf("output drifted from %s (%d vs %d bytes);\n"+
 			"first differing line: %s\nif the change is intended, rerun with -update",
 			golden, len(got), len(want), firstDiffLine(got, string(want)))
 	}

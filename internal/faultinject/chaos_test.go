@@ -163,6 +163,12 @@ func TestOracleCleanRun(t *testing.T) {
 	}
 }
 
+// interArrivalTMax is the supervision bound of the baseline inter-arrival
+// monitor: period plus enough headroom that the nominal activation and link
+// jitter never trips it (the paper's t_max dilemma — any tighter bound
+// false-positives on jitter).
+const interArrivalTMax = 135 * sim.Millisecond
+
 // TestInterArrivalBlindSpot demonstrates the §IV-B argument: under a
 // constant latency shift every sample misses its deadline, but arrivals
 // stay one period apart, so the inter-arrival supervisor sees (almost)
@@ -173,13 +179,27 @@ func TestInterArrivalBlindSpot(t *testing.T) {
 		LinkFrom: "ecu1", LinkTo: "ecu2",
 		Delay: Duration(30 * sim.Millisecond),
 	}}}
-	run := runCampaign(t, 7, camp, monitor.VariantMonitorThread)
-	if !run.Report.Ok() {
-		t.Errorf("oracle invariants violated:\n%s", run.Report.Summary())
+	// RunCombo's system, with the inter-arrival supervisor watching the
+	// fused cloud's reception beside the remote monitor.
+	cfg := perception.DefaultConfig()
+	cfg.Seed = 7
+	cfg.Frames = chaosFrames
+	cfg.FullChain = true
+	sys := perception.Build(cfg)
+	iam := monitor.NewInterArrivalMonitor(sys.ClassifierSub, interArrivalTMax)
+	sys.K.At((sim.Time(cfg.Frames) * sim.Time(cfg.Period)).Add(5*sim.Second), iam.Stop)
+	orc := ForPerception(sys, camp)
+	if err := NewInjector(sim.NewRNG(cfg.Seed)).Apply(camp, TargetsOf(sys)); err != nil {
+		t.Fatal(err)
+	}
+	sys.Run()
+	rep := orc.Check()
+	if !rep.Ok() {
+		t.Errorf("oracle invariants violated:\n%s", rep.Summary())
 	}
 
-	fused := segTruth(t, run.Oracle, perception.SegFusedRemote)
-	audit := AuditInterArrival(fused, run.IAM, sim.Time(2*sim.Second), sim.Time(12*sim.Second))
+	fused := segTruth(t, orc, perception.SegFusedRemote)
+	audit := AuditInterArrival(fused, iam, sim.Time(2*sim.Second), sim.Time(12*sim.Second))
 	if audit.TrueViolations < 50 {
 		t.Fatalf("latency shift produced only %d true violations", audit.TrueViolations)
 	}
@@ -189,7 +209,7 @@ func TestInterArrivalBlindSpot(t *testing.T) {
 	}
 	// The synchronization-based monitor, by contrast, flagged them all
 	// (guaranteed by the oracle's false-negative check above).
-	s := segReport(t, run.Report, perception.SegFusedRemote)
+	s := segReport(t, rep, perception.SegFusedRemote)
 	if s.TrueLate < 50 {
 		t.Errorf("expected ≥50 contract-late activations, got %+v", s)
 	}

@@ -2,14 +2,14 @@ package faultinject
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 
-	"chainmon/internal/dds"
 	"chainmon/internal/monitor"
 	"chainmon/internal/perception"
 	"chainmon/internal/sim"
 	"chainmon/internal/stats"
+	"chainmon/internal/trace"
 )
 
 // Oracle computes ground-truth per-segment and end-to-end latencies
@@ -37,17 +37,12 @@ import (
 // entry latency — the sender's activation jitter J^a is part of the
 // contract, not of the band.
 //
-// Truth hooks are prepended to the DDS hook chains so the oracle observes
-// raw receptions before any monitor discards a late sample.
+// The true times come from trace spans (trace.Span), whose delivery points
+// sit at the head of the DDS hook chains, so the oracle observes raw
+// receptions before any monitor discards a late sample.
 type Oracle struct {
-	k    *sim.Kernel
 	segs []*SegmentTruth
 	e2es []*E2ETruth
-}
-
-// NewOracle creates an empty oracle on the kernel.
-func NewOracle(k *sim.Kernel) *Oracle {
-	return &Oracle{k: k}
 }
 
 // Violation kinds reported by Check.
@@ -106,11 +101,9 @@ type SegmentTruth struct {
 	// exception counts as a false negative.
 	Grace sim.Duration
 
-	remote  bool
-	starts  map[uint64]sim.Time
-	ends    map[uint64]sim.Time
-	res     map[uint64]monitor.Resolution
-	tainted map[uint64]bool // touched by a recovery injection: latency truth unknown
+	remote bool
+	span   trace.Span
+	res    map[uint64]monitor.Resolution
 
 	// timeline records hot-swapped deadline actuations (budget epochs) in
 	// staging order. Empty means the construction deadline DMon held for the
@@ -185,17 +178,16 @@ func (st *SegmentTruth) dmonBounds(start sim.Time) (lo, hi sim.Duration) {
 	return lo, hi
 }
 
-// Segment registers a segment truth record. Remote marks segments whose
-// verdicts come from a synchronization-based RemoteMonitor: their first
-// resolved activation is excluded from checks (monitoring begins at the
-// first reception, which is resolved OK unconditionally).
-func (o *Oracle) Segment(name string, dmon, period, slack, grace sim.Duration, remote bool) *SegmentTruth {
+// Segment registers a segment truth record over the span, under the span's
+// name. Remote marks segments whose verdicts come from a
+// synchronization-based RemoteMonitor: their first resolved activation is
+// excluded from checks (monitoring begins at the first reception, which is
+// resolved OK unconditionally).
+func (o *Oracle) Segment(span trace.Span, dmon, period, slack, grace sim.Duration, remote bool) *SegmentTruth {
 	st := &SegmentTruth{
-		Name: name, DMon: dmon, Period: period, Slack: slack, Grace: grace, remote: remote,
-		starts:  make(map[uint64]sim.Time),
-		ends:    make(map[uint64]sim.Time),
-		res:     make(map[uint64]monitor.Resolution),
-		tainted: make(map[uint64]bool),
+		Name: span.Name, DMon: dmon, Period: period, Slack: slack, Grace: grace, remote: remote,
+		span: span,
+		res:  make(map[uint64]monitor.Resolution),
 	}
 	o.segs = append(o.segs, st)
 	return st
@@ -203,71 +195,6 @@ func (o *Oracle) Segment(name string, dmon, period, slack, grace sim.Duration, r
 
 // Segments returns the registered truth records.
 func (o *Oracle) Segments() []*SegmentTruth { return o.segs }
-
-// prependDeliver installs a raw observer at the head of the subscription's
-// hook chain, before any monitor can discard the sample.
-func prependDeliver(sub *dds.Subscription, fn func(*dds.Sample)) {
-	head := func(s *dds.Sample) bool { fn(s); return true }
-	sub.OnDeliver = append([]func(*dds.Sample) bool{head}, sub.OnDeliver...)
-}
-
-func (st *SegmentTruth) recordStart(act uint64, at sim.Time) {
-	if _, ok := st.starts[act]; !ok {
-		st.starts[act] = at
-	}
-}
-
-func (st *SegmentTruth) recordEnd(act uint64, at sim.Time) {
-	if _, ok := st.ends[act]; !ok {
-		st.ends[act] = at
-	}
-}
-
-// StartOnDevicePublish records the device's publication events as segment
-// start truth.
-func (st *SegmentTruth) StartOnDevicePublish(dev *dds.Device) {
-	dev.OnPublish = append(dev.OnPublish, func(s *dds.Sample) {
-		st.recordStart(s.Activation, s.PubTime)
-	})
-}
-
-// StartOnPublish records the publisher's publication events as start truth.
-func (st *SegmentTruth) StartOnPublish(pub *dds.Publisher) {
-	pub.OnPublish = append(pub.OnPublish, func(s *dds.Sample) {
-		st.recordStart(s.Activation, s.PubTime)
-	})
-}
-
-// StartOnDeliver records raw receptions at the subscription as start truth.
-// Recovery injections (Recovered samples) count as real starts: the
-// segment's computation genuinely begins with the substitute data, and the
-// monitor's start event is posted for them too.
-func (st *SegmentTruth) StartOnDeliver(sub *dds.Subscription) {
-	prependDeliver(sub, func(s *dds.Sample) {
-		st.recordStart(s.Activation, s.RecvTime)
-	})
-}
-
-// EndOnDeliver records raw receptions at the subscription as end truth —
-// before any monitor hook can discard a late sample. A Recovered sample is
-// not a real arrival: it taints the activation instead (the latency truth
-// is unknowable once a recovery was injected).
-func (st *SegmentTruth) EndOnDeliver(sub *dds.Subscription) {
-	prependDeliver(sub, func(s *dds.Sample) {
-		if s.Recovered {
-			st.tainted[s.Activation] = true
-			return
-		}
-		st.recordEnd(s.Activation, s.RecvTime)
-	})
-}
-
-// EndOnPublish records the publisher's publication events as end truth.
-func (st *SegmentTruth) EndOnPublish(pub *dds.Publisher) {
-	pub.OnPublish = append(pub.OnPublish, func(s *dds.Sample) {
-		st.recordEnd(s.Activation, s.PubTime)
-	})
-}
 
 // Watch subscribes to the monitor's verdicts for this segment.
 func (st *SegmentTruth) Watch(src resolutionSource) {
@@ -285,41 +212,15 @@ func (st *SegmentTruth) Watch(src resolutionSource) {
 	})
 }
 
-// TrueLatency returns the ground-truth latency of one activation and
-// whether both its start and end events were observed.
-func (st *SegmentTruth) TrueLatency(act uint64) (sim.Duration, bool) {
-	s, okS := st.starts[act]
-	e, okE := st.ends[act]
-	if !okS || !okE || e < s {
-		return 0, false
-	}
-	return e.Sub(s), true
-}
-
-// Lost reports whether the activation started but never produced an end
-// event.
-func (st *SegmentTruth) Lost(act uint64) bool {
-	_, okS := st.starts[act]
-	_, okE := st.ends[act]
-	return okS && !okE
-}
-
-// acts returns the sorted union of activations known from truth records and
-// monitor resolutions.
+// activations returns the sorted union of the activations that started and
+// the activations the monitor resolved.
 func (st *SegmentTruth) activations() []uint64 {
-	set := make(map[uint64]struct{}, len(st.starts)+len(st.res))
-	for a := range st.starts {
-		set[a] = struct{}{}
-	}
+	acts := st.span.Activations()
 	for a := range st.res {
-		set[a] = struct{}{}
-	}
-	acts := make([]uint64, 0, len(set))
-	for a := range set {
 		acts = append(acts, a)
 	}
-	sort.Slice(acts, func(i, j int) bool { return acts[i] < acts[j] })
-	return acts
+	slices.Sort(acts)
+	return slices.Compact(acts)
 }
 
 // inScope reports whether the activation is inside the monitor's supervised
@@ -389,8 +290,8 @@ func (st *SegmentTruth) checkRemote() (SegmentReport, []Violation) {
 			continue
 		}
 		r, resolved := st.res[act]
-		pub, hasPub := st.starts[act]
-		end, hasEnd := st.ends[act]
+		pub, hasPub := st.span.Start(act)
+		end, hasEnd := st.span.End(act)
 		if act == st.firstRes {
 			// Monitoring begins at the first reception, which is resolved
 			// OK unconditionally: nothing to judge, but its timestamp seeds
@@ -399,7 +300,7 @@ func (st *SegmentTruth) checkRemote() (SegmentReport, []Violation) {
 			advance(false, pub, hasPub)
 			continue
 		}
-		if st.tainted[act] {
+		if st.span.Tainted(act) {
 			rep.Skipped++
 			advance(resolved && r.Exception, pub, hasPub)
 			continue
@@ -447,12 +348,12 @@ func (st *SegmentTruth) checkLocal() (SegmentReport, []Violation) {
 	rep := SegmentReport{Name: st.Name}
 	var vs []Violation
 	for _, act := range st.activations() {
-		if !st.inScope(act) || st.tainted[act] {
+		if !st.inScope(act) || st.span.Tainted(act) {
 			rep.Skipped++
 			continue
 		}
 		r, resolved := st.res[act]
-		_, hasStart := st.starts[act]
+		start, hasStart := st.span.Start(act)
 		if !resolved {
 			if hasStart {
 				vs = append(vs, Violation{st.Name, act, KindUnresolved,
@@ -469,7 +370,7 @@ func (st *SegmentTruth) checkLocal() (SegmentReport, []Violation) {
 			// Propagated-in miss: no truth to compare latencies against.
 			continue
 		}
-		tl, arrived := st.TrueLatency(act)
+		tl, arrived := st.span.Latency(act)
 		if !arrived {
 			rep.Lost++
 			if !r.Exception {
@@ -481,7 +382,7 @@ func (st *SegmentTruth) checkLocal() (SegmentReport, []Violation) {
 		// With hot-swapped deadlines the judging deadline is one of the
 		// values in force near the start (see DeadlineChange); the FN check
 		// uses the largest candidate, the FP check the smallest.
-		dmonLo, dmonHi := st.dmonBounds(st.starts[act])
+		dmonLo, dmonHi := st.dmonBounds(start)
 		if tl > dmonHi+st.Grace {
 			rep.TrueLate++
 			if !r.Exception {
@@ -507,42 +408,22 @@ type E2ETruth struct {
 	Bound     sim.Duration
 	Tolerance sim.Duration
 
+	span    trace.Span
 	segs    []*SegmentTruth
-	starts  map[uint64]sim.Time
-	ends    map[uint64]sim.Time
 	latency *stats.Sample
 }
 
-// EndToEnd registers a chain truth record over the given segment truths:
-// if every segment of an activation resolved OK, the true end-to-end
-// latency must stay within Bound + Tolerance.
-func (o *Oracle) EndToEnd(name string, bound, tolerance sim.Duration, segs ...*SegmentTruth) *E2ETruth {
+// EndToEnd registers a chain truth record over the span, under the span's
+// name, and the given segment truths: if every segment of an activation
+// resolved OK, the true end-to-end latency must stay within Bound +
+// Tolerance.
+func (o *Oracle) EndToEnd(span trace.Span, bound, tolerance sim.Duration, segs ...*SegmentTruth) *E2ETruth {
 	e := &E2ETruth{
-		Name: name, Bound: bound, Tolerance: tolerance, segs: segs,
-		starts:  make(map[uint64]sim.Time),
-		ends:    make(map[uint64]sim.Time),
-		latency: stats.NewSample(),
+		Name: span.Name, Bound: bound, Tolerance: tolerance,
+		span: span, segs: segs, latency: stats.NewSample(),
 	}
 	o.e2es = append(o.e2es, e)
 	return e
-}
-
-// StartOnDevicePublish records the chain's source event.
-func (e *E2ETruth) StartOnDevicePublish(dev *dds.Device) {
-	dev.OnPublish = append(dev.OnPublish, func(s *dds.Sample) {
-		if _, ok := e.starts[s.Activation]; !ok {
-			e.starts[s.Activation] = s.PubTime
-		}
-	})
-}
-
-// EndOnDeliver records the chain's sink event.
-func (e *E2ETruth) EndOnDeliver(sub *dds.Subscription) {
-	prependDeliver(sub, func(s *dds.Sample) {
-		if _, ok := e.ends[s.Activation]; !ok {
-			e.ends[s.Activation] = s.RecvTime
-		}
-	})
 }
 
 // Latencies returns the true end-to-end latency sample accumulated by
@@ -551,21 +432,15 @@ func (e *E2ETruth) Latencies() *stats.Sample { return e.latency }
 
 func (e *E2ETruth) check() []Violation {
 	var vs []Violation
-	acts := make([]uint64, 0, len(e.starts))
-	for a := range e.starts {
-		acts = append(acts, a)
-	}
-	sort.Slice(acts, func(i, j int) bool { return acts[i] < acts[j] })
-	for _, act := range acts {
-		end, ok := e.ends[act]
+	for _, act := range e.span.Activations() {
+		tl, ok := e.span.Latency(act)
 		if !ok {
 			continue
 		}
-		tl := end.Sub(e.starts[act])
 		e.latency.AddDuration(tl)
 		allOK := true
 		for _, st := range e.segs {
-			if !st.inScope(act) || st.tainted[act] {
+			if !st.inScope(act) || st.span.Tainted(act) {
 				allOK = false
 				break
 			}
@@ -648,11 +523,11 @@ type InterArrivalAudit struct {
 // streams and long outages collapse into few (or zero) detections.
 func AuditInterArrival(st *SegmentTruth, m *monitor.InterArrivalMonitor, from, until sim.Time) InterArrivalAudit {
 	var a InterArrivalAudit
-	for act, start := range st.starts {
-		if start < from || start >= until {
+	for _, act := range st.span.Activations() {
+		if start, _ := st.span.Start(act); start < from || start >= until {
 			continue
 		}
-		tl, arrived := st.TrueLatency(act)
+		tl, arrived := st.span.Latency(act)
 		if !arrived || tl > st.DMon {
 			a.TrueViolations++
 		}
@@ -677,7 +552,7 @@ func ForPerception(sys *perception.System, camp Campaign) *Oracle {
 	if !cfg.Monitored || !cfg.FullChain {
 		panic("faultinject: the oracle needs a monitored full-chain perception system")
 	}
-	o := NewOracle(sys.K)
+	o := &Oracle{}
 	horizon := sim.Duration(cfg.Frames) * cfg.Period
 	epsErr := cfg.ClockEpsilon + camp.MaxClockError(horizon)
 	// Remote bands around the replicated deadline recurrence: the sender's
@@ -698,53 +573,30 @@ func ForPerception(sys *perception.System, camp Campaign) *Oracle {
 		remGrace += 100 * sim.Millisecond
 	}
 
-	front := o.Segment(perception.SegFrontRemote, cfg.RemoteDeadline, cfg.Period, remSlack, remGrace, true)
-	front.StartOnDevicePublish(sys.FrontLidar)
-	front.EndOnDeliver(sys.FusionFrontSub)
-	front.Watch(sys.RemFront)
+	// Each monitor's name is its span's, and its configuration holds the
+	// deadline and period the truth judges against.
+	watch := func(mon monitor.MonitoredSegment, slack, grace sim.Duration, remote bool) *SegmentTruth {
+		c := mon.Config()
+		st := o.Segment(sys.Span(c.Name), c.DMon, c.Period, slack, grace, remote)
+		st.Watch(mon)
+		return st
+	}
+	front := watch(sys.RemFront, remSlack, remGrace, true)
+	watch(sys.RemRear, remSlack, remGrace, true)
+	fusionFront := watch(sys.FusionFront, locSlack, locGrace, false)
+	watch(sys.FusionRear, locSlack, locGrace, false)
+	fused := watch(sys.RemFused, remSlack, remGrace, true)
+	objects := watch(sys.SegObjects, locSlack, locGrace, false)
+	watch(sys.SegGround, locSlack, locGrace, false)
 
-	rear := o.Segment(perception.SegRearRemote, cfg.RemoteDeadline, cfg.Period, remSlack, remGrace, true)
-	rear.StartOnDevicePublish(sys.RearLidar)
-	rear.EndOnDeliver(sys.FusionRearSub)
-	rear.Watch(sys.RemRear)
-
-	fusionFront := o.Segment(perception.SegFusionFront, cfg.LocalDeadline/2, cfg.Period, locSlack, locGrace, false)
-	fusionFront.StartOnDeliver(sys.FusionFrontSub)
-	fusionFront.EndOnPublish(sys.FusedPub)
-	fusionFront.Watch(sys.FusionFront)
-
-	fusionRear := o.Segment(perception.SegFusionRear, cfg.LocalDeadline/2, cfg.Period, locSlack, locGrace, false)
-	fusionRear.StartOnDeliver(sys.FusionRearSub)
-	fusionRear.EndOnPublish(sys.FusedPub)
-	fusionRear.Watch(sys.FusionRear)
-
-	fused := o.Segment(perception.SegFusedRemote, cfg.RemoteDeadline, cfg.Period, remSlack, remGrace, true)
-	fused.StartOnPublish(sys.FusedPub)
-	fused.EndOnDeliver(sys.ClassifierSub)
-	fused.Watch(sys.RemFused)
-
-	objects := o.Segment(perception.SegObjectsLocal, cfg.LocalDeadline, cfg.Period, locSlack, locGrace, false)
-	objects.StartOnDeliver(sys.ClassifierSub)
-	objects.EndOnDeliver(sys.PlanObjectsSub)
-	objects.Watch(sys.SegObjects)
-
-	ground := o.Segment(perception.SegGroundLocal, cfg.LocalDeadline, cfg.Period, locSlack, locGrace, false)
-	ground.StartOnDeliver(sys.ClassifierSub)
-	ground.EndOnDeliver(sys.PlanGroundSub)
-	ground.Watch(sys.SegGround)
-
-	// The front chain of Fig. 2 (same bound as perception.Build). The
-	// segment latencies compose contiguously, so the tolerance is the sum
-	// of the per-segment bands.
-	be2e := 2*cfg.RemoteDeadline + cfg.LocalDeadline/2 + cfg.LocalDeadline + 4*sim.Millisecond
+	// The front chain of Fig. 2. The segment latencies compose
+	// contiguously, so the tolerance is the sum of the per-segment bands.
 	// A remote activation can resolve OK with an absolute latency of up to
 	// DMon plus the sender's backward activation jitter (the contract's
 	// bounded optimism), so the chain tolerance adds the worst upstream
 	// publication jitter (device activation jitter, link jitter, execution
 	// variation) on top of the per-segment bands.
 	e2eTol := 2*remGrace + 2*locGrace + perception.DeviceJitterMax + 25*sim.Millisecond
-	e2e := o.EndToEnd("e2e/front-objects", be2e, e2eTol, front, fusionFront, fused, objects)
-	e2e.StartOnDevicePublish(sys.FrontLidar)
-	e2e.EndOnDeliver(sys.PlanObjectsSub)
+	o.EndToEnd(sys.Span(perception.SegE2EFront), sys.ChainFront.Be2e, e2eTol, front, fusionFront, fused, objects)
 	return o
 }

@@ -19,20 +19,12 @@ import (
 // chaosFrames keeps a single campaign run at 12 s of virtual time.
 const chaosFrames = 120
 
-// interArrivalTMax is the supervision bound of the baseline inter-arrival
-// monitor attached to every chaos run: period plus enough headroom that the
-// nominal activation and link jitter never trips it (the paper's t_max
-// dilemma — any tighter bound false-positives on jitter).
-const interArrivalTMax = 135 * sim.Millisecond
-
 // Run bundles one fully executed campaign run: the system under test, the
-// ground-truth oracle, its cross-check report and the baseline inter-arrival
-// supervisor.
+// ground-truth oracle and its cross-check report.
 type Run struct {
 	Sys    *perception.System
 	Oracle *Oracle
 	Report Report
-	IAM    *monitor.InterArrivalMonitor
 }
 
 // Combo is one cell of a sweep: a campaign run at a seed under a monitor
@@ -72,10 +64,6 @@ func RunCombo(c Combo) (*Run, error) {
 	cfg.RemoteVariant = c.Variant
 	sys := perception.Build(cfg)
 
-	iam := monitor.NewInterArrivalMonitor(sys.ClassifierSub, interArrivalTMax)
-	drain := sim.Time(cfg.Frames) * sim.Time(cfg.Period)
-	sys.K.At(drain.Add(5*sim.Second), iam.Stop)
-
 	orc := ForPerception(sys, c.Campaign)
 	if len(c.Swaps) > 0 {
 		// Actuations go through the same staged table a live controller
@@ -94,7 +82,7 @@ func RunCombo(c Combo) (*Run, error) {
 		return nil, fmt.Errorf("apply campaign %q: %w", c.Campaign.Name, err)
 	}
 	sys.Run()
-	return &Run{Sys: sys, Oracle: orc, Report: orc.Check(), IAM: iam}, nil
+	return &Run{Sys: sys, Oracle: orc, Report: orc.Check()}, nil
 }
 
 // SweepItem is the retained outcome of one combo: the oracle report plus any

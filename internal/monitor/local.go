@@ -2,6 +2,7 @@ package monitor
 
 import (
 	"fmt"
+	"maps"
 
 	"chainmon/internal/dds"
 	"chainmon/internal/livestats"
@@ -275,8 +276,11 @@ func (m *LocalMonitor) AddSegment(cfg SegmentConfig) *LocalSegment {
 		},
 		Arm: func(start rt.Event, deadline, now rt.Time) rt.Timer {
 			if s.tel != nil {
+				// A wall-clock scan reads now before it drains: a start
+				// posted in between is stamped later than now, and its arm
+				// must not sort before it.
 				s.tel.track.Append(telemetry.Event{
-					TS: int64(now), Act: start.Act, Arg: int64(deadline),
+					TS: int64(max(now, start.TS)), Act: start.Act, Arg: int64(deadline),
 					Flow: start.Flow,
 					Kind: telemetry.KindTimeoutArm, Label: s.tel.label,
 				})
@@ -602,21 +606,18 @@ func (s *LocalSegment) resolve(r Resolution) {
 }
 
 // gc bounds the bookkeeping maps: activations far in the past can no longer
-// receive events.
+// receive events, so a skip entry on the end publisher that no late
+// publication consumed by then never will be.
 func (s *LocalSegment) gc(act uint64) {
 	const horizon = 4096
 	if act < horizon {
 		return
 	}
 	old := act - horizon
-	for a := range s.resolved {
-		if a < old {
-			delete(s.resolved, a)
-		}
-	}
-	for a := range s.excepted {
-		if a < old {
-			delete(s.excepted, a)
-		}
+	stale := func(a uint64, _ bool) bool { return a < old }
+	maps.DeleteFunc(s.resolved, stale)
+	maps.DeleteFunc(s.excepted, stale)
+	if s.endPub != nil {
+		maps.DeleteFunc(s.mon.skipTables[s.endPub], stale)
 	}
 }

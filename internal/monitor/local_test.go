@@ -478,3 +478,24 @@ func TestReorderBufStartsMidStream(t *testing.T) {
 		t.Fatalf("got = %v, want 41 delivered after 42, 43", got)
 	}
 }
+
+// TestSkipTablesBounded pins that a skip entry whose late publication never
+// comes is dropped at the segment's 4096-activation bookkeeping horizon:
+// 3·4096 activations that all expire without publishing leave at most that
+// horizon plus one gc stride of entries, not one per miss.
+func TestSkipTablesBounded(t *testing.T) {
+	r := newTestRig()
+	seg := r.segment(5*sim.Millisecond, weaklyhard.Constraint{M: 1, K: 5}, nil)
+	const frames = 3 * 4096
+	for i := 0; i < frames; i++ {
+		act := uint64(i)
+		r.k.At(sim.Time(i)*sim.Time(10*sim.Millisecond), func() { seg.StartInjected(act) })
+	}
+	r.k.Run()
+	if _, _, miss := seg.Stats().Counts(); miss != frames {
+		t.Fatalf("missed = %d, want all %d", miss, frames)
+	}
+	if n := len(r.mon.skipTables[r.outPub]); n > 4096+256 {
+		t.Errorf("skip table holds %d entries after %d misses, want at most %d", n, frames, 4096+256)
+	}
+}

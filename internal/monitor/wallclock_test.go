@@ -464,3 +464,38 @@ func TestWallclockExceptionAllocFree(t *testing.T) {
 		t.Errorf("one missed activation allocates %.0f times, want 0", allocs)
 	}
 }
+
+// TestWallclockArmNotBeforeStart pins the timeout-arm stamp against the wall
+// clock's read order: a scan reads its time before it drains, so a start
+// posted in between carries a later stamp than the scan. The arm must not
+// sort before its start, or the activation's timeline opens at the arm.
+func TestWallclockArmNotBeforeStart(t *testing.T) {
+	clock := &stepClock{}
+	mon := NewWallclockMonitor(clock, nopWaker{}, func() rt.EventRing { return walltime.NewRing(16) }, 1)
+	sink := telemetry.NewSink(1 << 8)
+	mon.AttachWallclockTelemetry(sink, "w")
+	seg := mon.AddSegment(SegmentConfig{Name: "s", DMon: 15, Period: time.Millisecond})
+	clock.now = 102 // the producer's post
+	seg.StartInjected(0)
+	clock.now = 100 // the scan read its time before the post landed
+	mon.ScanNow()
+	clock.now = 130
+	mon.ScanNow()
+
+	arms := 0
+	for _, ev := range sink.Rec.Track("w/monitor").Events() {
+		if ev.Kind != telemetry.KindTimeoutArm {
+			continue
+		}
+		arms++
+		if ev.TS < 102 {
+			t.Errorf("timeout-arm stamped %d, before its start at 102", ev.TS)
+		}
+	}
+	if arms != 1 {
+		t.Errorf("%d timeout-arm events, want 1", arms)
+	}
+	if _, _, missed := seg.Stats().Counts(); missed != 1 {
+		t.Errorf("missed = %d, want 1", missed)
+	}
+}

@@ -51,6 +51,9 @@ const (
 	SegFusedRemote  = "s2/fused"
 	SegObjectsLocal = "s3a/objects"
 	SegGroundLocal  = "s3b/ground"
+	// SegE2EFront is the front chain of Fig. 2 end to end: front lidar
+	// publication to objects reception at the plan service.
+	SegE2EFront = "e2e/front-objects"
 )
 
 // FrameData is the payload carried on every topic: workload metadata (and
@@ -119,10 +122,6 @@ type Config struct {
 	// (the heavy services land on distinct cores); "colocated" pins the
 	// three heavy services to one core (a pathological static partition).
 	Partition string
-
-	// Record attaches an unmonitored-trace recorder to the evaluation
-	// segments (budgeting input).
-	Record bool
 }
 
 // DefaultConfig is calibrated to reproduce the evaluation's shape.
@@ -188,7 +187,7 @@ type System struct {
 	ChainFront  *monitor.Chain
 	ChainRear   *monitor.Chain
 
-	Recorder *trace.Recorder
+	spans []trace.Span // ground truth, hooked by the first Span call
 
 	// Tracker is the plan service's object tracker, maintained across
 	// frames when RealCompute is enabled.
@@ -247,9 +246,6 @@ func Build(cfg Config) *System {
 	s.buildECU2()
 	if cfg.Monitored {
 		s.buildMonitors()
-	}
-	if cfg.Record {
-		s.buildRecorder()
 	}
 	switch cfg.Partition {
 	case "":
@@ -552,25 +548,60 @@ func (s *System) buildMonitors() {
 	s.ChainRear.Seal()
 }
 
-func (s *System) buildRecorder() {
-	s.Recorder = trace.NewRecorder(s.K)
-	obj := s.Recorder.Segment(SegObjectsLocal, 1)
-	obj.StartOnDeliver(s.ClassifierSub)
-	obj.EndOnDeliver(s.PlanObjectsSub)
-	gnd := s.Recorder.Segment(SegGroundLocal, 1)
-	gnd.StartOnDeliver(s.ClassifierSub)
-	gnd.EndOnDeliver(s.PlanGroundSub)
-	fus := s.Recorder.Segment(SegFusionFront, 1)
-	fus.StartOnDeliver(s.FusionFrontSub)
-	fus.EndOnPublish(s.FusedPub)
-	rem := s.Recorder.Segment(SegFusedRemote, 1).RemoteMode(s.Cfg.Period)
-	rem.StartOnPublish(s.FusedPub)
-	rem.EndOnDeliver(s.ClassifierSub)
-	// End-to-end latency of the front chain: front lidar publication →
-	// objects reception at the plan service (compared against B_e2e).
-	e2e := s.Recorder.Segment("e2e/front-objects", 1)
-	e2e.StartOnDevicePublish(s.FrontLidar)
-	e2e.EndOnDeliver(s.PlanObjectsSub)
+// truth returns the ground truth of every segment of Fig. 2 and of the
+// front chain end to end (SegE2EFront). Each span names the DDS event that
+// starts it and the one that ends it; the eight distinct events are hooked
+// once per system, on the first call.
+func (s *System) truth() []trace.Span {
+	if s.spans != nil {
+		return s.spans
+	}
+	frontPub := trace.OnDevicePublish(s.FrontLidar)
+	rearPub := trace.OnDevicePublish(s.RearLidar)
+	frontRecv := trace.OnDeliver(s.FusionFrontSub)
+	rearRecv := trace.OnDeliver(s.FusionRearSub)
+	fusedPub := trace.OnPublish(s.FusedPub)
+	fusedRecv := trace.OnDeliver(s.ClassifierSub)
+	objectsRecv := trace.OnDeliver(s.PlanObjectsSub)
+	groundRecv := trace.OnDeliver(s.PlanGroundSub)
+	s.spans = []trace.Span{
+		{Name: SegFrontRemote, From: frontPub, To: frontRecv},
+		{Name: SegRearRemote, From: rearPub, To: rearRecv},
+		{Name: SegFusionFront, From: frontRecv, To: fusedPub},
+		{Name: SegFusionRear, From: rearRecv, To: fusedPub},
+		{Name: SegFusedRemote, From: fusedPub, To: fusedRecv},
+		{Name: SegObjectsLocal, From: fusedRecv, To: objectsRecv},
+		{Name: SegGroundLocal, From: fusedRecv, To: groundRecv},
+		{Name: SegE2EFront, From: frontPub, To: objectsRecv},
+	}
+	return s.spans
+}
+
+// Span returns the ground truth of the named segment, or of SegE2EFront.
+// The first call hooks the events every span starts and ends at, so it must
+// come after Build and before Run. The budgeting recorder (RecordTrace) and
+// the fault-injection oracle read the same spans.
+func (s *System) Span(name string) trace.Span {
+	for _, sp := range s.truth() {
+		if sp.Name == name {
+			return sp
+		}
+	}
+	panic(fmt.Sprintf("perception: no span %q", name))
+}
+
+// RecordTrace records the budgeting input of the run: the two evaluation
+// segments, the front fusion segment, the fused remote segment as its
+// remote monitor measures it, and the front chain end to end. Call it after
+// Build and before Run.
+func (s *System) RecordTrace() *trace.Recorder {
+	rec := trace.NewRecorder()
+	rec.Segment(s.Span(SegObjectsLocal), 1)
+	rec.Segment(s.Span(SegGroundLocal), 1)
+	rec.Segment(s.Span(SegFusionFront), 1)
+	rec.Remote(s.Span(SegFusedRemote), 1, s.Cfg.Period)
+	rec.Segment(s.Span(SegE2EFront), 1)
+	return rec
 }
 
 // Run starts the lidars, lets the system execute all configured frames and

@@ -12,11 +12,11 @@ func TestUnmonitoredRunProducesTrace(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Frames = 400
 	cfg.Monitored = false
-	cfg.Record = true
 	s := Build(cfg)
+	rec := s.RecordTrace()
 	s.Run()
 
-	tr := s.Recorder.Trace()
+	tr := rec.Trace()
 	obj := tr.Segment(SegObjectsLocal)
 	gnd := tr.Segment(SegGroundLocal)
 	if obj == nil || gnd == nil {

@@ -219,28 +219,11 @@ func Run(cfg Config, sink *telemetry.Sink) (Result, error) {
 
 	mk := weaklyhard.Constraint{M: 1, K: 5}
 	segs := make([]*monitor.LocalSegment, 0, 2)
-	results := make([]SegmentResult, 0, 2)
 	for _, name := range []string{SegObjects, SegGround} {
-		seg := mon.AddSegment(monitor.SegmentConfig{
+		segs = append(segs, mon.AddSegment(monitor.SegmentConfig{
 			Name: name, DMon: cfg.Deadline, DEx: time.Millisecond,
 			Period: cfg.Period, Constraint: mk,
-		})
-		results = append(results, SegmentResult{Name: name})
-		idx := len(results) - 1
-		// Runs on the monitor goroutine; results are read after the loop
-		// stops.
-		seg.OnResolve(func(r monitor.Resolution) {
-			switch r.Status {
-			case monitor.StatusOK:
-				results[idx].OK++
-			case monitor.StatusMissed:
-				results[idx].Missed++
-			case monitor.StatusRecovered:
-				results[idx].Recovered++
-			}
-			results[idx].Resolutions = append(results[idx].Resolutions, r)
-		})
-		segs = append(segs, seg)
+		}))
 	}
 	objects, ground := segs[0], segs[1]
 	mon.AttachWallclockTelemetry(sink, "rt")
@@ -337,6 +320,17 @@ func Run(cfg Config, sink *telemetry.Sink) (Result, error) {
 	time.Sleep(cfg.Deadline + 20*time.Millisecond)
 	loop.Stop()
 
+	// The monitor goroutine has exited, so its verdict accounting is ours
+	// to read.
+	results := make([]SegmentResult, 0, len(segs))
+	for _, seg := range segs {
+		st := seg.Stats()
+		ok, rec, missed := st.Counts()
+		results = append(results, SegmentResult{
+			Name: st.Name, OK: ok, Missed: missed, Recovered: rec,
+			Resolutions: st.Resolutions(),
+		})
+	}
 	return Result{
 		Elapsed:  time.Since(start),
 		Frames:   cfg.Frames,

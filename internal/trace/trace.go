@@ -1,6 +1,9 @@
-// Package trace records segment latencies from unmonitored runs (the
-// paper's measurement-based approach uses LTTng for this) and carries them
-// to the budgeting step: recorded traces L^{s_i} are extended by the
+// Package trace records the ground truth of a run (the paper's
+// measurement-based approach uses LTTng for this): a Point is the first
+// time, per activation, of one DDS event, and a Span pairs a start point
+// with an end point into a segment's true latencies. The fault-injection
+// oracle judges monitor verdicts against spans; the Recorder carries them
+// to the budgeting step, where recorded traces L^{s_i} are extended by the
 // exception-handling WCRT d_ex and fed into the constraint satisfaction
 // problem of Section III-C. Traces can be exported and re-imported as JSON
 // or CSV.
@@ -11,10 +14,8 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"sort"
 	"strconv"
 
-	"chainmon/internal/dds"
 	"chainmon/internal/sim"
 	"chainmon/internal/stats"
 )
@@ -136,24 +137,15 @@ func ReadCSV(r io.Reader) (*Trace, error) {
 	return t, nil
 }
 
-// Recorder observes communication events of an unmonitored system run and
-// pairs start/end events into segment latencies.
+// Recorder turns named spans into the segment-latency traces of a run.
 type Recorder struct {
-	k    *sim.Kernel
-	segs []*segRecorder
+	segs []recorded
 }
 
-// NewRecorder creates a recorder on the kernel.
-func NewRecorder(k *sim.Kernel) *Recorder {
-	return &Recorder{k: k}
-}
-
-type segRecorder struct {
-	rec         *Recorder
-	name        string
+// recorded is one segment the recorder traces.
+type recorded struct {
+	span        Span
 	propagation int
-	starts      map[uint64]sim.Time
-	latencies   map[uint64]sim.Duration
 	// remotePeriod, when non-zero, switches the segment to the effective
 	// remote-monitoring latency: the paper's synchronization-based monitor
 	// programs the deadline for activation n from the previous start
@@ -163,113 +155,50 @@ type segRecorder struct {
 	remotePeriod sim.Duration
 }
 
-// Segment declares a segment to record. propagation is the p_l factor used
+// NewRecorder creates a recorder with no segments.
+func NewRecorder() *Recorder { return &Recorder{} }
+
+// Segment records the span's latencies. propagation is the p_l factor used
 // later by the budget solver (1 = misses propagate, 0 = perfect recovery).
-func (r *Recorder) Segment(name string, propagation int) *SegmentRecorder {
-	s := &segRecorder{
-		rec:         r,
-		name:        name,
-		propagation: propagation,
-		starts:      make(map[uint64]sim.Time),
-		latencies:   make(map[uint64]sim.Duration),
+func (r *Recorder) Segment(span Span, propagation int) {
+	r.segs = append(r.segs, recorded{span: span, propagation: propagation})
+}
+
+// Remote records the span the way the synchronization-based remote monitor
+// will measure it: latency(n) = end(n) − (start(n−1) + period), for an end
+// no earlier than the previous start. Deadlines budgeted from such a trace
+// are directly deployable as the monitor's d_mon (up to the clock
+// synchronization error ε).
+func (r *Recorder) Remote(span Span, propagation int, period sim.Duration) {
+	r.segs = append(r.segs, recorded{span: span, propagation: propagation, remotePeriod: period})
+}
+
+// latency returns the segment's recorded latency of the activation.
+func (s recorded) latency(act uint64) (sim.Duration, bool) {
+	if s.remotePeriod == 0 {
+		return s.span.Latency(act)
 	}
-	r.segs = append(r.segs, s)
-	return &SegmentRecorder{s}
-}
-
-// SegmentRecorder wires one segment's start and end events.
-type SegmentRecorder struct {
-	s *segRecorder
-}
-
-// RemoteMode records the segment the way the synchronization-based remote
-// monitor will measure it: latency(n) = end(n) − (start(n−1) + period).
-// Deadlines budgeted from such a trace are directly deployable as the
-// monitor's d_mon (up to the clock synchronization error ε).
-func (sr *SegmentRecorder) RemoteMode(period sim.Duration) *SegmentRecorder {
-	sr.s.remotePeriod = period
-	return sr
-}
-
-// StartOnDeliver records receptions at the subscription as start events.
-func (sr *SegmentRecorder) StartOnDeliver(sub *dds.Subscription) {
-	sub.OnDeliver = append(sub.OnDeliver, func(smp *dds.Sample) bool {
-		sr.s.start(smp.Activation)
-		return true
-	})
-}
-
-// StartOnPublish records publications as start events (remote segments).
-func (sr *SegmentRecorder) StartOnPublish(pub *dds.Publisher) {
-	pub.OnPublish = append(pub.OnPublish, func(smp *dds.Sample) {
-		sr.s.start(smp.Activation)
-	})
-}
-
-// StartOnDevicePublish records a sensor device's publications as start
-// events — used for end-to-end chain latencies, which begin at the sensor.
-func (sr *SegmentRecorder) StartOnDevicePublish(dev *dds.Device) {
-	dev.OnPublish = append(dev.OnPublish, func(smp *dds.Sample) {
-		sr.s.start(smp.Activation)
-	})
-}
-
-// EndOnDeliver records receptions as end events.
-func (sr *SegmentRecorder) EndOnDeliver(sub *dds.Subscription) {
-	sub.OnDeliver = append(sub.OnDeliver, func(smp *dds.Sample) bool {
-		sr.s.end(smp.Activation)
-		return true
-	})
-}
-
-// EndOnPublish records publications as end events (local segments).
-func (sr *SegmentRecorder) EndOnPublish(pub *dds.Publisher) {
-	pub.OnPublish = append(pub.OnPublish, func(smp *dds.Sample) {
-		sr.s.end(smp.Activation)
-	})
-}
-
-func (s *segRecorder) start(act uint64) {
-	if _, ok := s.starts[act]; !ok {
-		s.starts[act] = s.rec.k.Now()
+	if act == 0 {
+		return 0, false // no previous start to rebase from
 	}
-}
-
-func (s *segRecorder) end(act uint64) {
-	if _, done := s.latencies[act]; done {
-		return
+	prev, okS := s.span.Start(act - 1)
+	end, okE := s.span.End(act)
+	if !okS || !okE || end < prev {
+		return 0, false
 	}
-	if s.remotePeriod > 0 {
-		if act == 0 {
-			return // no previous start to rebase from
-		}
-		prev, ok := s.starts[act-1]
-		if !ok {
-			return
-		}
-		s.latencies[act] = s.rec.k.Now().Sub(prev.Add(s.remotePeriod))
-		return
-	}
-	st, ok := s.starts[act]
-	if !ok {
-		return // end without start: outside the recording window
-	}
-	s.latencies[act] = s.rec.k.Now().Sub(st)
+	return end.Sub(prev.Add(s.remotePeriod)), true
 }
 
 // Trace assembles the recorded latencies, ordered by activation.
 func (r *Recorder) Trace() *Trace {
 	t := &Trace{}
 	for _, s := range r.segs {
-		st := &SegmentTrace{Segment: s.name, Propagation: s.propagation}
-		acts := make([]uint64, 0, len(s.latencies))
-		for a := range s.latencies {
-			acts = append(acts, a)
-		}
-		sort.Slice(acts, func(i, j int) bool { return acts[i] < acts[j] })
-		for _, a := range acts {
-			st.Activations = append(st.Activations, a)
-			st.Latencies = append(st.Latencies, s.latencies[a])
+		st := &SegmentTrace{Segment: s.span.Name, Propagation: s.propagation}
+		for _, a := range s.span.To.Activations() {
+			if l, ok := s.latency(a); ok {
+				st.Activations = append(st.Activations, a)
+				st.Latencies = append(st.Latencies, l)
+			}
 		}
 		t.Segments = append(t.Segments, st)
 	}

@@ -29,10 +29,8 @@ func TestRecorderPairsStartEnd(t *testing.T) {
 		func(*dds.Sample) sim.Duration { return 3 * sim.Millisecond },
 		func(s *dds.Sample) { outPub.Publish(s.Activation, nil, 0) })
 
-	rec := NewRecorder(k)
-	sr := rec.Segment("worker", 1)
-	sr.StartOnDeliver(sub)
-	sr.EndOnPublish(outPub)
+	rec := NewRecorder()
+	rec.Segment(Span{Name: "worker", From: OnDeliver(sub), To: OnPublish(outPub)}, 1)
 
 	for i := 0; i < 5; i++ {
 		act := uint64(i)
@@ -65,16 +63,18 @@ func TestRecorderPairsStartEnd(t *testing.T) {
 }
 
 func TestRecorderIgnoresEndWithoutStart(t *testing.T) {
-	k := sim.NewKernel()
-	rec := NewRecorder(k)
-	sr := rec.Segment("s", 0)
-	sr.s.end(5) // never started
-	sr.s.start(6)
-	sr.s.end(6)
-	sr.s.end(6) // duplicate end ignored
-	tr := rec.Trace()
-	if n := len(tr.Segment("s").Latencies); n != 1 {
-		t.Fatalf("latencies = %d, want 1", n)
+	from, to := newPoint(), newPoint()
+	to.note(5, 10, false) // never started
+	from.note(6, 20, false)
+	to.note(6, 25, false)
+	to.note(6, 30, false) // duplicate end ignored
+	from.note(7, 40, false)
+	to.note(7, 35, false) // ended before it started
+	rec := NewRecorder()
+	rec.Segment(Span{Name: "s", From: from, To: to}, 0)
+	st := rec.Trace().Segment("s")
+	if len(st.Latencies) != 1 || st.Activations[0] != 6 || st.Latencies[0] != 5 {
+		t.Fatalf("trace = %v at %v, want [5] at [6]", st.Latencies, st.Activations)
 	}
 }
 
@@ -147,18 +147,17 @@ func TestSampleAndInt64Conversion(t *testing.T) {
 }
 
 func TestRemoteModeRecordsRebasedLatency(t *testing.T) {
-	k := sim.NewKernel()
-	rec := NewRecorder(k)
-	sr := rec.Segment("rem", 1).RemoteMode(100 * sim.Millisecond)
 	// Starts (publications) at t=0 and t=100ms+5ms (5ms activation
 	// jitter); ends (receptions) 2ms after each start.
-	k.At(0, func() { sr.s.start(0) })
-	k.At(sim.Time(2*sim.Millisecond), func() { sr.s.end(0) }) // no previous start: skipped
-	k.At(sim.Time(105*sim.Millisecond), func() { sr.s.start(1) })
-	k.At(sim.Time(107*sim.Millisecond), func() { sr.s.end(1) })
-	k.Run()
-	tr := rec.Trace()
-	st := tr.Segment("rem")
+	pub, recv := newPoint(), newPoint()
+	ms := func(n int64) sim.Time { return sim.Time(n * int64(sim.Millisecond)) }
+	pub.note(0, 0, false)
+	recv.note(0, ms(2), false) // no previous start: skipped
+	pub.note(1, ms(105), false)
+	recv.note(1, ms(107), false)
+	rec := NewRecorder()
+	rec.Remote(Span{Name: "rem", From: pub, To: recv}, 1, 100*sim.Millisecond)
+	st := rec.Trace().Segment("rem")
 	if len(st.Latencies) != 1 {
 		t.Fatalf("latencies = %d, want 1 (activation 0 has no rebase anchor)", len(st.Latencies))
 	}
@@ -184,10 +183,8 @@ func TestStartOnPublishRecords(t *testing.T) {
 	pub := src.NewPublisher("t")
 	sub := dst.Subscribe("t", nil, nil)
 
-	rec := NewRecorder(k)
-	sr := rec.Segment("hop", 1)
-	sr.StartOnPublish(pub)
-	sr.EndOnDeliver(sub)
+	rec := NewRecorder()
+	rec.Segment(Span{Name: "hop", From: OnPublish(pub), To: OnDeliver(sub)}, 1)
 	k.At(0, func() { pub.Publish(0, nil, 0) })
 	k.Run()
 	st := rec.Trace().Segment("hop")
