@@ -5,7 +5,8 @@
 //   - hot-path allocation cuts: kernel event scheduling on the recycled
 //     freelist, the overload queue-churn workload (work-item freelist
 //     and pre-bound wakers), the deadline hot-swap cycle of the adaptive
-//     budget loop (budget_swap), one blame-attributed flow (blame_flow), a
+//     budget loop (budget_swap), one wall-clock monitor wake-up at its
+//     deadline (loop_wake), one blame-attributed flow (blame_flow), a
 //     /health scrape with a full budget history (health_render), one
 //     /health and one /metrics scrape of a mid-run full stack
 //     (scrape_pair), one 120-frame vehicle built and run bare (vehicle_run)
@@ -65,6 +66,7 @@ import (
 	"chainmon/internal/parallel"
 	"chainmon/internal/perception"
 	rt "chainmon/internal/runtime"
+	"chainmon/internal/runtime/walltime"
 	"chainmon/internal/sim"
 	"chainmon/internal/telemetry"
 	"chainmon/internal/weaklyhard"
@@ -242,6 +244,29 @@ func main() {
 		for i := 0; i < b.N; i++ {
 			cycle()
 		}
+	})
+	// loop_wake is the wall-clock monitor's wake-up: one op is one loop
+	// pass, armed 200 µs after the previous pass started, so ns/op is
+	// 200 µs plus how late the loop wakes for its deadline (the timer slack
+	// of its sem_timedwait). A loop woken by a Go timer reads about 1.1 ms.
+	run("loop_wake", func(b *testing.B) {
+		b.ReportAllocs()
+		clock := walltime.NewClock()
+		loop := walltime.NewLoop(clock, walltime.NewSem())
+		var next rt.Time
+		passes, done := 0, make(chan struct{})
+		loop.Next = func() (rt.Time, bool) { return next, true }
+		loop.Scan = func() {
+			next = clock.Now().Add(200 * time.Microsecond)
+			if passes++; passes == b.N {
+				close(done)
+			}
+		}
+		b.ResetTimer()
+		loop.Start()
+		<-done
+		b.StopTimer()
+		loop.Stop()
 	})
 	// blame_flow is the attribution engine's per-activation cost: one op
 	// feeds an on-time flow's six hops (dds-send, net-send, dds-recv, ring

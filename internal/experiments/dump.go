@@ -55,6 +55,7 @@ func (r Fig11Result) Samples() map[string]*stats.Sample {
 		"fig11_end_post":    r.EndPost,
 		"fig11_mon_latency": r.MonLatency,
 		"fig11_mon_exec":    r.MonExec,
+		"fig11_detection":   r.Detection,
 	}
 }
 

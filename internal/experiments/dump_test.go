@@ -63,8 +63,9 @@ func TestSampleAccessors(t *testing.T) {
 	r11 := Fig11Result{
 		StartPost: stats.NewSample(), EndPost: stats.NewSample(),
 		MonLatency: stats.NewSample(), MonExec: stats.NewSample(),
+		Detection: stats.NewSample(),
 	}
-	if len(r11.Samples()) != 4 {
+	if len(r11.Samples()) != 5 {
 		t.Errorf("fig11 samples = %d", len(r11.Samples()))
 	}
 	r12 := Fig12Result{Entries: map[string]*stats.Sample{"a b": stats.NewSample()}, order: []string{"a b"}}

@@ -13,6 +13,7 @@ package walltime
 
 import (
 	goruntime "runtime"
+	"sync/atomic"
 	"time"
 
 	rt "chainmon/internal/runtime"
@@ -28,29 +29,10 @@ func NewClock() *Clock { return &Clock{epoch: time.Now()} }
 // Now returns the monotonic time since the epoch.
 func (c *Clock) Now() rt.Time { return rt.Time(time.Since(c.epoch)) }
 
-// Sem is the monitor wake semaphore: a binary token so that any number of
-// producer wakes before the next scan collapse into one pass, exactly like
-// the POSIX semaphore of the paper's implementation.
-type Sem struct{ ch chan struct{} }
-
-// NewSem creates an empty semaphore.
-func NewSem() *Sem { return &Sem{ch: make(chan struct{}, 1)} }
-
-// Wake raises the semaphore (non-blocking: a pending wake is enough).
-func (s *Sem) Wake() {
-	select {
-	case s.ch <- struct{}{}:
-	default:
-	}
-}
-
 // ForceWake raises the semaphore. On the wall-clock runtime a pending wake
 // already guarantees a future scan pass, so Force and regular wakes
 // coincide; the distinction matters only for the simtime scheduler.
 func (s *Sem) ForceWake() { s.Wake() }
-
-// C exposes the wait side of the semaphore to the monitor loop.
-func (s *Sem) C() <-chan struct{} { return s.ch }
 
 // Loop is the monitor goroutine: wait on the semaphore with a timeout at
 // the earliest pending deadline (sem_timedwait), then run one scan pass.
@@ -66,19 +48,14 @@ type Loop struct {
 	// Next returns the earliest armed deadline, if any.
 	Next func() (rt.Time, bool)
 
-	stop    chan struct{}
-	done    chan struct{}
-	started bool
+	stopping atomic.Bool
+	done     chan struct{}
+	started  bool
 }
 
 // NewLoop creates a loop; Scan and Next must be set before Start.
 func NewLoop(clock *Clock, sem *Sem) *Loop {
-	return &Loop{
-		Clock: clock,
-		Sem:   sem,
-		stop:  make(chan struct{}),
-		done:  make(chan struct{}),
-	}
+	return &Loop{Clock: clock, Sem: sem, done: make(chan struct{})}
 }
 
 // Start launches the monitor goroutine.
@@ -91,12 +68,13 @@ func (l *Loop) Start() {
 }
 
 // Stop terminates the monitor goroutine, waits for it to exit, then runs
-// one last Scan on the calling goroutine. The loop picks at random between
-// a stop and a wake that are both ready, so a wake raised just before Stop
-// may get no pass from the loop; the final pass drains every event posted
-// before Stop and fires every deadline already due.
+// one last Scan on the calling goroutine. Stop's own wake coalesces with
+// any wake still pending, and the loop returns without a pass once it sees
+// the stop, so the final pass drains every event posted before Stop and
+// fires every deadline already due.
 func (l *Loop) Stop() {
-	close(l.stop)
+	l.stopping.Store(true)
+	l.Sem.Wake()
 	<-l.done
 	l.Scan()
 }
@@ -108,28 +86,14 @@ func (l *Loop) run() {
 	defer goruntime.UnlockOSThread()
 	defer close(l.done)
 
-	timer := time.NewTimer(time.Hour)
-	defer timer.Stop()
 	for {
-		wait := time.Hour
+		bound := time.Duration(-1) // nothing armed: sleep until a wake
 		if dl, ok := l.Next(); ok {
-			wait = dl.Sub(l.Clock.Now())
-			if wait < 0 {
-				wait = 0
-			}
+			bound = max(dl.Sub(l.Clock.Now()), 0)
 		}
-		if !timer.Stop() {
-			select {
-			case <-timer.C:
-			default:
-			}
-		}
-		timer.Reset(wait)
-		select {
-		case <-l.stop:
+		l.Sem.wait(bound)
+		if l.stopping.Load() {
 			return
-		case <-l.Sem.C():
-		case <-timer.C:
 		}
 		l.Scan()
 	}

@@ -1,6 +1,7 @@
 package walltime
 
 import (
+	"runtime"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -23,18 +24,11 @@ func TestSemCoalesces(t *testing.T) {
 	s.Wake()
 	s.Wake()
 	s.ForceWake()
-	n := 0
-	for {
-		select {
-		case <-s.C():
-			n++
-			continue
-		default:
-		}
-		break
+	if !s.wait(time.Second) {
+		t.Fatal("no pending wake after three wakes")
 	}
-	if n != 1 {
-		t.Errorf("pending wakes = %d, want 1", n)
+	if s.wait(0) {
+		t.Error("three wakes left a second pending wake")
 	}
 }
 
@@ -90,9 +84,9 @@ func TestLoopStartTwicePanics(t *testing.T) {
 }
 
 // TestLoopStopRunsPendingWake raises a wake while the loop's first pass is
-// held, then stops the loop before releasing the pass. The loop then finds
-// the stop and the wake both ready and may take either, so only Stop's own
-// final pass guarantees that the wake gets a pass of its own.
+// held, then stops the loop before releasing the pass. The wake coalesces
+// with Stop's own, and the loop returns without a pass once it sees the
+// stop, so only Stop's final pass gives the wake a pass of its own.
 func TestLoopStopRunsPendingWake(t *testing.T) {
 	for i := 0; i < 20; i++ {
 		sem := NewSem()
@@ -116,11 +110,70 @@ func TestLoopStopRunsPendingWake(t *testing.T) {
 			loop.Stop()
 			close(stopped)
 		}()
-		<-loop.stop // Stop has signalled the loop
+		for !loop.stopping.Load() { // Stop has signalled the loop
+			runtime.Gosched()
+		}
 		close(release)
 		<-stopped
 		if passes < 2 {
 			t.Fatalf("iteration %d: %d pass(es), want a second pass for the wake raised before Stop", i, passes)
 		}
+	}
+}
+
+// TestSemNoLostWake posts events one at a time, each followed by a wake, to
+// a loop with nothing armed, which sleeps until woken. The ring is small,
+// so the producer keeps catching the loop asleep. A lost wake leaves the
+// loop asleep with events in the ring: the producer then finds the ring
+// full for good, or the last events are never drained. Stop must then end
+// the sleeping loop.
+func TestSemNoLostWake(t *testing.T) {
+	const events = 100_000
+	clock, sem := NewClock(), NewSem()
+	ring := NewRing(64)
+	loop := NewLoop(clock, sem)
+	var (
+		buf      = make([]rt.Event, 64)
+		drained  uint64 // loop goroutine only; read after Stop
+		inOrder  = true
+		finished = make(chan struct{})
+	)
+	loop.Next = func() (rt.Time, bool) { return 0, false }
+	loop.Scan = func() {
+		for n := ring.PopBatch(buf); n > 0; n = ring.PopBatch(buf) {
+			for _, ev := range buf[:n] {
+				inOrder = inOrder && ev.Act == drained
+				if drained++; drained == events {
+					close(finished)
+				}
+			}
+		}
+	}
+	loop.Start()
+	go func() {
+		for i := uint64(0); i < events; i++ {
+			for !ring.Post(rt.Event{Act: i}) {
+				runtime.Gosched() // full: the loop holds a wake for it
+			}
+			sem.Wake()
+		}
+	}()
+	select {
+	case <-finished:
+	case <-time.After(30 * time.Second):
+		t.Fatalf("%d events still in the ring: a wake was lost", ring.Len())
+	}
+	stopped := make(chan struct{})
+	go func() {
+		loop.Stop()
+		close(stopped)
+	}()
+	select {
+	case <-stopped:
+	case <-time.After(10 * time.Second):
+		t.Fatal("Stop did not end the sleeping loop")
+	}
+	if drained != events || !inOrder {
+		t.Errorf("drained %d events (in order: %v), want %d in order", drained, inOrder, events)
 	}
 }
