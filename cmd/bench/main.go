@@ -6,7 +6,8 @@
 //     freelist, the overload queue-churn workload (work-item freelist
 //     and pre-bound wakers), the deadline hot-swap cycle of the adaptive
 //     budget loop (budget_swap), one wall-clock monitor wake-up at its
-//     deadline (loop_wake), one blame-attributed flow (blame_flow), a
+//     deadline (loop_wake), one activation through a wall-clock monitor
+//     segment (wall_activation), one blame-attributed flow (blame_flow), a
 //     /health scrape with a full budget history (health_render), one
 //     /health and one /metrics scrape of a mid-run full stack
 //     (scrape_pair), one 120-frame vehicle built and run bare (vehicle_run)
@@ -267,6 +268,37 @@ func main() {
 		<-done
 		b.StopTimer()
 		loop.Stop()
+	})
+	// wall_activation is one activation through a wall-clock monitor
+	// segment on a clock the op advances by hand: start post, end post and
+	// a monitor pass, with every 50th end withheld so its deadline fires
+	// ten activations later. Its B/op is what an activation allocates in
+	// steady state: a segment that kept each verdict and drain latency, as
+	// the sim's do, read ~500 B/op from growing those slices.
+	run("wall_activation", func(b *testing.B) {
+		b.ReportAllocs()
+		clock := &stepClock{}
+		mon := monitor.NewWallclockMonitor(clock, nopWaker{},
+			func() rt.EventRing { return walltime.NewRing(16) }, 1)
+		seg := mon.AddSegment(monitor.SegmentConfig{Name: "wall", DMon: time.Millisecond, Period: time.Millisecond})
+		var act uint64
+		activation := func() {
+			seg.StartInjected(act)
+			clock.now += rt.Time(20 * time.Microsecond)
+			if act%50 != 49 {
+				seg.EndInjected(act)
+			}
+			act++
+			clock.now += rt.Time(80 * time.Microsecond)
+			mon.ScanNow()
+		}
+		for i := 0; i < 20_000; i++ { // warm past the segment's bookkeeping horizon
+			activation()
+		}
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			activation()
+		}
 	})
 	// blame_flow is the attribution engine's per-activation cost: one op
 	// feeds an on-time flow's six hops (dds-send, net-send, dds-recv, ring
@@ -623,3 +655,14 @@ func gate(rep, base report, gateNs float64) []finding {
 	}
 	return out
 }
+
+// stepClock is a wall clock the wall_activation row advances by hand.
+type stepClock struct{ now rt.Time }
+
+func (c *stepClock) Now() rt.Time { return c.now }
+
+// nopWaker stands in for the monitor semaphore; the row calls ScanNow.
+type nopWaker struct{}
+
+func (nopWaker) Wake()      {}
+func (nopWaker) ForceWake() {}

@@ -104,7 +104,7 @@ func TestRealtimeReportMatchesRun(t *testing.T) {
 	dir := t.TempDir()
 	run := runCLI(t, dir, "-realtime", "-frames", "20", "-trace-stream", "rt.chmtrc")
 	report := runCLI(t, dir, "trace", "report", "rt.chmtrc")
-	rows := regexp.MustCompile(`(?m)^  (rt/\S+) +ok=(\d+) missed=(\d+) recovered=(\d+)$`).FindAllStringSubmatch(run, -1)
+	rows := regexp.MustCompile(`(?m)^  (rt/\S+) +ok=(\d+) missed=(\d+) recovered=(\d+) pending=\d+ dropped=\d+$`).FindAllStringSubmatch(run, -1)
 	if len(rows) != 2 {
 		t.Fatalf("want two segment rows in the run summary:\n%s", run)
 	}

@@ -229,55 +229,6 @@ func (e *ECU) NewNode(name string, execPrio int) *Node {
 // Nodes returns the processes on this ECU.
 func (e *ECU) Nodes() []*Node { return e.nodes }
 
-// Timer is a periodic executor callback (the ROS2 timer callback type).
-type Timer struct {
-	node    *Node
-	period  sim.Duration
-	cost    sim.Dist
-	fn      func(n uint64)
-	n       uint64
-	stopped bool
-}
-
-// NewTimer registers a periodic callback on the node's executor: every
-// period, a work item with a sampled cost is queued; fn receives the firing
-// index. Call Start to begin.
-func (n *Node) NewTimer(period sim.Duration, cost sim.Dist, fn func(n uint64)) *Timer {
-	if period <= 0 {
-		panic("dds: timer needs a positive period")
-	}
-	if cost == nil {
-		cost = sim.Constant(0)
-	}
-	return &Timer{node: n, period: period, cost: cost, fn: fn}
-}
-
-// Start begins firing at the given offset.
-func (t *Timer) Start(offset sim.Time) {
-	d := t.node.ECU.Domain
-	var fire func()
-	fire = func() {
-		if t.stopped {
-			return
-		}
-		idx := t.n
-		t.n++
-		t.node.Exec.Enqueue("timer", t.cost.Sample(d.rng), func() {
-			if t.fn != nil {
-				t.fn(idx)
-			}
-		})
-		d.k.After(t.period, fire)
-	}
-	d.k.At(offset, fire)
-}
-
-// Stop halts the timer after the current period.
-func (t *Timer) Stop() { t.stopped = true }
-
-// Firings returns how many times the timer has fired.
-func (t *Timer) Firings() uint64 { return t.n }
-
 // Publisher writes samples on a topic.
 type Publisher struct {
 	node   *Node

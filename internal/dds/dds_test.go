@@ -379,46 +379,6 @@ func TestDropOnWireLosesTransmission(t *testing.T) {
 	}
 }
 
-func TestNodeTimerFiresPeriodically(t *testing.T) {
-	k, _, e1, _ := newTestDomain()
-	n := e1.NewNode("app", PrioExecBase)
-	var fired []uint64
-	var times []sim.Time
-	tm := n.NewTimer(10*sim.Millisecond, sim.Constant(sim.Millisecond), func(i uint64) {
-		fired = append(fired, i)
-		times = append(times, k.Now())
-	})
-	tm.Start(0)
-	k.At(sim.Time(45*sim.Millisecond), tm.Stop)
-	k.RunUntil(sim.Time(100 * sim.Millisecond))
-	if len(fired) != 5 { // t = 0,10,20,30,40 ms
-		t.Fatalf("fired %d times, want 5", len(fired))
-	}
-	for i, idx := range fired {
-		if idx != uint64(i) {
-			t.Errorf("firing index %d = %d", i, idx)
-		}
-	}
-	// Each callback completes 1 ms (its cost) after the grid point.
-	if times[1] != sim.Time(11*sim.Millisecond) {
-		t.Errorf("second firing completed at %v", times[1])
-	}
-	if tm.Firings() != 5 {
-		t.Errorf("Firings() = %d", tm.Firings())
-	}
-}
-
-func TestNodeTimerValidation(t *testing.T) {
-	_, _, e1, _ := newTestDomain()
-	n := e1.NewNode("app", PrioExecBase)
-	defer func() {
-		if recover() == nil {
-			t.Error("expected panic for zero period")
-		}
-	}()
-	n.NewTimer(0, nil, nil)
-}
-
 func TestSampleString(t *testing.T) {
 	s := &Sample{Topic: "t", Activation: 3, SrcTimestamp: sim.Time(sim.Millisecond)}
 	if s.String() != "t#3@1ms" {

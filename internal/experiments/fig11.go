@@ -37,9 +37,10 @@ type Fig11Result struct {
 // event; the deadline leaves generous headroom above it because time.Sleep
 // on a non-realtime kernel overshoots by tens to hundreds of microseconds.
 //
-// The driver times each post and each monitor pass itself; the monitor
-// latency (post → start of the draining scan) comes from the monitor's own
-// drain hook.
+// RunFig11 times each post and each monitor pass itself. A wall-clock
+// monitor keeps no per-activation sample, so the monitor latency (post →
+// start of the draining scan) and the detection latencies are collected
+// from the segments' OnDrain and OnResolve observers.
 func RunFig11(activations int, segmentWork time.Duration) Fig11Result {
 	deadline := 4*segmentWork + 10*time.Millisecond
 	clock, sem := walltime.NewClock(), walltime.NewSem()
@@ -47,8 +48,18 @@ func RunFig11(activations int, segmentWork time.Duration) Fig11Result {
 		func() rt.EventRing { return walltime.NewRing(1024) }, 1)
 	objects := mon.AddSegment(monitor.SegmentConfig{Name: "objects", DMon: deadline})
 	ground := mon.AddSegment(monitor.SegmentConfig{Name: "ground", DMon: deadline})
+	segs := []*monitor.LocalSegment{objects, ground}
 
-	scanExec := stats.NewSample() // monitor goroutine only; read after Stop
+	// Written on the monitor goroutine only; read after Stop.
+	scanExec, monLatency, detection := stats.NewSample(), stats.NewSample(), stats.NewSample()
+	for _, seg := range segs {
+		seg.OnDrain(monLatency.AddDuration)
+		seg.OnResolve(func(r monitor.Resolution) {
+			if r.Exception {
+				detection.AddDuration(r.DetectionLatency)
+			}
+		})
+	}
 	loop := walltime.NewLoop(clock, sem)
 	loop.Scan = func() {
 		t0 := clock.Now()
@@ -87,18 +98,15 @@ func RunFig11(activations int, segmentWork time.Duration) Fig11Result {
 		Activations: activations,
 		StartPost:   startPost,
 		EndPost:     endPost,
-		MonLatency:  mon.Overheads().MonLatency,
+		MonLatency:  monLatency,
 		MonExec:     scanExec,
-		Detection:   stats.NewSample(),
+		Detection:   detection,
 	}
-	for _, seg := range []*monitor.LocalSegment{objects, ground} {
+	for _, seg := range segs {
 		ok, _, _ := seg.Stats().Counts()
 		r.OK += ok
 		r.Exceptions += seg.Stats().Exceptions()
 		r.Dropped += seg.Dropped()
-		for _, v := range seg.Stats().DetectionLatencies().Values() {
-			r.Detection.Add(v)
-		}
 	}
 	return r
 }

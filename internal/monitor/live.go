@@ -1,13 +1,16 @@
 package monitor
 
-import "chainmon/internal/livestats"
+import (
+	"chainmon/internal/livestats"
+	rt "chainmon/internal/runtime"
+)
 
 // AttachLive wires the local monitor and all its segments (present and
 // future) to a live health set: every segment gets a latency sketch fed by
 // the same resolution stream — and the same LatencySample inclusion rule —
 // as SegmentStats, an (m,k) SLO sliding in lockstep with the segment's
-// weakly-hard counter, and a ring-drain latency sketch fed by the segment's
-// runtime DrainLatency hook, so both timebases feed it identically. A nil
+// weakly-hard counter, and a ring-drain latency sketch fed through the
+// segment's OnDrain observers, so both timebases feed it identically. A nil
 // set leaves the monitor dark. The set is internally locked, so one attach
 // call serves simulation and wall-clock monitors alike.
 func (m *LocalMonitor) AttachLive(set *livestats.Set) {
@@ -21,8 +24,9 @@ func (m *LocalMonitor) AttachLive(set *livestats.Set) {
 }
 
 func (s *LocalSegment) attachLive(set *livestats.Set) {
-	s.live = set.Segment(s.cfg.Name, s.cfg.Constraint)
-	attachLiveScope(s.live, s)
+	scope := set.Segment(s.cfg.Name, s.cfg.Constraint)
+	attachLiveScope(scope, s)
+	s.OnDrain(func(lat rt.Duration) { scope.ObserveDrain(float64(lat)) })
 }
 
 // AttachLiveSegment wires any monitored segment (local or remote) to the

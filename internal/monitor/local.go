@@ -45,6 +45,11 @@ type LocalMonitor struct {
 	rng      *sim.RNG
 	core     *rt.Core
 	segments []*LocalSegment
+	// history is what the constructor decides its segments keep: every
+	// resolution and the MonLatency sample on the sim, whose runs are
+	// finite and whose figures read every activation; only verdict counts
+	// on the wall clock, which runs for as long as its host does.
+	history bool
 
 	// PostCost is the overhead of posting one event into a ring buffer
 	// (start-event / end-event overhead in Fig. 11). Nil on the wall clock,
@@ -66,24 +71,32 @@ type LocalMonitor struct {
 	budgets []budgetBinding
 }
 
+// The simulated monitor's default cost models. They are package values, so
+// a monitor's construction does not box a copy of each into its sim.Dist.
+var (
+	defaultPostCost sim.Dist = sim.LogNormalDist{
+		Median: 15 * sim.Microsecond, Sigma: 0.5,
+		Shift: 3 * sim.Microsecond, Max: 100 * sim.Microsecond,
+	}
+	defaultScanCost sim.Dist = sim.LogNormalDist{
+		Median: 20 * sim.Microsecond, Sigma: 0.4,
+		Shift: 5 * sim.Microsecond, Max: 150 * sim.Microsecond,
+	}
+)
+
 // NewLocalMonitor creates the monitor thread of an ECU at the highest
 // scheduling priority, on the deterministic simulation runtime.
 func NewLocalMonitor(ecu *dds.ECU) *LocalMonitor {
 	k := ecu.Proc.Kernel()
 	m := &LocalMonitor{
-		ECU:    ecu,
-		Thread: ecu.Proc.NewThread(ecu.Name+"/monitor", dds.PrioMonitor),
-		clock:  simtime.Clock{K: k},
-		rng:    ecu.Proc.RNG().Derive("localmon"),
-		PostCost: sim.LogNormalDist{
-			Median: 15 * sim.Microsecond, Sigma: 0.5,
-			Shift: 3 * sim.Microsecond, Max: 100 * sim.Microsecond,
-		},
-		ScanCost: sim.LogNormalDist{
-			Median: 20 * sim.Microsecond, Sigma: 0.4,
-			Shift: 5 * sim.Microsecond, Max: 150 * sim.Microsecond,
-		},
+		ECU:        ecu,
+		Thread:     ecu.Proc.NewThread(ecu.Name+"/monitor", dds.PrioMonitor),
+		clock:      simtime.Clock{K: k},
+		rng:        ecu.Proc.RNG().Derive("localmon"),
+		PostCost:   defaultPostCost,
+		ScanCost:   defaultScanCost,
 		core:       rt.NewCore(),
+		history:    true,
 		overheads:  NewOverheadStats(),
 		skipTables: make(map[*dds.Publisher]map[uint64]bool),
 		newRing:    func() rt.EventRing { return &rt.SliceRing{} },
@@ -117,6 +130,11 @@ func NewLocalMonitor(ecu *dds.ECU) *LocalMonitor {
 // The core judges end events by their timestamps (rt.Core.LateEndsMiss):
 // an end stamped past its deadline is a miss even when the host loop wakes
 // late and drains it before the timeout fires.
+//
+// A wall-clock monitor keeps no per-activation history: its segments' stats
+// keep verdict counts only, and a drain latency reaches only the segments'
+// OnDrain observers. A caller that wants every activation registers
+// OnResolve and OnDrain observers.
 func NewWallclockMonitor(clock rt.Clock, waker rt.Waker, newRing func() rt.EventRing, seed int64) *LocalMonitor {
 	core := rt.NewCore()
 	core.LateEndsMiss = true
@@ -134,7 +152,8 @@ func NewWallclockMonitor(clock rt.Clock, waker rt.Waker, newRing func() rt.Event
 }
 
 // Overheads returns the Fig. 11 overhead collectors of this monitor. On the
-// wall clock only MonLatency is filled.
+// wall clock all four stay empty: drain latencies go to the segments'
+// OnDrain observers instead.
 func (m *LocalMonitor) Overheads() *OverheadStats { return m.overheads }
 
 // Segments returns the registered segments in their fixed processing order.
@@ -221,8 +240,7 @@ type LocalSegment struct {
 	// event; used for recovery publication and skip-next propagation.
 	// Nil when the segment ends at a reception.
 	endPub *dds.Publisher
-	tel    *segTel          // nil when uninstrumented
-	live   *livestats.Scope // nil when no live health surface is attached
+	tel    *segTel // nil when uninstrumented
 	// excLabel names the segment's exception-handler work ("exc/<name>"),
 	// built once so raising an exception does not concatenate it.
 	excLabel string
@@ -233,7 +251,15 @@ type LocalSegment struct {
 	// propagateTo receives error propagation events for unrecovered misses.
 	propagateTo Propagator
 	onResolve   []ResolveFunc
+	onDrain     []DrainFunc
+	// drainObs backs onDrain's first two observers (the sim's MonLatency
+	// sample and a live sketch), so registering them allocates nothing.
+	drainObs [2]DrainFunc
 }
+
+// DrainFunc observes the post → drained latency of one start event, on the
+// monitor's scan thread.
+type DrainFunc func(lat rt.Duration)
 
 // AddSegment registers a local segment. Registration order is the fixed
 // order in which the monitor thread processes the per-segment buffers — the
@@ -252,8 +278,9 @@ func (m *LocalMonitor) AddSegment(cfg SegmentConfig) *LocalSegment {
 		excepted: make(map[uint64]bool),
 		resolved: make(map[uint64]bool),
 		counter:  weaklyhard.NewCounter(cfg.Constraint),
-		stats:    NewSegmentStats(cfg.Name),
+		stats:    newSegmentStats(cfg.Name, m.history),
 	}
+	s.onDrain = s.drainObs[:0]
 	s.reorder = newReorderBuf(func(r Resolution) {
 		s.counter.Record(r.Status == StatusMissed)
 		s.stats.record(r)
@@ -266,9 +293,8 @@ func (m *LocalMonitor) AddSegment(cfg SegmentConfig) *LocalSegment {
 	})
 	s.core = m.core.AddSegment(cfg.Name, cfg.DMon, m.newRing(), m.newRing(), rt.SegmentHooks{
 		DrainLatency: func(lat rt.Duration) {
-			m.overheads.MonLatency.AddDuration(lat)
-			if s.live != nil {
-				s.live.ObserveDrain(float64(lat))
+			for _, fn := range s.onDrain {
+				fn(lat)
 			}
 		},
 		SkipArm: func(act uint64) bool {
@@ -311,6 +337,9 @@ func (m *LocalMonitor) AddSegment(cfg SegmentConfig) *LocalSegment {
 			s.raiseException(start.Act, sim.Time(start.TS), sim.Time(deadline), false)
 		},
 	})
+	if m.history {
+		s.OnDrain(m.overheads.MonLatency.AddDuration)
+	}
 	if m.tel != nil {
 		s.tel = newSegTel(m.tel.sink, m.tel.track, m.tel.postTrack(s.cfg.Name), s.cfg.Name)
 	}
@@ -324,7 +353,8 @@ func (m *LocalMonitor) AddSegment(cfg SegmentConfig) *LocalSegment {
 // Config returns the segment configuration.
 func (s *LocalSegment) Config() SegmentConfig { return s.cfg }
 
-// Stats returns the segment's measurement collectors.
+// Stats returns the segment's measurement collectors. On the wall clock
+// they hold only the verdict counts (see SegmentStats).
 func (s *LocalSegment) Stats() *SegmentStats { return s.stats }
 
 // Counter returns the segment's (m,k) window counter.
@@ -338,6 +368,12 @@ func (s *LocalSegment) Dropped() int { return s.dropped }
 
 // OnResolve registers an observer of in-order activation resolutions.
 func (s *LocalSegment) OnResolve(fn ResolveFunc) { s.onResolve = append(s.onResolve, fn) }
+
+// OnDrain registers an observer of the segment's ring-drain latencies: one
+// call per start event, when the monitor's scan drains it. It is the
+// drain-side counterpart of OnResolve; the sim's MonLatency sample and the
+// live drain sketch are fed through it too.
+func (s *LocalSegment) OnDrain(fn DrainFunc) { s.onDrain = append(s.onDrain, fn) }
 
 // PropagateTo sets an explicit onward propagation target invoked for
 // unrecovered misses (used when the segment's end event is a reception and

@@ -2,6 +2,7 @@ package monitor
 
 import (
 	"fmt"
+	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -217,8 +218,9 @@ func TestWallclockTelemetryConcurrentAppends(t *testing.T) {
 }
 
 // TestWallclockOKPath ends every activation long before its deadline: each
-// resolves OK, none excepts, and the monitor measures its drain latency but
-// keeps no posting samples (the caller times posts on the wall clock).
+// resolves OK, none excepts, and the monitor hands each start's drain
+// latency to its drain observer but keeps no sample of its own (the caller
+// times posts on the wall clock).
 func TestWallclockOKPath(t *testing.T) {
 	const acts = 10
 	clock, sem := walltime.NewClock(), walltime.NewSem()
@@ -228,6 +230,8 @@ func TestWallclockOKPath(t *testing.T) {
 	seg := mon.AddSegment(SegmentConfig{Name: "s", DMon: 500 * time.Millisecond})
 	var resolved atomic.Int64
 	seg.OnResolve(func(Resolution) { resolved.Add(1) })
+	drained := 0 // monitor goroutine only; read after loop.Stop
+	seg.OnDrain(func(rt.Duration) { drained++ })
 	loop := startWallLoop(clock, sem, mon)
 	for act := uint64(0); act < acts; act++ {
 		seg.StartInjected(act)
@@ -246,9 +250,12 @@ func TestWallclockOKPath(t *testing.T) {
 	if d := seg.Dropped(); d != 0 {
 		t.Errorf("dropped = %d", d)
 	}
+	if drained != acts {
+		t.Errorf("drain observer saw %d latencies, want one per start (%d)", drained, acts)
+	}
 	o := mon.Overheads()
-	if o.MonLatency.Len() != acts {
-		t.Errorf("monitor latency samples = %d, want one per start (%d)", o.MonLatency.Len(), acts)
+	if o.MonLatency.Len() != 0 {
+		t.Errorf("monitor latency samples = %d, want none on the wall clock", o.MonLatency.Len())
 	}
 	if o.StartPost.Len() != 0 || o.EndPost.Len() != 0 {
 		t.Errorf("post samples = %d,%d, want none on the wall clock", o.StartPost.Len(), o.EndPost.Len())
@@ -462,6 +469,72 @@ func TestWallclockExceptionAllocFree(t *testing.T) {
 	}
 	if allocs != 0 {
 		t.Errorf("one missed activation allocates %.0f times, want 0", allocs)
+	}
+}
+
+// TestWallclockRetainsNothingPerActivation pins what a wall-clock segment
+// keeps: verdict counts, never a per-activation history, because it runs for
+// as long as its host does. After a warm-up past the bookkeeping horizon,
+// 200k more activations, every 50th missing its end, may grow the live heap
+// by less than 512 KiB (2.6 B per activation). A segment that kept each
+// Resolution, its latency and a MonLatency sample grew it by ~20 MB.
+func TestWallclockRetainsNothingPerActivation(t *testing.T) {
+	const (
+		dMon      = time.Millisecond
+		warm      = 20_000
+		acts      = 200_000
+		missEvery = 50
+		maxGrowth = 512 << 10
+	)
+	clock := &stepClock{}
+	mon := NewWallclockMonitor(clock, nopWaker{}, func() rt.EventRing { return walltime.NewRing(16) }, 1)
+	seg := mon.AddSegment(SegmentConfig{Name: "w", DMon: dMon, Period: time.Millisecond})
+	var act uint64
+	run := func(n int) {
+		for i := 0; i < n; i++ {
+			seg.StartInjected(act)
+			clock.now += rt.Time(20 * time.Microsecond)
+			if act%missEvery != missEvery-1 {
+				seg.EndInjected(act)
+			}
+			act++
+			clock.now += rt.Time(80 * time.Microsecond)
+			mon.ScanNow()
+		}
+	}
+	run(warm)
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	run(acts)
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	// Expire the last withheld ends, so every activation has its verdict.
+	clock.now += rt.Time(2 * dMon)
+	mon.ScanNow()
+
+	st := seg.Stats()
+	if n := len(st.Resolutions()); n != 0 {
+		t.Errorf("%d resolutions kept, want none on the wall clock", n)
+	}
+	if n := st.Latencies().Len() + st.ExceptionLatencies().Len() + st.DetectionLatencies().Len(); n != 0 {
+		t.Errorf("%d latency samples kept, want none on the wall clock", n)
+	}
+	if n := mon.Overheads().MonLatency.Len(); n != 0 {
+		t.Errorf("%d monitor latency samples kept, want none on the wall clock", n)
+	}
+	total := warm + acts
+	wantMissed := total / missEvery
+	if ok, rec, missed := st.Counts(); ok != total-wantMissed || rec != 0 || missed != wantMissed {
+		t.Errorf("ok=%d recovered=%d missed=%d, want %d/0/%d", ok, rec, missed, total-wantMissed, wantMissed)
+	}
+	if n := st.Exceptions(); n != wantMissed {
+		t.Errorf("exceptions = %d, want %d", n, wantMissed)
+	}
+	grown := int64(after.HeapAlloc) - int64(before.HeapAlloc)
+	t.Logf("live heap grew %d B over %d activations (%.2f B each)", grown, acts, float64(grown)/acts)
+	if grown >= maxGrowth {
+		t.Errorf("live heap grew %d B over %d activations, want below %d", grown, acts, maxGrowth)
 	}
 }
 

@@ -3,6 +3,7 @@ package realtime
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"sort"
 	"testing"
 	"time"
@@ -140,6 +141,11 @@ func TestBlameCrossTimebaseEquivalenceWithActuations(t *testing.T) {
 	if _, err := Run(cfg, wallSink); err != nil {
 		t.Fatal(err)
 	}
+	defer func() {
+		if t.Failed() {
+			logPostGaps(t, wallSink.Rec)
+		}
+	}()
 	wallEng.Flush()
 	wallDoc := wallEng.Snapshot(blame.RecorderResolvers(wallSink.Rec))
 
@@ -197,6 +203,27 @@ func TestBlameCrossTimebaseEquivalenceWithActuations(t *testing.T) {
 		if sg.name == SegGround && sg.budgetNS != int64(time.Millisecond) {
 			t.Errorf("ground budget at last arm = %d ns, want %d", sg.budgetNS, int64(time.Millisecond))
 		}
+	}
+}
+
+// logPostGaps logs, per segment and activation, how long after its start
+// the wall-clock producer posted the end. A gap past the segment's d_mon is
+// a miss by timestamp that the replica's nominal schedule does not have: the
+// host held the producer back, and the monitor judged the stamps correctly.
+func logPostGaps(t *testing.T, rec *telemetry.Recorder) {
+	t.Helper()
+	for _, name := range []string{SegObjects, SegGround} {
+		starts := map[uint64]int64{}
+		gaps := ""
+		for _, ev := range rec.Track(name + "/posts").Events() {
+			switch ev.Kind {
+			case telemetry.KindRingPostStart:
+				starts[ev.Act] = ev.TS
+			case telemetry.KindRingPostEnd:
+				gaps += fmt.Sprintf(" %d:%v", ev.Act, time.Duration(ev.TS-starts[ev.Act]))
+			}
+		}
+		t.Logf("%s end posted after its start:%s", name, gaps)
 	}
 }
 

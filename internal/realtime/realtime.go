@@ -137,12 +137,17 @@ func (c Config) swapsFor(act int) []monitor.DeadlineUpdate {
 	return ups
 }
 
-// SegmentResult is one segment's verdict accounting after the run.
+// SegmentResult is one segment's verdict accounting after the run. Every
+// activation the producer started ends in OK, Missed or Recovered, or is
+// still Pending (armed without a verdict when the loop stopped); Dropped
+// counts the posts a full ring rejected.
 type SegmentResult struct {
 	Name        string
 	OK          int
 	Missed      int
 	Recovered   int
+	Pending     int
+	Dropped     int
 	Resolutions []monitor.Resolution
 }
 
@@ -159,8 +164,8 @@ func (r Result) Summary(w io.Writer) {
 	fmt.Fprintf(w, "wall-clock run: %d frames in %v (%d monitor passes)\n",
 		r.Frames, r.Elapsed.Round(time.Millisecond), r.Scans)
 	for _, s := range r.Segments {
-		fmt.Fprintf(w, "  %-12s ok=%d missed=%d recovered=%d\n",
-			s.Name, s.OK, s.Missed, s.Recovered)
+		fmt.Fprintf(w, "  %-12s ok=%d missed=%d recovered=%d pending=%d dropped=%d\n",
+			s.Name, s.OK, s.Missed, s.Recovered, s.Pending, s.Dropped)
 	}
 }
 
@@ -217,13 +222,18 @@ func Run(cfg Config, sink *telemetry.Sink) (Result, error) {
 		linkLbl = sink.Rec.Intern("rt/link")
 	}
 
+	// A wall-clock segment keeps only its verdict counts, so the run
+	// collects its resolutions itself, on the monitor goroutine.
 	mk := weaklyhard.Constraint{M: 1, K: 5}
 	segs := make([]*monitor.LocalSegment, 0, 2)
-	for _, name := range []string{SegObjects, SegGround} {
-		segs = append(segs, mon.AddSegment(monitor.SegmentConfig{
+	resolutions := make([][]monitor.Resolution, 2)
+	for i, name := range []string{SegObjects, SegGround} {
+		seg := mon.AddSegment(monitor.SegmentConfig{
 			Name: name, DMon: cfg.Deadline, DEx: time.Millisecond,
 			Period: cfg.Period, Constraint: mk,
-		}))
+		})
+		seg.OnResolve(func(r monitor.Resolution) { resolutions[i] = append(resolutions[i], r) })
+		segs = append(segs, seg)
 	}
 	objects, ground := segs[0], segs[1]
 	mon.AttachWallclockTelemetry(sink, "rt")
@@ -323,12 +333,13 @@ func Run(cfg Config, sink *telemetry.Sink) (Result, error) {
 	// The monitor goroutine has exited, so its verdict accounting is ours
 	// to read.
 	results := make([]SegmentResult, 0, len(segs))
-	for _, seg := range segs {
+	for i, seg := range segs {
 		st := seg.Stats()
 		ok, rec, missed := st.Counts()
 		results = append(results, SegmentResult{
 			Name: st.Name, OK: ok, Missed: missed, Recovered: rec,
-			Resolutions: st.Resolutions(),
+			Pending: mon.Core().Segments()[i].Pending(), Dropped: seg.Dropped(),
+			Resolutions: resolutions[i],
 		})
 	}
 	return Result{

@@ -36,6 +36,15 @@ func TestRunVerdicts(t *testing.T) {
 		t.Fatalf("got %d segments, want 2", len(res.Segments))
 	}
 	objects, ground := res.Segments[0], res.Segments[1]
+	// Every activation the producer started ends in a verdict or in a count.
+	for _, s := range res.Segments {
+		if got := s.OK + s.Missed + s.Recovered + s.Pending; got != res.Frames {
+			t.Errorf("%s: ok+missed+recovered+pending = %d, want %d frames", s.Name, got, res.Frames)
+		}
+		if s.Dropped != 0 {
+			t.Errorf("%s: %d posts dropped", s.Name, s.Dropped)
+		}
+	}
 	if objects.OK != 8 || objects.Missed != 0 {
 		t.Errorf("objects: ok=%d missed=%d, want 8/0", objects.OK, objects.Missed)
 	}
