@@ -2,7 +2,6 @@ package monitor
 
 import (
 	"fmt"
-	"maps"
 
 	"chainmon/internal/dds"
 	"chainmon/internal/livestats"
@@ -59,8 +58,10 @@ type LocalMonitor struct {
 	// only; nil on the wall clock).
 	ScanCost sim.Dist
 
-	overheads  *OverheadStats
-	skipTables map[*dds.Publisher]map[uint64]bool
+	overheads *OverheadStats
+	// skipTables holds one window of skipped publications per end
+	// publisher, shared by the segments that end there.
+	skipTables map[*dds.Publisher]*actWindow
 
 	tel          *monTel        // nil when uninstrumented
 	live         *livestats.Set // nil when no live health surface is attached
@@ -98,7 +99,7 @@ func NewLocalMonitor(ecu *dds.ECU) *LocalMonitor {
 		core:       rt.NewCore(),
 		history:    true,
 		overheads:  NewOverheadStats(),
-		skipTables: make(map[*dds.Publisher]map[uint64]bool),
+		skipTables: make(map[*dds.Publisher]*actWindow),
 		newRing:    func() rt.EventRing { return &rt.SliceRing{} },
 	}
 	m.exec = simtime.NewExecutor(m.Thread)
@@ -143,7 +144,7 @@ func NewWallclockMonitor(clock rt.Clock, waker rt.Waker, newRing func() rt.Event
 		rng:        sim.NewRNG(seed).Derive("localmon"),
 		core:       core,
 		overheads:  NewOverheadStats(),
-		skipTables: make(map[*dds.Publisher]map[uint64]bool),
+		skipTables: make(map[*dds.Publisher]*actWindow),
 		newRing:    newRing,
 		sched:      waker,
 	}
@@ -229,8 +230,10 @@ type LocalSegment struct {
 	mon  *LocalMonitor
 	core *rt.Segment
 
-	excepted map[uint64]bool
-	resolved map[uint64]bool
+	// excepted and resolved mark the activations an exception or a verdict
+	// has claimed, over the last windowSize activations each.
+	excepted actWindow
+	resolved actWindow
 
 	counter *weaklyhard.Counter
 	reorder *reorderBuf
@@ -275,8 +278,6 @@ func (m *LocalMonitor) AddSegment(cfg SegmentConfig) *LocalSegment {
 		cfg:      cfg,
 		mon:      m,
 		excLabel: "exc/" + cfg.Name,
-		excepted: make(map[uint64]bool),
-		resolved: make(map[uint64]bool),
 		counter:  weaklyhard.NewCounter(cfg.Constraint),
 		stats:    newSegmentStats(cfg.Name, m.history),
 	}
@@ -298,7 +299,7 @@ func (m *LocalMonitor) AddSegment(cfg SegmentConfig) *LocalSegment {
 			}
 		},
 		SkipArm: func(act uint64) bool {
-			return s.resolved[act] || s.excepted[act]
+			return s.resolved.has(act) || s.excepted.has(act)
 		},
 		Arm: func(start rt.Event, deadline, now rt.Time) rt.Timer {
 			if s.tel != nil {
@@ -326,7 +327,7 @@ func (m *LocalMonitor) AddSegment(cfg SegmentConfig) *LocalSegment {
 			})
 		},
 		Expire: func(start rt.Event, deadline, now rt.Time) {
-			s.excepted[start.Act] = true
+			s.excepted.add(start.Act)
 			if s.tel != nil {
 				s.tel.track.Append(telemetry.Event{
 					TS: int64(now), Act: start.Act,
@@ -413,7 +414,7 @@ func (s *LocalSegment) EndOnPublish(pub *dds.Publisher) {
 // publishes nothing).
 func (s *LocalSegment) EndOnDeliver(sub *dds.Subscription) {
 	sub.OnDeliver = append(sub.OnDeliver, func(smp *dds.Sample) bool {
-		if s.excepted[smp.Activation] {
+		if s.excepted.has(smp.Activation) {
 			// The exception already resolved this activation; the late
 			// end event and its receive action are discarded.
 			return false
@@ -430,11 +431,11 @@ func (m *LocalMonitor) ensureSkipVeto(pub *dds.Publisher) {
 	if _, ok := m.skipTables[pub]; ok {
 		return
 	}
-	table := make(map[uint64]bool)
+	table := new(actWindow)
 	m.skipTables[pub] = table
 	pub.PrePublish = append(pub.PrePublish, func(smp *dds.Sample) bool {
-		if table[smp.Activation] {
-			delete(table, smp.Activation)
+		if table.has(smp.Activation) {
+			table.del(smp.Activation)
 			return false
 		}
 		return true
@@ -447,7 +448,7 @@ func (m *LocalMonitor) markSkip(pub *dds.Publisher, act uint64) {
 	if pub == nil {
 		return
 	}
-	m.skipTables[pub][act] = true
+	m.skipTables[pub].add(act)
 }
 
 // postStart models the instrumented subscriber: post into the start ring,
@@ -621,39 +622,19 @@ func (e *raisedException) handle(started rt.Time) {
 // preceding (remote) segment arrives as an error propagation event instead
 // of a start event. The exception handling is invoked directly.
 func (s *LocalSegment) PropagateInto(act uint64) {
-	if s.resolved[act] || s.excepted[act] {
+	if s.resolved.has(act) || s.excepted.has(act) {
 		return
 	}
-	s.excepted[act] = true
+	s.excepted.add(act)
 	s.raiseException(act, 0, 0, true)
 }
 
 func (s *LocalSegment) resolve(r Resolution) {
-	if s.resolved[r.Activation] {
+	if s.resolved.has(r.Activation) {
 		return
 	}
 	// The excepted marker is kept after resolution so that late end events
 	// (and their receive actions, for EndOnDeliver segments) are discarded.
-	s.resolved[r.Activation] = true
+	s.resolved.add(r.Activation)
 	s.reorder.add(r)
-	if r.Activation%256 == 0 {
-		s.gc(r.Activation)
-	}
-}
-
-// gc bounds the bookkeeping maps: activations far in the past can no longer
-// receive events, so a skip entry on the end publisher that no late
-// publication consumed by then never will be.
-func (s *LocalSegment) gc(act uint64) {
-	const horizon = 4096
-	if act < horizon {
-		return
-	}
-	old := act - horizon
-	stale := func(a uint64, _ bool) bool { return a < old }
-	maps.DeleteFunc(s.resolved, stale)
-	maps.DeleteFunc(s.excepted, stale)
-	if s.endPub != nil {
-		maps.DeleteFunc(s.mon.skipTables[s.endPub], stale)
-	}
 }

@@ -480,9 +480,10 @@ func TestReorderBufStartsMidStream(t *testing.T) {
 }
 
 // TestSkipTablesBounded pins that a skip entry whose late publication never
-// comes is dropped at the segment's 4096-activation bookkeeping horizon:
-// 3·4096 activations that all expire without publishing leave at most that
-// horizon plus one gc stride of entries, not one per miss.
+// comes is dropped at the 4096-activation bookkeeping horizon: after 3·4096
+// activations that all expire without publishing, the late publication of
+// the last one is vetoed exactly once, and one from beyond the horizon is
+// published.
 func TestSkipTablesBounded(t *testing.T) {
 	r := newTestRig()
 	seg := r.segment(5*sim.Millisecond, weaklyhard.Constraint{M: 1, K: 5}, nil)
@@ -495,7 +496,14 @@ func TestSkipTablesBounded(t *testing.T) {
 	if _, _, miss := seg.Stats().Counts(); miss != frames {
 		t.Fatalf("missed = %d, want all %d", miss, frames)
 	}
-	if n := len(r.mon.skipTables[r.outPub]); n > 4096+256 {
-		t.Errorf("skip table holds %d entries after %d misses, want at most %d", n, frames, 4096+256)
+	last := uint64(frames - 1)
+	if r.outPub.Publish(last, nil, 0) {
+		t.Errorf("late publication of activation %d went out, want it vetoed", last)
+	}
+	if !r.outPub.Publish(last, nil, 0) {
+		t.Errorf("second publication of activation %d vetoed, want one veto per miss", last)
+	}
+	if old := last - 4096; !r.outPub.Publish(old, nil, 0) {
+		t.Errorf("publication of activation %d, beyond the horizon, vetoed", old)
 	}
 }

@@ -220,6 +220,13 @@ func (b *reorderBuf) add(r Resolution) {
 		b.sink(r)
 		return
 	}
+	if r.Activation == b.next {
+		// In order: delivered without parking it in the map.
+		b.next++
+		b.sink(r)
+		b.flush()
+		return
+	}
 	b.pending[r.Activation] = r
 	b.flush()
 	if len(b.pending) > reorderWindow {

@@ -473,18 +473,19 @@ func TestWallclockExceptionAllocFree(t *testing.T) {
 }
 
 // TestWallclockRetainsNothingPerActivation pins what a wall-clock segment
-// keeps: verdict counts, never a per-activation history, because it runs for
-// as long as its host does. After a warm-up past the bookkeeping horizon,
-// 200k more activations, every 50th missing its end, may grow the live heap
-// by less than 512 KiB (2.6 B per activation). A segment that kept each
-// Resolution, its latency and a MonLatency sample grew it by ~20 MB.
+// keeps: verdict counts and fixed-size bookkeeping, never a per-activation
+// history, because it runs for as long as its host does. After a warm-up past
+// the bookkeeping horizon, 200k more activations, every 50th missing its end,
+// may grow the live heap by less than 32 KiB (0.16 B per activation). A
+// segment that kept each Resolution, its latency and a MonLatency sample grew
+// it by ~20 MB; verdict maps pruned to the horizon grew it by ~110 KB.
 func TestWallclockRetainsNothingPerActivation(t *testing.T) {
 	const (
 		dMon      = time.Millisecond
 		warm      = 20_000
 		acts      = 200_000
 		missEvery = 50
-		maxGrowth = 512 << 10
+		maxGrowth = 32 << 10
 	)
 	clock := &stepClock{}
 	mon := NewWallclockMonitor(clock, nopWaker{}, func() rt.EventRing { return walltime.NewRing(16) }, 1)

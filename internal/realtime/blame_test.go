@@ -231,7 +231,7 @@ func logPostGaps(t *testing.T, rec *telemetry.Recorder) {
 // same zeroed costs, same injected schedule, plus the flow bindings and
 // monitor probe the wall-clock run uses, so the blame engine sees the same
 // arm/post/verdict/budget-swap event structure on virtual time.
-func tracedSimReplica(cfg Config, sink *telemetry.Sink) []SegmentResult {
+func tracedSimReplica(cfg Config, sink *telemetry.Sink) {
 	k := sim.NewKernel()
 	d := dds.NewDomain(k, sim.NewRNG(cfg.Seed))
 	d.KsoftirqCost = sim.Constant(0)
@@ -254,27 +254,12 @@ func tracedSimReplica(cfg Config, sink *telemetry.Sink) []SegmentResult {
 	sink.Rec.BindFlow(SegObjects, "rt")
 	sink.Rec.BindFlow(SegGround, "rt")
 
-	results := make([]SegmentResult, 0, 2)
 	segs := make([]*monitor.LocalSegment, 0, 2)
 	for _, name := range []string{SegObjects, SegGround} {
-		seg := mon.AddSegment(monitor.SegmentConfig{
+		segs = append(segs, mon.AddSegment(monitor.SegmentConfig{
 			Name: name, DMon: sim.Duration(cfg.Deadline), DEx: sim.Millisecond,
 			Period: sim.Duration(cfg.Period), Constraint: weaklyhard.Constraint{M: 1, K: 5},
-		})
-		results = append(results, SegmentResult{Name: name})
-		idx := len(results) - 1
-		seg.OnResolve(func(r monitor.Resolution) {
-			switch r.Status {
-			case monitor.StatusOK:
-				results[idx].OK++
-			case monitor.StatusMissed:
-				results[idx].Missed++
-			case monitor.StatusRecovered:
-				results[idx].Recovered++
-			}
-			results[idx].Resolutions = append(results[idx].Resolutions, r)
-		})
-		segs = append(segs, seg)
+		}))
 	}
 	mon.AttachTelemetry(sink)
 	objects, ground := segs[0], segs[1]
@@ -299,5 +284,4 @@ func tracedSimReplica(cfg Config, sink *telemetry.Sink) []SegmentResult {
 		}
 	}
 	k.Run()
-	return results
 }

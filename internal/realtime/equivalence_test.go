@@ -24,7 +24,7 @@ import (
 func TestCrossTimebaseEquivalence(t *testing.T) {
 	cfg := testConfig()
 
-	wall, err := Run(cfg, nil)
+	_, wall, err := runObserved(cfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -46,7 +46,7 @@ func TestCrossTimebaseEquivalenceWithActuations(t *testing.T) {
 		{Frame: 5, Segment: SegGround, DMon: time.Millisecond},
 	}
 
-	wall, err := Run(cfg, nil)
+	_, wall, err := runObserved(cfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -54,7 +54,7 @@ func TestCrossTimebaseEquivalenceWithActuations(t *testing.T) {
 	compareTimebases(t, wall, virt)
 
 	want := "0:ok 1:ok 2:ok 3:missed 4:ok 5:missed 6:missed 7:missed "
-	for _, segs := range [][]SegmentResult{wall.Segments, virt} {
+	for _, segs := range [][]observedSegment{wall, virt} {
 		if got := verdictTrace(segs[1].Resolutions); got != want {
 			t.Errorf("%s verdicts %q, want %q", segs[1].Name, got, want)
 		}
@@ -64,13 +64,13 @@ func TestCrossTimebaseEquivalenceWithActuations(t *testing.T) {
 	}
 }
 
-func compareTimebases(t *testing.T, wall Result, virt []SegmentResult) {
+func compareTimebases(t *testing.T, wall, virt []observedSegment) {
 	t.Helper()
-	if len(wall.Segments) != len(virt) {
-		t.Fatalf("segment count: wall %d vs sim %d", len(wall.Segments), len(virt))
+	if len(wall) != len(virt) {
+		t.Fatalf("segment count: wall %d vs sim %d", len(wall), len(virt))
 	}
 	for i := range virt {
-		w, v := wall.Segments[i], virt[i]
+		w, v := wall[i], virt[i]
 		if w.Name != v.Name {
 			t.Fatalf("segment %d: name %q vs %q", i, w.Name, v.Name)
 		}
@@ -99,7 +99,7 @@ func verdictTrace(rs []monitor.Resolution) string {
 // same segment parameters, same start/end/stall instants, injected events
 // instead of goroutine sleeps. All modeled costs are zeroed so the event
 // times match the wall-clock schedule exactly.
-func simReplica(cfg Config) []SegmentResult {
+func simReplica(cfg Config) []observedSegment {
 	k := sim.NewKernel()
 	d := dds.NewDomain(k, sim.NewRNG(cfg.Seed))
 	d.KsoftirqCost = sim.Constant(0)
@@ -117,14 +117,14 @@ func simReplica(cfg Config) []SegmentResult {
 		mon.AttachBudget(budget)
 	}
 
-	results := make([]SegmentResult, 0, 2)
+	results := make([]observedSegment, 0, 2)
 	segs := make([]*monitor.LocalSegment, 0, 2)
 	for _, name := range []string{SegObjects, SegGround} {
 		seg := mon.AddSegment(monitor.SegmentConfig{
 			Name: name, DMon: sim.Duration(cfg.Deadline), DEx: sim.Millisecond,
 			Period: sim.Duration(cfg.Period), Constraint: weaklyhard.Constraint{M: 1, K: 5},
 		})
-		results = append(results, SegmentResult{Name: name})
+		results = append(results, observedSegment{SegmentResult: SegmentResult{Name: name}})
 		idx := len(results) - 1
 		seg.OnResolve(func(r monitor.Resolution) {
 			switch r.Status {

@@ -23,7 +23,7 @@ func TestLiveAgreementWallClock(t *testing.T) {
 	cfg := testConfig()
 	set := livestats.NewSet(0)
 	cfg.Live = set
-	res, err := Run(cfg, telemetry.NewSink(1<<12))
+	_, segs, err := runObserved(cfg, telemetry.NewSink(1<<12))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -34,7 +34,7 @@ func TestLiveAgreementWallClock(t *testing.T) {
 	}
 
 	mk := weaklyhard.Constraint{M: 1, K: 5}
-	for _, segRes := range res.Segments {
+	for _, segRes := range segs {
 		// Rebuild the exact sample and window state from the run's own
 		// in-order resolution stream.
 		exact := stats.NewSample()
@@ -83,7 +83,7 @@ func TestLiveAgreementWallClock(t *testing.T) {
 	if !ok || ch.SLO == nil {
 		t.Fatal("chain rt missing from health document")
 	}
-	ground := res.Segments[1]
+	ground := segs[1]
 	if got := ch.SLO.Executions; got != uint64(len(ground.Resolutions)) {
 		t.Errorf("chain executions = %d, want %d", got, len(ground.Resolutions))
 	}

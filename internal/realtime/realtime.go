@@ -142,13 +142,12 @@ func (c Config) swapsFor(act int) []monitor.DeadlineUpdate {
 // still Pending (armed without a verdict when the loop stopped); Dropped
 // counts the posts a full ring rejected.
 type SegmentResult struct {
-	Name        string
-	OK          int
-	Missed      int
-	Recovered   int
-	Pending     int
-	Dropped     int
-	Resolutions []monitor.Resolution
+	Name      string
+	OK        int
+	Missed    int
+	Recovered int
+	Pending   int
+	Dropped   int
 }
 
 // Result is the outcome of one wall-clock run.
@@ -183,6 +182,13 @@ func (r Result) Summary(w io.Writer) {
 // verdict for every activation. A registry-only sink (sink.Rec == nil) gets
 // the same metrics from the monitor's telemetry attach, without the trace.
 func Run(cfg Config, sink *telemetry.Sink) (Result, error) {
+	return run(cfg, sink, nil)
+}
+
+// run is Run with observe, when non-nil, called on the monitor goroutine
+// with each segment's resolutions in activation order (seg 0 is SegObjects,
+// 1 is SegGround).
+func run(cfg Config, sink *telemetry.Sink, observe func(seg int, r monitor.Resolution)) (Result, error) {
 	if err := cfg.Validate(); err != nil {
 		return Result{}, err
 	}
@@ -222,17 +228,16 @@ func Run(cfg Config, sink *telemetry.Sink) (Result, error) {
 		linkLbl = sink.Rec.Intern("rt/link")
 	}
 
-	// A wall-clock segment keeps only its verdict counts, so the run
-	// collects its resolutions itself, on the monitor goroutine.
 	mk := weaklyhard.Constraint{M: 1, K: 5}
 	segs := make([]*monitor.LocalSegment, 0, 2)
-	resolutions := make([][]monitor.Resolution, 2)
 	for i, name := range []string{SegObjects, SegGround} {
 		seg := mon.AddSegment(monitor.SegmentConfig{
 			Name: name, DMon: cfg.Deadline, DEx: time.Millisecond,
 			Period: cfg.Period, Constraint: mk,
 		})
-		seg.OnResolve(func(r monitor.Resolution) { resolutions[i] = append(resolutions[i], r) })
+		if observe != nil {
+			seg.OnResolve(func(r monitor.Resolution) { observe(i, r) })
+		}
 		segs = append(segs, seg)
 	}
 	objects, ground := segs[0], segs[1]
@@ -339,7 +344,6 @@ func Run(cfg Config, sink *telemetry.Sink) (Result, error) {
 		results = append(results, SegmentResult{
 			Name: st.Name, OK: ok, Missed: missed, Recovered: rec,
 			Pending: mon.Core().Segments()[i].Pending(), Dropped: seg.Dropped(),
-			Resolutions: resolutions[i],
 		})
 	}
 	return Result{

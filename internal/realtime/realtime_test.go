@@ -26,16 +26,35 @@ func testConfig() Config {
 	}
 }
 
+// observedSegment is one segment's result with its resolutions in delivery
+// order, which Run does not keep.
+type observedSegment struct {
+	SegmentResult
+	Resolutions []monitor.Resolution
+}
+
+// runObserved runs cfg and collects every resolution on the monitor
+// goroutine; run returns after that goroutine has exited.
+func runObserved(cfg Config, sink *telemetry.Sink) (Result, []observedSegment, error) {
+	var rs [2][]monitor.Resolution
+	res, err := run(cfg, sink, func(seg int, r monitor.Resolution) { rs[seg] = append(rs[seg], r) })
+	segs := make([]observedSegment, len(res.Segments))
+	for i, s := range res.Segments {
+		segs[i] = observedSegment{s, rs[i]}
+	}
+	return res, segs, err
+}
+
 func TestRunVerdicts(t *testing.T) {
 	sink := telemetry.NewSink(1 << 12)
-	res, err := Run(testConfig(), sink)
+	res, segs, err := runObserved(testConfig(), sink)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(res.Segments) != 2 {
 		t.Fatalf("got %d segments, want 2", len(res.Segments))
 	}
-	objects, ground := res.Segments[0], res.Segments[1]
+	objects, ground := segs[0], segs[1]
 	// Every activation the producer started ends in a verdict or in a count.
 	for _, s := range res.Segments {
 		if got := s.OK + s.Missed + s.Recovered + s.Pending; got != res.Frames {
