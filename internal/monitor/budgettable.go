@@ -189,10 +189,12 @@ func (m *LocalMonitor) applyBudgets(now rt.Time) {
 
 // AttachBudget subscribes the remote monitor to a budget table. Staged
 // deadlines are applied at the top of the delivery and timeout handlers,
-// before the next local deadline is derived from the source timestamp —
-// the armed timer for the currently expected activation is left untouched,
-// which is exactly the swap barrier: the in-flight activation finishes
-// under the deadline it started with.
+// before the next local deadline is derived — the armed timer for the
+// currently expected activation is left untouched, which is exactly the
+// swap barrier: the in-flight activation finishes under the deadline it
+// started with, and every activation armed after the swap uses the new
+// one, whether its deadline comes from a source timestamp or, during an
+// outage, from the previous deadline plus the period.
 func (m *RemoteMonitor) AttachBudget(t *BudgetTable) {
 	if t == nil {
 		return
@@ -213,6 +215,9 @@ func (m *RemoteMonitor) applyBudget() {
 	}
 	for _, u := range v.updates {
 		if u.Segment == m.budgetName {
+			// The recurrence that derives the next deadline from this one
+			// moves with d_mon; the armed timer keeps its own.
+			m.deadlineLocal = m.deadlineLocal.Add(u.DMon - m.cfg.DMon)
 			m.cfg.DMon = u.DMon
 		}
 	}

@@ -191,3 +191,110 @@ func TestBudgetSwapUnderPreemptionWallclock(t *testing.T) {
 		t.Fatalf("settled DMon %v, want 50ms", got)
 	}
 }
+
+// remoteSwapRig is the remote rig with d_mon 10 ms, a budget table attached
+// and a 10 → 30 ms swap staged at the given time.
+func remoteSwapRig(at sim.Time) (*remoteRig, *RemoteMonitor, *BudgetTable) {
+	r := newRemoteRig()
+	m := r.monitor(10*sim.Millisecond, weaklyhard.Constraint{M: 5, K: 10}, nil, VariantMonitorThread)
+	tab := NewBudgetTable()
+	m.AttachBudget(tab)
+	r.k.At(at, func() {
+		tab.Stage([]DeadlineUpdate{{Segment: "s-remote", DMon: 30 * sim.Millisecond}})
+	})
+	return r, m, tab
+}
+
+// wantRemote checks a remote monitor's resolutions: one status per
+// activation from 0, and for each activation in fired the time its
+// exception ended, within a millisecond.
+func wantRemote(t *testing.T, m *RemoteMonitor, want []Status, fired map[uint64]sim.Duration) {
+	t.Helper()
+	res := m.Stats().Resolutions()
+	if len(res) != len(want) {
+		t.Fatalf("%d resolutions %+v, want %d", len(res), res, len(want))
+	}
+	for i, r := range res {
+		if r.Activation != uint64(i) || r.Status != want[i] {
+			t.Errorf("resolution %d: activation %d %v, want activation %d %v", i, r.Activation, r.Status, i, want[i])
+		}
+		if at, ok := fired[r.Activation]; ok && (r.End < sim.Time(at) || r.End > sim.Time(at).Add(sim.Millisecond)) {
+			t.Errorf("activation %d: exception at %v, want at %v", r.Activation, r.End, at)
+		}
+	}
+}
+
+// TestRemoteBudgetSwapOnDelivery stages a longer d_mon while activation 3
+// is armed for 310 ms. Its on-time sample applies the swap, and each later
+// deadline, derived from the previous sample's source timestamp, uses the
+// new d_mon: activation 4, 25 ms late, is on time under 30 ms, and
+// activation 6, 35 ms late, misses at 630 ms.
+func TestRemoteBudgetSwapOnDelivery(t *testing.T) {
+	r, m, tab := remoteSwapRig(sim.Time(250 * sim.Millisecond))
+	for a, late := range []sim.Duration{0, 0, 0, 0, 25 * sim.Millisecond, 0, 35 * sim.Millisecond, 0} {
+		r.send(uint64(a), late)
+	}
+	var before, after uint64
+	r.k.At(sim.Time(300*sim.Millisecond), func() { before = tab.AppliedEpoch() })
+	r.k.At(sim.Time(302*sim.Millisecond), func() { after = tab.AppliedEpoch() })
+	r.k.RunUntil(sim.Time(805 * sim.Millisecond))
+	if before != 0 || after != 1 {
+		t.Errorf("applied epoch %d before activation 3's sample and %d after, want 0 and 1", before, after)
+	}
+	if got := m.Config().DMon; got != 30*sim.Millisecond {
+		t.Errorf("DMon %v after the swap, want 30ms", got)
+	}
+	wantRemote(t, m, []Status{
+		StatusOK, StatusOK, StatusOK, StatusOK, StatusOK, StatusOK, StatusMissed, StatusOK,
+	}, map[uint64]sim.Duration{6: 630 * sim.Millisecond})
+	if n := m.LateDiscards(); n != 1 {
+		t.Errorf("%d late discards, want activation 6's sample", n)
+	}
+}
+
+// TestRemoteBudgetSwapKeepsArmedDeadline: activation 2's sample misses its
+// 210 ms deadline, and the swap is staged before that late sample arrives.
+// The late sample applies the swap as it is discarded, while activation 3
+// is armed for 310 ms under the old d_mon. Activation 3 keeps that deadline
+// and misses 15 ms late; activation 4, armed after the swap from the
+// previous deadline plus the period, uses the new one and is on time
+// 25 ms late.
+func TestRemoteBudgetSwapKeepsArmedDeadline(t *testing.T) {
+	r, m, tab := remoteSwapRig(sim.Time(212 * sim.Millisecond))
+	for a, late := range []sim.Duration{0, 0, 15 * sim.Millisecond, 15 * sim.Millisecond, 25 * sim.Millisecond, 0} {
+		r.send(uint64(a), late)
+	}
+	r.k.RunUntil(sim.Time(505 * sim.Millisecond))
+	if got := tab.AppliedEpoch(); got != 1 {
+		t.Errorf("applied epoch %d, want 1", got)
+	}
+	wantRemote(t, m, []Status{StatusOK, StatusOK, StatusMissed, StatusMissed, StatusOK, StatusOK},
+		map[uint64]sim.Duration{2: 210 * sim.Millisecond, 3: 310 * sim.Millisecond})
+	if n := m.LateDiscards(); n != 2 {
+		t.Errorf("%d late discards, want activations 2 and 3", n)
+	}
+}
+
+// TestRemoteBudgetSwapDuringOutage stages a longer d_mon while the sender
+// is silent. With no sample to take a source timestamp from, each deadline
+// is the previous one plus the period. The swap lands at activation 4's
+// timeout: activation 4 keeps the 410 ms it was armed with, and the
+// deadlines of 5–7, armed after the swap, move by the 20 ms the swap added.
+func TestRemoteBudgetSwapDuringOutage(t *testing.T) {
+	r, m, tab := remoteSwapRig(sim.Time(350 * sim.Millisecond))
+	for _, a := range []uint64{0, 1, 2, 8, 9} {
+		r.send(a, 0)
+	}
+	r.k.RunUntil(sim.Time(1005 * sim.Millisecond))
+	if got := tab.AppliedEpoch(); got != 1 {
+		t.Errorf("applied epoch %d, want 1", got)
+	}
+	wantRemote(t, m, []Status{
+		StatusOK, StatusOK, StatusOK,
+		StatusMissed, StatusMissed, StatusMissed, StatusMissed, StatusMissed,
+		StatusOK, StatusOK,
+	}, map[uint64]sim.Duration{
+		3: 310 * sim.Millisecond, 4: 410 * sim.Millisecond,
+		5: 530 * sim.Millisecond, 6: 630 * sim.Millisecond, 7: 730 * sim.Millisecond,
+	})
+}

@@ -218,6 +218,57 @@ func TestKeyedMonitorWriterChurn(t *testing.T) {
 	}
 }
 
+// TestKeyedMonitorBudgetByTemplateName attaches a budget table to a
+// per-writer family after writer A's monitor exists and before writer B
+// joins. The family's template name is the budget identity: an update
+// naming it reaches both writers' monitors, and one naming a per-writer
+// monitor ("<template>@<writer>") reaches neither. Under the staged 30 ms
+// each writer's activation 4, published 25 ms late, is on time.
+func TestKeyedMonitorBudgetByTemplateName(t *testing.T) {
+	r := newKeyedRig()
+	km := NewKeyedRemoteMonitor(r.sub, keyedCfg(), VariantMonitorThread, r.lm, nil)
+	tab := NewBudgetTable()
+	r.k.At(sim.Time(50*sim.Millisecond), func() { km.AttachBudget(tab) })
+	r.k.At(sim.Time(150*sim.Millisecond), func() {
+		tab.Stage([]DeadlineUpdate{
+			{Segment: "status-link@" + r.pubA.Writer, DMon: 50 * sim.Millisecond},
+			{Segment: "status-link", DMon: 30 * sim.Millisecond},
+			{Segment: "status-link@" + r.pubB.Writer, DMon: 50 * sim.Millisecond},
+		})
+	})
+	for i := 0; i <= 5; i++ {
+		act := uint64(i)
+		at := sim.Time(i) * sim.Time(100*sim.Millisecond)
+		if act == 4 {
+			at = at.Add(25 * sim.Millisecond)
+		}
+		r.k.At(at, func() {
+			r.pubA.Publish(act, nil, 0)
+			if act >= 2 {
+				r.pubB.Publish(act, nil, 0)
+			}
+		})
+	}
+	r.k.At(sim.Time(550*sim.Millisecond), km.Stop)
+	r.k.RunUntil(sim.Time(sim.Second))
+
+	if !slices.Equal(km.Writers(), []string{r.pubA.Writer, r.pubB.Writer}) {
+		t.Fatalf("writers = %v, want A then B", km.Writers())
+	}
+	for _, w := range km.Writers() {
+		m := km.Monitor(w)
+		if got := m.Config().DMon; got != 30*sim.Millisecond {
+			t.Errorf("%s: DMon %v, want the template's 30ms", m.Config().Name, got)
+		}
+		if ok, _, miss := m.Stats().Counts(); miss != 0 {
+			t.Errorf("%s: ok=%d missed=%d, want no miss under 30ms", m.Config().Name, ok, miss)
+		}
+	}
+	if got := tab.AppliedEpoch(); got != 1 {
+		t.Errorf("applied epoch %d, want 1", got)
+	}
+}
+
 func TestKeyedMonitorValidation(t *testing.T) {
 	r := newKeyedRig()
 	defer func() {

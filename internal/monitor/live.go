@@ -25,7 +25,7 @@ func (m *LocalMonitor) AttachLive(set *livestats.Set) {
 
 func (s *LocalSegment) attachLive(set *livestats.Set) {
 	scope := set.Segment(s.cfg.Name, s.cfg.Constraint)
-	attachLiveScope(scope, s)
+	s.OnResolve(observeLive(scope))
 	s.OnDrain(func(lat rt.Duration) { scope.ObserveDrain(float64(lat)) })
 }
 
@@ -37,22 +37,22 @@ func AttachLiveSegment(set *livestats.Set, seg MonitoredSegment) {
 		return
 	}
 	cfg := seg.Config()
-	attachLiveScope(set.Segment(cfg.Name, cfg.Constraint), seg)
+	seg.OnResolve(observeLive(set.Segment(cfg.Name, cfg.Constraint)))
 }
 
-// attachLiveScope subscribes a scope to a segment's in-order resolution
-// stream. Observers run after the segment's weakly-hard counter updated
-// (the segment's verdict sink runs first), so the scope's SLO window always
-// matches the counter the monitor itself consulted.
-func attachLiveScope(scope *livestats.Scope, seg interface{ OnResolve(ResolveFunc) }) {
-	seg.OnResolve(func(r Resolution) {
+// observeLive feeds a scope from an in-order resolution stream. On a
+// segment it runs after the segment's verdict sink updated the weakly-hard
+// counter, so the scope's SLO window always matches the counter the monitor
+// itself consulted.
+func observeLive(scope *livestats.Scope) ResolveFunc {
+	return func(r Resolution) {
 		miss := r.Status == StatusMissed
 		if lat, ok := r.LatencySample(); ok {
 			scope.Observe(float64(lat), miss)
 		} else {
 			scope.Record(miss)
 		}
-	})
+	}
 }
 
 // AttachLive tracks the chain's end-to-end (m,k) window and the latency of
@@ -62,13 +62,5 @@ func (c *Chain) AttachLive(set *livestats.Set) {
 	if set == nil {
 		return
 	}
-	scope := set.Chain(c.Name, c.Constraint)
-	c.OnExecution(func(r Resolution) {
-		miss := r.Status == StatusMissed
-		if lat, ok := r.LatencySample(); ok {
-			scope.Observe(float64(lat), miss)
-		} else {
-			scope.Record(miss)
-		}
-	})
+	c.OnExecution(observeLive(set.Chain(c.Name, c.Constraint)))
 }

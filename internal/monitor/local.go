@@ -1,15 +1,12 @@
 package monitor
 
 import (
-	"fmt"
-
 	"chainmon/internal/dds"
 	"chainmon/internal/livestats"
 	rt "chainmon/internal/runtime"
 	"chainmon/internal/runtime/simtime"
 	"chainmon/internal/sim"
 	"chainmon/internal/telemetry"
-	"chainmon/internal/weaklyhard"
 )
 
 // LocalMonitor supervises the local segments of one ECU. It models the
@@ -124,9 +121,9 @@ func NewLocalMonitor(ecu *dds.ECU) *LocalMonitor {
 // producer goroutine per segment; ScanNow and PropagateInto belong to the
 // monitor goroutine. PostCost and ScanCost stay nil: on a real clock the
 // costs are real, and the producer path must not write monitor-wide state
-// (the caller times the posts and scans it wants to measure). Attach
-// telemetry with AttachWallclockTelemetry, which keeps producer-side posts
-// on per-segment tracks so the recorder's single-writer contract holds.
+// (the caller times the posts and scans it wants to measure). Telemetry
+// attached to it keeps producer-side posts on per-segment tracks, so the
+// recorder's single-writer contract holds.
 //
 // The core judges end events by their timestamps (rt.Core.LateEndsMiss):
 // an end stamped past its deadline is a miss even when the host loop wakes
@@ -226,7 +223,7 @@ func (e inlineExecutor) ExecDirect(_ string, _ rt.Duration, fn func(rt.Time)) { 
 // setup, with a reception — on the same ECU. A segment may span several
 // processes.
 type LocalSegment struct {
-	cfg  SegmentConfig
+	segment
 	mon  *LocalMonitor
 	core *rt.Segment
 
@@ -235,15 +232,12 @@ type LocalSegment struct {
 	excepted actWindow
 	resolved actWindow
 
-	counter *weaklyhard.Counter
 	reorder *reorderBuf
-	stats   *SegmentStats
 
 	// endPub is the publisher whose publication is this segment's end
 	// event; used for recovery publication and skip-next propagation.
 	// Nil when the segment ends at a reception.
 	endPub *dds.Publisher
-	tel    *segTel // nil when uninstrumented
 	// excLabel names the segment's exception-handler work ("exc/<name>"),
 	// built once so raising an exception does not concatenate it.
 	excLabel string
@@ -251,10 +245,7 @@ type LocalSegment struct {
 	freeExc *raisedException
 	// dropped counts posts a full ring rejected; producer-owned.
 	dropped int
-	// propagateTo receives error propagation events for unrecovered misses.
-	propagateTo Propagator
-	onResolve   []ResolveFunc
-	onDrain     []DrainFunc
+	onDrain []DrainFunc
 	// drainObs backs onDrain's first two observers (the sim's MonLatency
 	// sample and a live sketch), so registering them allocates nothing.
 	drainObs [2]DrainFunc
@@ -268,31 +259,14 @@ type DrainFunc func(lat rt.Duration)
 // order in which the monitor thread processes the per-segment buffers — the
 // source of the Fig. 10 asymmetry between the objects and ground segments.
 func (m *LocalMonitor) AddSegment(cfg SegmentConfig) *LocalSegment {
-	if cfg.DMon <= 0 {
-		panic(fmt.Sprintf("monitor: segment %q needs a positive DMon", cfg.Name))
-	}
-	if !cfg.Constraint.Valid() {
-		cfg.Constraint = weaklyhard.Constraint{M: 0, K: 1}
-	}
 	s := &LocalSegment{
-		cfg:      cfg,
+		segment:  newSegment(cfg, m.history),
 		mon:      m,
 		excLabel: "exc/" + cfg.Name,
-		counter:  weaklyhard.NewCounter(cfg.Constraint),
-		stats:    newSegmentStats(cfg.Name, m.history),
 	}
 	s.onDrain = s.drainObs[:0]
-	s.reorder = newReorderBuf(func(r Resolution) {
-		s.counter.Record(r.Status == StatusMissed)
-		s.stats.record(r)
-		if s.tel != nil {
-			s.tel.verdict(r)
-		}
-		for _, fn := range s.onResolve {
-			fn(r)
-		}
-	})
-	s.core = m.core.AddSegment(cfg.Name, cfg.DMon, m.newRing(), m.newRing(), rt.SegmentHooks{
+	s.reorder = newReorderBuf(s.deliver)
+	s.core = m.core.AddSegment(s.cfg.Name, s.cfg.DMon, m.newRing(), m.newRing(), rt.SegmentHooks{
 		DrainLatency: func(lat rt.Duration) {
 			for _, fn := range s.onDrain {
 				fn(lat)
@@ -342,7 +316,7 @@ func (m *LocalMonitor) AddSegment(cfg SegmentConfig) *LocalSegment {
 		s.OnDrain(m.overheads.MonLatency.AddDuration)
 	}
 	if m.tel != nil {
-		s.tel = newSegTel(m.tel.sink, m.tel.track, m.tel.postTrack(s.cfg.Name), s.cfg.Name)
+		m.instrument(s)
 	}
 	if m.live != nil {
 		s.attachLive(m.live)
@@ -351,35 +325,17 @@ func (m *LocalMonitor) AddSegment(cfg SegmentConfig) *LocalSegment {
 	return s
 }
 
-// Config returns the segment configuration.
-func (s *LocalSegment) Config() SegmentConfig { return s.cfg }
-
-// Stats returns the segment's measurement collectors. On the wall clock
-// they hold only the verdict counts (see SegmentStats).
-func (s *LocalSegment) Stats() *SegmentStats { return s.stats }
-
-// Counter returns the segment's (m,k) window counter.
-func (s *LocalSegment) Counter() *weaklyhard.Counter { return s.counter }
-
 // Dropped returns how many start and end events a full ring rejected. A
 // dropped start leaves its activation without a verdict; a dropped end turns
 // it into a miss. Read it from the producer goroutine or after the producer
 // has finished.
 func (s *LocalSegment) Dropped() int { return s.dropped }
 
-// OnResolve registers an observer of in-order activation resolutions.
-func (s *LocalSegment) OnResolve(fn ResolveFunc) { s.onResolve = append(s.onResolve, fn) }
-
 // OnDrain registers an observer of the segment's ring-drain latencies: one
 // call per start event, when the monitor's scan drains it. It is the
 // drain-side counterpart of OnResolve; the sim's MonLatency sample and the
 // live drain sketch are fed through it too.
 func (s *LocalSegment) OnDrain(fn DrainFunc) { s.onDrain = append(s.onDrain, fn) }
-
-// PropagateTo sets an explicit onward propagation target invoked for
-// unrecovered misses (used when the segment's end event is a reception and
-// omission-based propagation is unavailable).
-func (s *LocalSegment) PropagateTo(p Propagator) { s.propagateTo = p }
 
 // StartOnDeliver makes receptions of the subscription this segment's start
 // events: the instrumented DDS subscriber posts the timestamp into the ring
@@ -561,20 +517,9 @@ func (e *raisedException) handle(started rt.Time) {
 	propagated, raisedAt := e.propagated, e.raisedAt
 	e.next = s.freeExc
 	s.freeExc = e
-	m := s.mon
-	now := sim.Time(m.clock.Now())
+	now := sim.Time(s.mon.clock.Now())
 	entry := sim.Time(started)
-	var rec *Recovery
-	if s.cfg.Handler != nil {
-		rec = s.cfg.Handler(&ExceptionContext{
-			Segment:    s.cfg.Name,
-			Activation: act,
-			Misses:     s.counter.Misses(),
-			Budget:     s.counter.Budget(),
-			Propagated: propagated,
-			RaisedAt:   raisedAt,
-		})
-	}
+	rec := s.userException(act, propagated, raisedAt)
 	r := Resolution{
 		Activation:   act,
 		Start:        start,
@@ -608,9 +553,7 @@ func (e *raisedException) handle(started rt.Time) {
 		if !propagated {
 			s.mon.markSkip(s.endPub, act)
 		}
-		if s.propagateTo != nil {
-			s.propagateTo.PropagateInto(act)
-		}
+		s.propagate(act)
 	}
 	if s.tel != nil {
 		s.tel.handlerDone(act, entry, now, rec != nil)

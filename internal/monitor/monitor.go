@@ -185,6 +185,98 @@ func (m MultiPropagator) PropagateInto(activation uint64) {
 // attach these to their final segment.
 type ResolveFunc func(Resolution)
 
+// segment is what a local segment and a remote monitor share: the
+// procedure of Algorithms 1 and 2 around a temporal exception, and the
+// bookkeeping of its verdicts. Each kind embeds one and keeps only what
+// differs: how its events arrive, how it recovers, and how it omits a late
+// end event.
+type segment struct {
+	cfg     SegmentConfig
+	counter *weaklyhard.Counter
+	stats   *SegmentStats
+	tel     *segTel // nil when uninstrumented
+	// propagateTo receives error propagation events for unrecovered misses.
+	propagateTo Propagator
+	onResolve   []ResolveFunc
+}
+
+// newSegment validates cfg and defaults its constraint to (0,1). history
+// decides whether the stats keep every resolution (see SegmentStats).
+func newSegment(cfg SegmentConfig, history bool) segment {
+	if cfg.DMon <= 0 {
+		panic(fmt.Sprintf("monitor: segment %q needs a positive DMon", cfg.Name))
+	}
+	if !cfg.Constraint.Valid() {
+		cfg.Constraint = weaklyhard.Constraint{M: 0, K: 1}
+	}
+	return segment{
+		cfg:     cfg,
+		counter: weaklyhard.NewCounter(cfg.Constraint),
+		stats:   newSegmentStats(cfg.Name, history),
+	}
+}
+
+// Config returns the segment configuration.
+func (s *segment) Config() SegmentConfig { return s.cfg }
+
+// Stats returns the segment's measurement collectors. On the wall clock
+// they hold only the verdict counts (see SegmentStats).
+func (s *segment) Stats() *SegmentStats { return s.stats }
+
+// Counter returns the segment's (m,k) window counter.
+func (s *segment) Counter() *weaklyhard.Counter { return s.counter }
+
+// OnResolve registers an observer of in-order activation resolutions. The
+// counter and the stats already include the resolution an observer is
+// handed.
+func (s *segment) OnResolve(fn ResolveFunc) { s.onResolve = append(s.onResolve, fn) }
+
+// PropagateTo sets the target of error propagation events for unrecovered
+// misses (Algorithm 1, line 7): the subsequent local segment of a remote
+// one, or the onward target of a local segment that ends at a reception,
+// where omission-based propagation is unavailable.
+func (s *segment) PropagateTo(p Propagator) { s.propagateTo = p }
+
+// deliver is the one verdict sink. An in-order resolution updates the
+// (m,k) counter, then the stats, then telemetry, and then reaches the
+// observers.
+func (s *segment) deliver(r Resolution) {
+	s.counter.Record(r.Status == StatusMissed)
+	s.stats.record(r)
+	if s.tel != nil {
+		s.tel.verdict(r)
+	}
+	for _, fn := range s.onResolve {
+		fn(r)
+	}
+}
+
+// userException is user_exception(m) of Algorithms 1 and 2: the handler
+// decides on the temporal exception of act, and a nil Recovery propagates
+// it. Without a handler no context is built, so the exception allocates
+// nothing.
+func (s *segment) userException(act uint64, propagated bool, raisedAt sim.Time) *Recovery {
+	if s.cfg.Handler == nil {
+		return nil
+	}
+	return s.cfg.Handler(&ExceptionContext{
+		Segment:    s.cfg.Name,
+		Activation: act,
+		Misses:     s.counter.Misses(),
+		Budget:     s.counter.Budget(),
+		Propagated: propagated,
+		RaisedAt:   raisedAt,
+	})
+}
+
+// propagate sends the error propagation event of an unrecovered miss to
+// the explicit target, if one is set.
+func (s *segment) propagate(act uint64) {
+	if s.propagateTo != nil {
+		s.propagateTo.PropagateInto(act)
+	}
+}
+
 // reorderBuf delivers resolutions to a callback in activation order even if
 // they are produced slightly out of order (an exception for n can resolve
 // after the end event of n+1 was already processed). Activations that never

@@ -8,7 +8,6 @@ import (
 	"chainmon/internal/runtime/simtime"
 	"chainmon/internal/sim"
 	"chainmon/internal/telemetry"
-	"chainmon/internal/weaklyhard"
 )
 
 // RemoteVariant selects where the remote monitor's timeout routine runs.
@@ -42,14 +41,16 @@ func (v RemoteVariant) String() string {
 // The monitor is instantiated at the receiver, directly at the DDS
 // subscriber. Samples that arrive after their exception are discarded to
 // keep the constant-rate assumption needed for chain composability and
-// reliable (m,k) accounting.
+// reliable (m,k) accounting. Verdicts reach the segment's sink in
+// activation order without a reorder buffer: each one is for the expected
+// activation, and the expectation then advances by one.
 //
 // Like the local monitor it is compiled against the runtime abstraction —
 // clock reads, timer programming and timeout dispatch go through
 // runtime.Clock, runtime.TimerHost, runtime.SyncClock and runtime.Executor;
 // the simulation experiments bind the simtime adapters.
 type RemoteMonitor struct {
-	cfg     SegmentConfig
+	segment
 	variant RemoteVariant
 	sub     *dds.Subscription
 	rng     *sim.RNG
@@ -78,17 +79,14 @@ type RemoteMonitor struct {
 	timeoutLabel string
 	writer       string // the writer this monitor supervises (from samples)
 
-	counter *weaklyhard.Counter
-	stats   *SegmentStats
-
-	propagateTo  Propagator
-	onResolve    []ResolveFunc
 	lateDiscards uint64
 	stopped      bool
 	lastAct      uint64
 	lastActSet   bool
 
-	tel *remoteTel // nil when uninstrumented
+	// programs and discards count timer programmings and late discards
+	// beside the segment's probe (nil when uninstrumented).
+	programs, discards *telemetry.Counter
 
 	// budget is the hot-swappable deadline table (nil = static deadlines);
 	// staged versions are folded in before the next deadline is derived.
@@ -113,16 +111,13 @@ func NewRemoteMonitor(sub *dds.Subscription, cfg SegmentConfig, variant RemoteVa
 // newDetachedRemoteMonitor builds a monitor without installing its delivery
 // hook; KeyedRemoteMonitor feeds detached instances per topic key.
 func newDetachedRemoteMonitor(sub *dds.Subscription, cfg SegmentConfig, variant RemoteVariant, lm *LocalMonitor) *RemoteMonitor {
-	if cfg.DMon <= 0 || cfg.Period <= 0 {
-		panic(fmt.Sprintf("monitor: remote segment %q needs positive DMon and Period", cfg.Name))
-	}
-	if !cfg.Constraint.Valid() {
-		cfg.Constraint = weaklyhard.Constraint{M: 0, K: 1}
+	if cfg.Period <= 0 {
+		panic(fmt.Sprintf("monitor: remote segment %q needs a positive Period", cfg.Name))
 	}
 	ecu := sub.Node().ECU
 	k := ecu.Proc.Kernel()
 	m := &RemoteMonitor{
-		cfg:     cfg,
+		segment: newSegment(cfg, true),
 		variant: variant,
 		sub:     sub,
 		rng:     ecu.Proc.RNG().Derive("remotemon/" + cfg.Name),
@@ -133,8 +128,6 @@ func newDetachedRemoteMonitor(sub *dds.Subscription, cfg SegmentConfig, variant 
 			Median: 10 * sim.Microsecond, Sigma: 0.4,
 			Shift: 2 * sim.Microsecond, Max: 100 * sim.Microsecond,
 		},
-		counter:      weaklyhard.NewCounter(cfg.Constraint),
-		stats:        NewSegmentStats(cfg.Name),
 		timeoutLabel: "rtimeout/" + cfg.Name,
 	}
 	m.timeoutFn = m.onTimeout
@@ -224,25 +217,9 @@ func (km *KeyedRemoteMonitor) Stop() {
 	}
 }
 
-// Config returns the segment configuration.
-func (m *RemoteMonitor) Config() SegmentConfig { return m.cfg }
-
-// Stats returns the segment's measurement collectors.
-func (m *RemoteMonitor) Stats() *SegmentStats { return m.stats }
-
-// Counter returns the segment's (m,k) window counter.
-func (m *RemoteMonitor) Counter() *weaklyhard.Counter { return m.counter }
-
 // LateDiscards returns how many samples arrived after their exception and
 // were discarded.
 func (m *RemoteMonitor) LateDiscards() uint64 { return m.lateDiscards }
-
-// OnResolve registers an observer of in-order activation resolutions.
-func (m *RemoteMonitor) OnResolve(fn ResolveFunc) { m.onResolve = append(m.onResolve, fn) }
-
-// PropagateTo sets the subsequent local segment that receives error
-// propagation events for unrecoverable violations (Algorithm 1, line 7).
-func (m *RemoteMonitor) PropagateTo(p Propagator) { m.propagateTo = p }
 
 // SetLastActivation bounds the supervised stream: once the expectation
 // passes the given activation the monitor disarms instead of raising
@@ -285,7 +262,7 @@ func (m *RemoteMonitor) onDeliver(s *dds.Sample) bool {
 		// the receive event is skipped (§IV-B.3).
 		m.lateDiscards++
 		if m.tel != nil {
-			m.tel.discards.Inc()
+			m.discards.Inc()
 		}
 		return false
 	}
@@ -308,7 +285,7 @@ func (m *RemoteMonitor) onDeliver(s *dds.Sample) bool {
 }
 
 func (m *RemoteMonitor) resolveOK(s *dds.Sample, now sim.Time) {
-	m.resolve(Resolution{
+	m.deliver(Resolution{
 		Activation: s.Activation,
 		Status:     StatusOK,
 		Start:      s.PubTime,
@@ -342,7 +319,7 @@ func (m *RemoteMonitor) armTimer() {
 	m.armedAct = act
 	m.timer = m.timers.After(delay, m.timeoutFn)
 	if m.tel != nil {
-		m.tel.programs.Inc()
+		m.programs.Inc()
 		m.tel.track.Append(telemetry.Event{
 			TS: int64(m.clock.Now()), Act: act, Arg: int64(m.deadlineLocal),
 			Flow: m.tel.flow(act),
@@ -415,17 +392,7 @@ func (m *RemoteMonitor) handleTimeout(act uint64, detection sim.Duration) {
 // rather than a timer expiry.
 func (m *RemoteMonitor) runHandler(act uint64, detection sim.Duration) {
 	now := sim.Time(m.clock.Now())
-	ctx := &ExceptionContext{
-		Segment:    m.cfg.Name,
-		Activation: act,
-		Misses:     m.counter.Misses(),
-		Budget:     m.counter.Budget(),
-		RaisedAt:   now,
-	}
-	var rec *Recovery
-	if m.cfg.Handler != nil {
-		rec = m.cfg.Handler(ctx)
-	}
+	rec := m.userException(act, false, now)
 	r := Resolution{
 		Activation:       act,
 		Exception:        true,
@@ -452,28 +419,12 @@ func (m *RemoteMonitor) runHandler(act uint64, detection sim.Duration) {
 		// of the subsequent local segment instead of a start event
 		// (Algorithm 1, line 7).
 		r.Status = StatusMissed
-		if m.propagateTo != nil {
-			m.propagateTo.PropagateInto(act)
-		}
+		m.propagate(act)
 	}
 	if m.tel != nil {
 		m.tel.handlerDone(act, now, now, rec != nil)
 	}
-	m.resolve(r)
-}
-
-// resolve records the verdict and hands it to the observers. Verdicts come
-// in activation order without a reorder buffer: each one is for the expected
-// activation, and the expectation then advances by one.
-func (m *RemoteMonitor) resolve(r Resolution) {
-	m.counter.Record(r.Status == StatusMissed)
-	m.stats.record(r)
-	if m.tel != nil {
-		m.tel.verdict(r)
-	}
-	for _, fn := range m.onResolve {
-		fn(r)
-	}
+	m.deliver(r)
 }
 
 // InterArrivalMonitor is the baseline the paper argues against (Fig. 6): a

@@ -501,3 +501,32 @@ func TestRemoteMonitorTransparentToRetransmissions(t *testing.T) {
 		t.Errorf("accounting drifted: ok=%d miss=%d", ok2, miss2)
 	}
 }
+
+// TestRemoteTimeoutAllocFree pins that, once warm, a remote timeout routine
+// without a handler allocates nothing. No sample ever arrives, so each
+// period fires the armed timer, dispatches the routine onto the monitor
+// thread, resolves a miss and re-arms. An exception context built for a
+// handler that is not there would cost one allocation per timeout.
+func TestRemoteTimeoutAllocFree(t *testing.T) {
+	r := newRemoteRig()
+	m := r.monitor(10*sim.Millisecond, weaklyhard.Constraint{M: 1, K: 5}, nil, VariantMonitorThread)
+	m.Start(0, sim.Time(10*sim.Millisecond))
+	var horizon sim.Time
+	period := func() {
+		horizon = horizon.Add(rigPeriod)
+		r.k.RunUntil(horizon)
+	}
+	const warm, runs = 1000, 1000
+	for i := 0; i < warm; i++ {
+		period()
+	}
+	allocs := testing.AllocsPerRun(runs, period)
+	// AllocsPerRun calls period once more before it counts.
+	if want := warm + 1 + runs; len(m.Stats().Resolutions()) != want || m.Stats().Exceptions() != want {
+		t.Fatalf("%d resolutions, %d exceptions, want a miss per period (%d)",
+			len(m.Stats().Resolutions()), m.Stats().Exceptions(), want)
+	}
+	if allocs != 0 {
+		t.Errorf("one remote timeout allocates %.0f times, want 0", allocs)
+	}
+}

@@ -6,17 +6,12 @@ import (
 )
 
 // monTel is a LocalMonitor's probe: the monitor's scan/exception activity on
-// the ECU's monitor track plus the shared scan counters. postTrack yields the
-// track that a segment's producer-side ring-post events go to — on the
-// simulation runtime it is the (single-threaded) monitor track itself; on the
-// wall-clock runtime each segment gets its own producer-owned track so the
-// single-writer contract holds across goroutines.
+// the "<name>/monitor" track plus the shared scan counters.
 type monTel struct {
-	sink      *telemetry.Sink
-	track     *telemetry.Track
-	scans     *telemetry.Counter
-	depth     *telemetry.Gauge
-	postTrack func(seg string) *telemetry.Track
+	sink  *telemetry.Sink
+	track *telemetry.Track
+	scans *telemetry.Counter
+	depth *telemetry.Gauge
 }
 
 // segTel carries one segment's verdict-path instrumentation. The verdict
@@ -99,85 +94,59 @@ func (st *segTel) handlerDone(act uint64, entry, done sim.Time, recovered bool) 
 }
 
 // AttachTelemetry wires the local monitor and all its segments (present and
-// future) to the sink. A nil sink leaves the monitor dark. On the simulation
-// runtime everything executes on one goroutine, so ring-post events share the
-// monitor track; wall-clock monitors must use AttachWallclockTelemetry, which
-// splits producer-side posts onto per-segment tracks.
-func (m *LocalMonitor) AttachTelemetry(sink *telemetry.Sink) {
+// future) to the sink under the given resource name, the ECU's name on the
+// simulation runtime. A nil sink leaves the monitor dark. Monitor-thread
+// events (arm/fire/verdict/handler/scan) go to the "<name>/monitor" track.
+// Where ring posts go follows from the constructor: NewLocalMonitor runs
+// everything on one goroutine, so they share the monitor track;
+// NewWallclockMonitor gives each segment a "<segment>/posts" track owned by
+// its producer goroutine, which keeps the flight recorder's
+// single-writer-per-track contract (StartInjected/EndInjected must still
+// come from one producer goroutine per segment).
+func (m *LocalMonitor) AttachTelemetry(sink *telemetry.Sink, name string) {
 	if sink == nil {
 		return
-	}
-	if m.ECU == nil {
-		panic("monitor: use AttachWallclockTelemetry on the wall-clock runtime (producer posts need their own tracks)")
-	}
-	m.attachTelemetry(sink, m.ECU.Name, nil)
-}
-
-// AttachWallclockTelemetry wires a wall-clock monitor (NewWallclockMonitor)
-// to the sink under the given resource name. Producer-side ring-post events
-// are recorded on per-segment "<segment>/posts" tracks owned by the posting
-// goroutine; monitor-goroutine events (arm/fire/verdict/handler/scan) go to
-// the "<name>/monitor" track. This preserves the flight recorder's
-// single-writer-per-track contract: StartInjected/EndInjected must still come
-// from one producer goroutine per segment.
-func (m *LocalMonitor) AttachWallclockTelemetry(sink *telemetry.Sink, name string) {
-	if sink == nil {
-		return
-	}
-	if m.ECU != nil {
-		panic("monitor: AttachWallclockTelemetry on a simulation monitor; use AttachTelemetry")
-	}
-	m.attachTelemetry(sink, name, func(seg string) *telemetry.Track {
-		return sink.Rec.Track(seg + "/posts")
-	})
-}
-
-func (m *LocalMonitor) attachTelemetry(sink *telemetry.Sink, name string, postTrack func(string) *telemetry.Track) {
-	track := sink.Rec.Track(name + "/monitor")
-	if postTrack == nil {
-		postTrack = func(string) *telemetry.Track { return track }
 	}
 	ecu := telemetry.Label{Name: "ecu", Value: name}
 	m.tel = &monTel{
-		sink:      sink,
-		track:     track,
-		postTrack: postTrack,
+		sink:  sink,
+		track: sink.Rec.Track(name + "/monitor"),
 		scans: sink.Reg.Counter("chainmon_monitor_scans_total",
 			"Monitor-thread drain passes.", ecu),
 		depth: sink.Reg.Gauge("chainmon_monitor_timeout_queue_depth",
 			"Armed local timeouts after a monitor pass.", ecu),
 	}
 	for _, s := range m.segments {
-		s.tel = newSegTel(sink, track, postTrack(s.cfg.Name), s.cfg.Name)
+		m.instrument(s)
 	}
 }
 
-// remoteTel is a RemoteMonitor's probe. It shares the ECU monitor track with
-// the LocalMonitor of the same ECU (both execute on that thread in
-// VariantMonitorThread; in VariantDDSContext the track models the
-// middleware-thread context instead).
-type remoteTel struct {
-	*segTel
-	programs *telemetry.Counter
-	discards *telemetry.Counter
+// instrument gives a segment of an instrumented monitor its probe. A
+// wall-clock monitor, the one without an ECU, gives the segment's producer
+// a posts track of its own.
+func (m *LocalMonitor) instrument(s *LocalSegment) {
+	posts := m.tel.track
+	if m.ECU == nil {
+		posts = m.tel.sink.Rec.Track(s.cfg.Name + "/posts")
+	}
+	s.tel = newSegTel(m.tel.sink, m.tel.track, posts, s.cfg.Name)
 }
 
 // AttachTelemetry wires the remote monitor to the sink. A nil sink leaves it
-// dark.
+// dark. Its probe shares the ECU monitor track with the LocalMonitor of the
+// same ECU (both execute on that thread in VariantMonitorThread; in
+// VariantDDSContext the track models the middleware-thread context instead).
 func (m *RemoteMonitor) AttachTelemetry(sink *telemetry.Sink) {
 	if sink == nil {
 		return
 	}
-	ecuName := m.sub.Node().ECU.Name
 	seg := telemetry.Label{Name: "segment", Value: m.cfg.Name}
-	monTrack := sink.Rec.Track(ecuName + "/monitor")
-	m.tel = &remoteTel{
-		segTel: newSegTel(sink, monTrack, monTrack, m.cfg.Name),
-		programs: sink.Reg.Counter("chainmon_timer_programs_total",
-			"Remote deadline-timer programming operations.", seg),
-		discards: sink.Reg.Counter("chainmon_late_discards_total",
-			"Samples discarded because their exception already fired.", seg),
-	}
+	track := sink.Rec.Track(m.sub.Node().ECU.Name + "/monitor")
+	m.tel = newSegTel(sink, track, track, m.cfg.Name)
+	m.programs = sink.Reg.Counter("chainmon_timer_programs_total",
+		"Remote deadline-timer programming operations.", seg)
+	m.discards = sink.Reg.Counter("chainmon_late_discards_total",
+		"Samples discarded because their exception already fired.", seg)
 }
 
 // AttachTelemetry wires every per-writer monitor (present and future) to the

@@ -50,7 +50,7 @@ func TestWallclockConcurrentProducers(t *testing.T) {
 	clock, sem := walltime.NewClock(), walltime.NewSem()
 	mon := NewWallclockMonitor(clock, sem, func() rt.EventRing { return walltime.NewRing(512) }, 1)
 	sink := telemetry.NewSink(1 << 12)
-	mon.AttachWallclockTelemetry(sink, "w")
+	mon.AttachTelemetry(sink, "w")
 	segs := make([]*LocalSegment, segments)
 	verdicts := make([][acts]int, segments) // written by the monitor goroutine
 	var resolved atomic.Int64
@@ -132,7 +132,7 @@ func TestWallclockRingDropsCounted(t *testing.T) {
 	mon := NewWallclockMonitor(walltime.NewClock(), walltime.NewSem(),
 		func() rt.EventRing { return walltime.NewRing(4) }, 1)
 	sink := telemetry.NewSink(64)
-	mon.AttachWallclockTelemetry(sink, "w")
+	mon.AttachTelemetry(sink, "w")
 	seg := mon.AddSegment(SegmentConfig{Name: "w/s", DMon: time.Second})
 	for act := uint64(0); act < 6; act++ {
 		seg.StartInjected(act)
@@ -170,7 +170,7 @@ func TestWallclockTelemetryConcurrentAppends(t *testing.T) {
 		segs = append(segs, mon.AddSegment(SegmentConfig{Name: name, DMon: 500 * time.Microsecond}))
 	}
 	sink := telemetry.NewSink(1 << 10)
-	mon.AttachWallclockTelemetry(sink, "race")
+	mon.AttachTelemetry(sink, "race")
 	loop := startWallLoop(clock, sem, mon)
 
 	var wg sync.WaitGroup
@@ -547,7 +547,7 @@ func TestWallclockArmNotBeforeStart(t *testing.T) {
 	clock := &stepClock{}
 	mon := NewWallclockMonitor(clock, nopWaker{}, func() rt.EventRing { return walltime.NewRing(16) }, 1)
 	sink := telemetry.NewSink(1 << 8)
-	mon.AttachWallclockTelemetry(sink, "w")
+	mon.AttachTelemetry(sink, "w")
 	seg := mon.AddSegment(SegmentConfig{Name: "s", DMon: 15, Period: time.Millisecond})
 	clock.now = 102 // the producer's post
 	seg.StartInjected(0)

@@ -211,8 +211,8 @@ type System struct {
 
 // fusionHorizon bounds the fusion join's bookkeeping, in activations: no
 // key stays in its maps once it is that far behind the newest activation
-// the join has seen. It is the horizon the local monitors keep their verdict
-// maps over. A pruned key would matter only to a sample arriving more than
+// the join has seen. It is the horizon of the local monitors' activation
+// windows. A pruned key would matter only to a sample arriving more than
 // fusionHorizon − fusionPruneStride activations behind the newest, and no
 // link delay, hold or duplicate comes near that.
 const (

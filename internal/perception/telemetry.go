@@ -72,7 +72,7 @@ func AttachTelemetry(s *System, sink *telemetry.Sink) {
 	}
 	for _, lm := range []*monitor.LocalMonitor{s.MonECU1, s.MonECU2} {
 		if lm != nil {
-			lm.AttachTelemetry(sink)
+			lm.AttachTelemetry(sink, lm.ECU.Name)
 		}
 	}
 	for _, rm := range []*monitor.RemoteMonitor{s.RemFront, s.RemRear, s.RemFused} {

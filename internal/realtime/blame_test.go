@@ -261,7 +261,7 @@ func tracedSimReplica(cfg Config, sink *telemetry.Sink) {
 			Period: sim.Duration(cfg.Period), Constraint: weaklyhard.Constraint{M: 1, K: 5},
 		}))
 	}
-	mon.AttachTelemetry(sink)
+	mon.AttachTelemetry(sink, ecu.Name)
 	objects, ground := segs[0], segs[1]
 
 	for act := 0; act < cfg.Frames; act++ {

@@ -241,7 +241,7 @@ func run(cfg Config, sink *telemetry.Sink, observe func(seg int, r monitor.Resol
 		segs = append(segs, seg)
 	}
 	objects, ground := segs[0], segs[1]
-	mon.AttachWallclockTelemetry(sink, "rt")
+	mon.AttachTelemetry(sink, "rt")
 	if cfg.Live != nil {
 		cfg.Live.SetTimebase("wall")
 		mon.AttachLive(cfg.Live)
