@@ -10,9 +10,10 @@
 //     segment (wall_activation), one blame-attributed flow (blame_flow), a
 //     /health scrape with a full budget history (health_render), one
 //     /health and one /metrics scrape of a mid-run full stack
-//     (scrape_pair), one 120-frame vehicle built and run bare (vehicle_run)
-//     and with blame on (blame_vehicle), and the sweep-framework overhead
-//     per combo, all measured via testing.Benchmark;
+//     (scrape_pair), one 120-frame vehicle built only (vehicle_build),
+//     built and run bare (vehicle_run) and with blame on (blame_vehicle),
+//     and the sweep-framework overhead per combo, all measured via
+//     testing.Benchmark;
 //   - parallel campaign throughput: the frozen 102-combo chaos matrix (or
 //     the 10k nightly matrix with -matrix 10k) run serially and through the
 //     sharded worker pool, with the merged summaries byte-compared so the
@@ -390,14 +391,27 @@ func main() {
 			scrape()
 		}
 	})
+	// vehicle_build is the build half of vehicle_run: one op builds the
+	// same 120-frame full-chain vehicle and does not run it, so the rows
+	// split a vehicle's cost into build and run. Most of its ~120 KB per op
+	// is the generator state of its 18 RNGs, 5 KB each.
+	run("vehicle_build", func(b *testing.B) {
+		b.ReportAllocs()
+		cfg := perception.DefaultConfig()
+		cfg.Frames = 120
+		cfg.FullChain = true
+		for i := 0; i < b.N; i++ {
+			perception.Build(cfg)
+		}
+	})
 	// vehicle_run is the unit of the fleet_chaos benchmark: build and run
 	// one 120-frame full-chain vehicle (default scenario, no faults). Its
 	// allocs/op is the per-vehicle allocation budget of the simulated
 	// message path — publish, link, receive stages, monitor bookkeeping —
 	// plus the scenario build, gated against the baseline like every row.
-	// Each op leaves ~610 KB of garbage, so the count also carries the Go
-	// runtime's own per-GC allocations: 0.4–0.75 per op at the default
-	// GOGC (measured at GOMAXPROCS 1–16), which the integer allocs/op
+	// Each op leaves ~420 KB of garbage, so the count also carries the Go
+	// runtime's own per-GC allocations: 0.25–0.4 per op at the default
+	// GOGC (measured at GOMAXPROCS 1, 2 and 4), which the integer allocs/op
 	// truncates away. Gate it at the default GOGC; GOGC=25 reads one more.
 	run("vehicle_run", func(b *testing.B) {
 		b.ReportAllocs()

@@ -9,17 +9,31 @@ import (
 // RNG is a deterministic random source for a simulation component. Each
 // component derives its own RNG from the scenario seed so that adding a
 // component does not perturb the random streams of the others.
+//
+// Its streams are math/rand v1's: an RNG seeded with s draws what
+// rand.New(rand.NewSource(s)) draws, through math/rand's own Rand methods.
+// Like math/rand it reduces a seed mod 2^31−1, so there are 2^31−2
+// streams, and seeds congruent mod 2^31−1 (and 0 and 89482311) share one.
 type RNG struct {
-	r *rand.Rand
+	r   rand.Rand // reads src
+	src source
 }
 
-// NewRNG returns a seeded RNG.
+// NewRNG returns an RNG seeded with seed: the stream of
+// rand.New(rand.NewSource(seed)), set up in one allocation.
 func NewRNG(seed int64) *RNG {
-	return &RNG{r: rand.New(rand.NewSource(seed))}
+	g := new(RNG)
+	g.src.Seed(seed)
+	g.r = *rand.New(&g.src)
+	return g
 }
 
-// Derive returns a new independent RNG whose seed is a deterministic
-// function of this RNG's seed and the given label.
+// Derive returns a new RNG whose seed is a deterministic function of the
+// given label and this RNG's next Int63, in one allocation. The derived seed
+// is reduced mod 2^31−1 like any other, so derived RNGs are independent only
+// within that seed space: two of them share a stream when their seeds
+// collide there, which for n derived RNGs happens with a probability of
+// about n²/2^32.
 func (g *RNG) Derive(label string) *RNG {
 	h := int64(1469598103934665603) // FNV-1a offset basis (truncated)
 	for _, c := range label {

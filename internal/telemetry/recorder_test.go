@@ -49,27 +49,37 @@ func TestTrackMatchesReferenceRing(t *testing.T) {
 
 // TestTrackChunkAllocs gates the recorder's memory: a default-capacity
 // track allocates one chunk per chunkLen events it has written, up to its
-// capacity, and nothing once the ring has wrapped. The collector is off
-// while it counts, so the runtime's own per-cycle allocations stay out.
+// capacity, and nothing once the ring has wrapped. Each case fills fresh
+// tracks built before testing.AllocsPerRun counts, one per run, so only
+// their appends are measured; AllocsPerRun counts on one P and truncates
+// its average, so a stray allocation of another goroutine does not land in
+// a track's count. The collector is off while it counts, so the runtime's
+// own per-cycle allocations stay out.
 func TestTrackChunkAllocs(t *testing.T) {
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	const runs = 8
+	ev := Event{TS: 1, Kind: KindScan}
 	for _, n := range []int{1, chunkLen - 1, chunkLen, chunkLen + 1, 5000,
 		DefaultTrackCap, DefaultTrackCap + 1, 2 * DefaultTrackCap} {
-		tr := NewRecorder(DefaultTrackCap).Track("t")
-		ev := Event{TS: 1, Kind: KindScan}
-		var m0, m1 runtime.MemStats
-		runtime.ReadMemStats(&m0)
-		for i := 0; i < n; i++ {
-			tr.Append(ev)
+		runtime.GC()                     // free the previous case's tracks
+		tracks := make([]*Track, runs+1) // one more for AllocsPerRun's warm-up call
+		for i := range tracks {
+			tracks[i] = NewRecorder(DefaultTrackCap).Track("t")
 		}
-		runtime.ReadMemStats(&m1)
+		next := 0
+		got := testing.AllocsPerRun(runs, func() {
+			tr := tracks[next]
+			next++
+			for i := 0; i < n; i++ {
+				tr.Append(ev)
+			}
+		})
 		chunks := (min(n, DefaultTrackCap) + chunkLen - 1) / chunkLen
-		if got := m1.Mallocs - m0.Mallocs; got > uint64(chunks) {
-			t.Errorf("%d appends allocated %d objects, want at most %d chunks", n, got, chunks)
+		if got > float64(chunks) {
+			t.Errorf("%d appends allocated %v objects, want at most %d chunks", n, got, chunks)
 		}
 	}
 	tr := NewRecorder(DefaultTrackCap).Track("t")
-	ev := Event{TS: 1, Kind: KindScan}
 	for i := 0; i <= DefaultTrackCap; i++ {
 		tr.Append(ev)
 	}
